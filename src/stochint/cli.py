@@ -36,7 +36,7 @@ from .effects import (
     cross_fit_records,
     cross_fit_records_from_models,
     report_from_records,
-    sweep_expected_outcome,
+    sweep_from_records,
     write_influence_csv,
 )
 from .experiments import (
@@ -146,7 +146,6 @@ OPTIMIZE_DEFAULTS = {
     "generations": 100,
     "crossover_rate": 0.9,
     "mutation_rate": 0.05,
-    "mutation_scale": 1.0,
     "elitism": 2,
     "tournament": 3,
     "crossover_op": "sbx",
@@ -360,10 +359,8 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     write_influence_csv(report.influence, outputs.path("influence.csv"))
     if merged["delta_grid"]:
         grid = _parse_grid(merged["delta_grid"])
-        psis = []
-        for value in grid:
-            psis.append(report_from_records(records, float(value), k, seed).psi_hat)
-        write_sweep_csv(grid, psis, outputs.path("sweep.csv"))
+        write_sweep_csv(grid, sweep_from_records(records, grid),
+                        outputs.path("sweep.csv"))
     print(f"estimate: delta {report.delta} psi_hat {report.psi_hat:.6f} "
           f"tau_sie {report.tau_sie:.6f} tau_ate_alg1 {report.tau_ate_alg1:.6f}")
 
@@ -417,7 +414,6 @@ def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
         generations=int(merged["generations"]),
         crossover_rate=float(merged["crossover_rate"]),
         mutation_rate=float(merged["mutation_rate"]),
-        mutation_scale=float(merged["mutation_scale"]),
         elitism_count=int(merged["elitism"]),
         tournament_size=int(merged["tournament"]),
         crossover_operator=merged["crossover_op"],
@@ -560,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(opt, "--generations", type=int)
     _add_option(opt, "--crossover-rate", dest="crossover_rate", type=float)
     _add_option(opt, "--mutation-rate", dest="mutation_rate", type=float)
-    _add_option(opt, "--mutation-scale", dest="mutation_scale", type=float)
     _add_option(opt, "--elitism", type=int)
     _add_option(opt, "--tournament", type=int)
     _add_option(opt, "--crossover-op", dest="crossover_op",

@@ -45,6 +45,18 @@ def _check_delta(delta) -> np.ndarray:
     return d
 
 
+def _check_p_hat(p_hat) -> np.ndarray:
+    p = np.asarray(p_hat, dtype=float)
+    if (p <= 0).any() or (p >= 1).any() or not np.isfinite(p).all():
+        raise ValueError("p_hat must lie strictly inside (0, 1)")
+    return p
+
+
+def _q(p, d):
+    """stochastic_propensity's arithmetic, for callers that checked p and d."""
+    return d * p / (1.0 + (d - 1.0) * p)
+
+
 def stochastic_propensity(p_hat, delta):
     """Reweighted treatment probability q = delta p / (delta p + 1 - p).
 
@@ -55,11 +67,7 @@ def stochastic_propensity(p_hat, delta):
         ValueError: p_hat outside the open interval (0, 1), or delta
             negative/non-finite.
     """
-    p = np.asarray(p_hat, dtype=float)
-    if (p <= 0).any() or (p >= 1).any() or not np.isfinite(p).all():
-        raise ValueError("p_hat must lie strictly inside (0, 1)")
-    d = _check_delta(delta)
-    q = d * p / (1.0 + (d - 1.0) * p)
+    q = _q(_check_p_hat(p_hat), _check_delta(delta))
     if np.isscalar(p_hat) and np.isscalar(delta):
         return float(q)
     return q
@@ -416,13 +424,12 @@ def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
             ])
 
 
-def _influence_parts(records: UnitRecords, delta):
-    p = records.require_p_hat()
-    q = stochastic_propensity(p, delta)
+def _dr_terms(records: UnitRecords):
+    """Checked p_hat and the arm terms m1, m0, none of which depend on delta."""
+    p = _check_p_hat(records.require_p_hat())
     m1 = m_term(records.treatments, records.outcomes, records.mu1, p, 1)
     m0 = m_term(records.treatments, records.outcomes, records.mu0, p, 0)
-    phi = influence(q, m1, m0)
-    return q, m1, m0, phi
+    return p, m1, m0
 
 
 def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
@@ -432,8 +439,9 @@ def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
     d = _check_delta(delta)
     if d.ndim != 0:
         raise ValueError("a scalar delta is required here")
-    q, m1, m0, phi = _influence_parts(records, float(d))
-    p = records.require_p_hat()
+    p, m1, m0 = _dr_terms(records)
+    q = stochastic_propensity(p, float(d))
+    phi = influence(q, m1, m0)
     tau_plugin = p * records.mu1 + (1.0 - p) * records.mu0
     return EstimateReport(
         tau_ate_alg1=float(np.mean(tau_plugin)),
@@ -496,31 +504,25 @@ def expected_response_from_records(records: UnitRecords, deltas) -> float:
         raise ValueError(
             f"expected {records.n} per-unit deltas, got shape {d.shape}"
         )
-    _, _, _, phi = _influence_parts(records, d)
-    return float(np.mean(phi))
+    p, m1, m0 = _dr_terms(records)
+    return float(np.mean(influence(stochastic_propensity(p, d), m1, m0)))
 
 
-def expected_response(data: ObservationalDataset, deltas, k: int = 5,
-                      seed: int = 0,
-                      nuisance: NuisanceSpec | None = None) -> float:
-    """Cross-fit nuisances, then average phi(z_i, delta_i) over units."""
-    records, _ = cross_fit_records(data, k, seed, nuisance)
-    return expected_response_from_records(records, deltas)
+def sweep_from_records(records: UnitRecords, deltas) -> np.ndarray:
+    """psi_hat over a 1-d grid of scalar deltas; m1 and m0 are built once."""
+    grid = _check_delta(deltas)
+    if grid.ndim != 1:
+        raise ValueError("delta grid must be 1-d")
+    p, m1, m0 = _dr_terms(records)
+    return np.array([np.mean(influence(_q(p, d), m1, m0)) for d in grid])
 
 
 def sweep_expected_outcome(data: ObservationalDataset, deltas, k: int = 5,
                            seed: int = 0,
                            nuisance: NuisanceSpec | None = None) -> np.ndarray:
     """psi_hat over a grid of scalar deltas, fitting nuisances only once."""
-    grid = _check_delta(deltas)
-    if grid.ndim != 1:
-        raise ValueError("delta grid must be 1-d")
     records, _ = cross_fit_records(data, k, seed, nuisance)
-    out = np.empty(grid.shape[0])
-    for i, d in enumerate(grid):
-        _, _, _, phi = _influence_parts(records, float(d))
-        out[i] = float(np.mean(phi))
-    return out
+    return sweep_from_records(records, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +590,7 @@ def ipwe_from_propensity(treatments, outcomes, p_hat) -> float:
     """Horvitz-Thompson contrast with the given (clipped) probabilities."""
     t = np.asarray(treatments, dtype=float)
     y = np.asarray(outcomes, dtype=float)
-    p = np.asarray(p_hat, dtype=float)
-    if (p <= 0).any() or (p >= 1).any():
-        raise ValueError("p_hat must lie strictly inside (0, 1)")
+    p = _check_p_hat(p_hat)
     return float(np.mean(t * y / p) - np.mean((1.0 - t) * y / (1.0 - p)))
 
 

@@ -1,16 +1,16 @@
 """Genetic search for per-unit intervention strengths.
 
 Candidate solutions are vectors of per-unit deltas inside box bounds.  The
-fitness of a candidate is the summed influence value over the sample, with
-nuisance predictions computed once up front and reused for every evaluation.
-Variation uses tournament selection, simulated-binary or uniform crossover,
-uniform-redraw mutation, and elitism (which makes the best-fitness trace
-non-decreasing).
+fitness of a candidate is the summed influence value over the sample; the
+search builds the delta-free arm terms once and keeps its population as one
+(population_size, n) array.  Variation uses tournament selection,
+simulated-binary or uniform crossover, uniform-redraw mutation, and elitism
+(which makes the best-fitness trace non-decreasing).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,11 @@ from .data import ObservationalDataset
 from .effects import (
     NuisanceSpec,
     UnitRecords,
+    _check_delta,
+    _dr_terms,
+    _q,
     cross_fit_records,
     influence,
-    m_term,
-    stochastic_propensity,
 )
 
 CROSSOVER_OPERATORS = ("sbx", "uniform")
@@ -58,15 +59,12 @@ class GaConfig:
     """Settings for the genetic optimizer.
 
     population_size must be even (pairing for crossover) and >= 4.
-    mutation_scale is reserved for non-uniform mutation operators; the
-    uniform redraw implemented here does not consult it.
     """
 
     population_size: int = 50
     generations: int = 100
     crossover_rate: float = 0.9
     mutation_rate: float = 0.05
-    mutation_scale: float = 1.0
     elitism_count: int = 2
     tournament_size: int = 3
     crossover_operator: str = "sbx"
@@ -85,8 +83,6 @@ class GaConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.mutation_scale <= 0:
-            raise ValueError("mutation_scale must be > 0")
         if not 0 <= self.elitism_count < self.population_size:
             raise ValueError("elitism_count must lie in [0, population_size)")
         if not 2 <= self.tournament_size <= self.population_size:
@@ -98,8 +94,8 @@ class GaConfig:
         if self.init_std <= 0:
             raise ValueError("init_std must be > 0")
         lo, hi = self.bounds
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("bounds must be finite with lo < hi")
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
+            raise ValueError("bounds must be finite with 0 <= lo < hi")
         object.__setattr__(self, "bounds", (float(lo), float(hi)))
 
 
@@ -117,6 +113,11 @@ class GaTrace:
         return self.best_fitness.shape[0]
 
 
+def _row_fitness(deltas, p, m1, m0) -> float:
+    """Summed influence value of one already-checked delta row."""
+    return float(np.sum(influence(_q(p, deltas), m1, m0)))
+
+
 def fitness(individual, records: UnitRecords) -> float:
     """Summed influence value of a per-unit delta vector over the records.
 
@@ -130,11 +131,8 @@ def fitness(individual, records: UnitRecords) -> float:
         raise ValueError(
             f"delta vector has length {deltas.shape}, records have {records.n} units"
         )
-    p = records.require_p_hat()
-    q = stochastic_propensity(p, deltas)
-    m1 = m_term(records.treatments, records.outcomes, records.mu1, p, 1)
-    m0 = m_term(records.treatments, records.outcomes, records.mu0, p, 0)
-    value = float(np.sum(influence(q, m1, m0)))
+    p, m1, m0 = _dr_terms(records)
+    value = _row_fitness(_check_delta(deltas), p, m1, m0)
     if not np.isfinite(value):
         raise ValueError("non-finite fitness value")
     return value
@@ -144,13 +142,26 @@ def initialize_population(n: int, config: GaConfig,
                           rng: np.random.Generator | None = None
                           ) -> list[InterventionVector]:
     """Draw population_size vectors ~ normal(init_mean, init_std), clamped."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     lo, hi = config.bounds
-    draws = rng.normal(config.init_mean, config.init_std,
-                       (config.population_size, n))
-    return [InterventionVector(np.clip(row, lo, hi), lo, hi) for row in draws]
+    return [InterventionVector(row, lo, hi) for row in _initial_rows(n, config, rng)]
+
+
+def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    draws = rng.normal(config.init_mean, config.init_std, (config.population_size, n))
+    return np.clip(draws, *config.bounds, out=draws)
+
+
+def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> list:
+    """Index of each of len(fits) tournament winners.
+
+    One integers() call per tournament: numpy buffers 32-bit draws within a
+    call, so batched calls would draw a different stream.
+    """
+    entrants = [rng.integers(0, len(fits), size=size) for _ in fits]
+    return [group[np.argmax(fits[group])] for group in entrants]
 
 
 def select_parents(population: list[InterventionVector], fitnesses,
@@ -158,26 +169,31 @@ def select_parents(population: list[InterventionVector], fitnesses,
                    rng: np.random.Generator) -> list[InterventionVector]:
     """Tournament selection with replacement; returns population_size parents."""
     fits = np.asarray(fitnesses, dtype=float)
-    m = len(population)
-    if fits.shape != (m,):
+    if fits.shape != (len(population),):
         raise ValueError("need one fitness per individual")
-    parents = []
-    for _ in range(m):
-        entrants = rng.integers(0, m, size=config.tournament_size)
-        winner = entrants[int(np.argmax(fits[entrants]))]
-        parents.append(population[int(winner)])
-    return parents
+    return [population[i] for i in _tournament(fits, config.tournament_size, rng)]
 
 
-def _sbx_children(a: np.ndarray, b: np.ndarray, u: np.ndarray,
-                  eta: float) -> tuple[np.ndarray, np.ndarray]:
-    exponent = 1.0 / (eta + 1.0)
-    beta = np.where(u <= 0.5,
-                    (2.0 * u) ** exponent,
-                    (1.0 / (2.0 * (1.0 - u))) ** exponent)
-    c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-    c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    return c1, c2
+def _crossover_rows(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
+                    config: GaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped children of rows a and b; draws[0] gates mixing, draws[1] is u."""
+    u = draws[1]
+    if config.crossover_operator == "sbx":
+        # one pow of the branch-selected base is bit-identical to selecting
+        # between the powers of both branches; 0.5 / x equals 1 / (2 x)
+        base = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u))
+        beta = np.power(base, 1.0 / (config.sbx_eta + 1.0), out=base)
+        up, down = 1.0 + beta, 1.0 - beta
+        c1 = 0.5 * (up * a + down * b)
+        c2 = 0.5 * (down * a + up * b)
+    else:
+        swap = u < 0.5
+        c1 = np.where(swap, b, a)
+        c2 = np.where(swap, a, b)
+    keep = draws[0] >= config.crossover_rate
+    np.copyto(c1, a, where=keep)
+    np.copyto(c2, b, where=keep)
+    return np.clip(c1, *config.bounds, out=c1), np.clip(c2, *config.bounds, out=c2)
 
 
 def crossover(parent_a: InterventionVector, parent_b: InterventionVector,
@@ -194,32 +210,22 @@ def crossover(parent_a: InterventionVector, parent_b: InterventionVector,
     a, b = parent_a.deltas, parent_b.deltas
     if a.shape != b.shape:
         raise ValueError("parents must have equal length")
-    n = a.shape[0]
+    children = _crossover_rows(a, b, rng.random((2, a.shape[0])), config)
+    return tuple(InterventionVector(c, *config.bounds) for c in children)
+
+
+def _mutate_into(child: np.ndarray, draws: np.ndarray, config: GaConfig) -> None:
+    """Where draws[0] < mutation_rate, set child to draws[1] scaled to [lo, hi]."""
     lo, hi = config.bounds
-    apply_mask = rng.random(n) < config.crossover_rate
-    u = rng.random(n)
-    if config.crossover_operator == "sbx":
-        c1, c2 = _sbx_children(a, b, u, config.sbx_eta)
-    else:
-        swap = u < 0.5
-        c1 = np.where(swap, b, a)
-        c2 = np.where(swap, a, b)
-    child1 = np.where(apply_mask, c1, a)
-    child2 = np.where(apply_mask, c2, b)
-    return (
-        InterventionVector(np.clip(child1, lo, hi), lo, hi),
-        InterventionVector(np.clip(child2, lo, hi), lo, hi),
-    )
+    np.copyto(child, lo + (hi - lo) * draws[1], where=draws[0] < config.mutation_rate)
 
 
 def mutate(individual: InterventionVector, config: GaConfig,
            rng: np.random.Generator) -> InterventionVector:
     """Redraw each coordinate uniformly in [lo, hi] with mutation_rate."""
-    n = individual.n
-    lo, hi = config.bounds
-    mask = rng.random(n) < config.mutation_rate
-    redraw = rng.uniform(lo, hi, n)
-    return InterventionVector(np.where(mask, redraw, individual.deltas), lo, hi)
+    child = individual.deltas.copy()
+    _mutate_into(child, rng.random((2, individual.n)), config)
+    return InterventionVector(child, *config.bounds)
 
 
 def optimize_records(records: UnitRecords, config: GaConfig | None = None,
@@ -227,50 +233,56 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None,
                      ) -> tuple[InterventionVector, GaTrace]:
     """Run the genetic search against precomputed unit records.
 
-    Nuisances are whatever the records carry; no fitting happens here, so
-    fitness evaluation is pure and cheap.
+    Nuisances are whatever the records carry; no fitting happens here.  The
+    elites and the children of each generation fill a second population
+    array; the README's Determinism section gives the rng draw order.
 
     Returns:
         (best vector of the final generation, per-generation trace).
     """
     cfg = config or GaConfig()
+    lo, hi = cfg.bounds
+    p, m1, m0 = _dr_terms(records)
     rng = np.random.default_rng(cfg.seed)
-    population = initialize_population(records.n, cfg, rng)
-    m = cfg.population_size
+    population = _initial_rows(records.n, cfg, rng)
+    bred = np.empty_like(population)
+    draws = np.empty((6, records.n))
+    m, elites = cfg.population_size, cfg.elitism_count
+    fits = np.empty(m)
     best_hist = np.empty(cfg.generations)
     mean_hist = np.empty(cfg.generations)
     snapshots = []
-    best_vector = population[0]
     for gen in range(cfg.generations):
-        fits = np.empty(m)
-        for i, ind in enumerate(population):
-            try:
-                fits[i] = fitness(ind, records)
-            except ValueError as err:
-                raise ValueError(f"individual {i}: {err}") from None
+        for i, row in enumerate(population):
+            fits[i] = _row_fitness(row, p, m1, m0)
+        if not np.isfinite(fits).all():
+            raise ValueError(f"individual {np.argmin(np.isfinite(fits))}: "
+                             "non-finite fitness value")
         order = np.argsort(-fits, kind="stable")
-        best_vector = population[int(order[0])]
         best_hist[gen] = fits[order[0]]
         mean_hist[gen] = fits.mean()
         if snapshot_every and gen % snapshot_every == 0:
-            snapshots.append((gen, best_vector))
+            snapshots.append(
+                (gen, InterventionVector(population[order[0]].copy(), lo, hi)))
         if gen == cfg.generations - 1:
             break
-        elites = [population[int(i)] for i in order[:cfg.elitism_count]]
-        parents = select_parents(population, fits, cfg, rng)
-        children = []
+        bred[:elites] = population[order[:elites]]
+        parents = _tournament(fits, cfg.tournament_size, rng)
         for i in range(0, m, 2):
-            c1, c2 = crossover(parents[i], parents[i + 1], cfg, rng)
-            children.append(mutate(c1, cfg, rng))
-            children.append(mutate(c2, cfg, rng))
-        population = elites + children[: m - cfg.elitism_count]
-    trace = GaTrace(
-        best_fitness=best_hist,
-        mean_fitness=mean_hist,
-        snapshot_every=snapshot_every,
-        snapshots=tuple(snapshots),
-    )
-    return best_vector, trace
+            # each pair draws its crossover mask and u, then a mutation mask
+            # and redraw per child, even if its children fall past the end
+            rng.random(out=draws)
+            rows = bred[elites + i:elites + i + 2]
+            if len(rows):
+                children = _crossover_rows(population[parents[i]],
+                                           population[parents[i + 1]], draws[:2], cfg)
+                for row, child, child_draws in zip(rows, children,
+                                                   (draws[2:4], draws[4:])):
+                    row[:] = child
+                    _mutate_into(row, child_draws, cfg)
+        population, bred = bred, population
+    best = InterventionVector(population[order[0]].copy(), lo, hi)
+    return best, GaTrace(best_hist, mean_hist, snapshot_every, tuple(snapshots))
 
 
 def optimize(data: ObservationalDataset, config: GaConfig | None = None,

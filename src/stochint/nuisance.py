@@ -260,10 +260,6 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
                            n_iter=n_iter, grad_norm=gn)
 
 
-def predict_propensity(model: PropensityModel, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
-
-
 # ---------------------------------------------------------------------------
 # outcome models
 # ---------------------------------------------------------------------------
@@ -399,10 +395,6 @@ def fit_outcome(data: ObservationalDataset,
             1: _fit_single(x[t == 1], y[t == 1], cfg),
         },
     )
-
-
-def predict_outcome(model: OutcomeModel, x: np.ndarray, arm: int) -> np.ndarray:
-    return model.predict(x, arm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,157 @@
+"""The array-based genetic search against a frozen per-individual reference.
+
+The reference below is the search as it was first written: one validated
+vector per individual, the doubly-robust terms rebuilt for every fitness
+call, and the operators applied one pair at a time.  It is kept here only to
+pin the search's output bit for bit; nothing in the package uses it.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochint.effects import influence, m_term, stochastic_propensity
+from stochint.genetic import (
+    GaConfig,
+    InterventionVector,
+    crossover,
+    mutate,
+    optimize_records,
+)
+
+from conftest import oracle_records
+
+
+def reference_fitness(deltas, records):
+    p = records.p_hat
+    q = stochastic_propensity(p, deltas)
+    m1 = m_term(records.treatments, records.outcomes, records.mu1, p, 1)
+    m0 = m_term(records.treatments, records.outcomes, records.mu0, p, 0)
+    return float(np.sum(influence(q, m1, m0)))
+
+
+def reference_crossover(a, b, cfg, rng):
+    n = a.shape[0]
+    lo, hi = cfg.bounds
+    apply_mask = rng.random(n) < cfg.crossover_rate
+    u = rng.random(n)
+    if cfg.crossover_operator == "sbx":
+        exponent = 1.0 / (cfg.sbx_eta + 1.0)
+        beta = np.where(u <= 0.5,
+                        (2.0 * u) ** exponent,
+                        (1.0 / (2.0 * (1.0 - u))) ** exponent)
+        c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+        c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+    else:
+        swap = u < 0.5
+        c1 = np.where(swap, b, a)
+        c2 = np.where(swap, a, b)
+    return (np.clip(np.where(apply_mask, c1, a), lo, hi),
+            np.clip(np.where(apply_mask, c2, b), lo, hi))
+
+
+def reference_mutate(x, cfg, rng):
+    lo, hi = cfg.bounds
+    mask = rng.random(x.shape[0]) < cfg.mutation_rate
+    redraw = rng.uniform(lo, hi, x.shape[0])
+    return np.where(mask, redraw, x)
+
+
+def reference_search(records, cfg, snapshot_every):
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.bounds
+    m = cfg.population_size
+    draws = rng.normal(cfg.init_mean, cfg.init_std, (m, records.n))
+    population = [np.clip(row, lo, hi) for row in draws]
+    best_hist, mean_hist, snapshots = [], [], []
+    for gen in range(cfg.generations):
+        fits = np.array([reference_fitness(ind, records) for ind in population])
+        order = np.argsort(-fits, kind="stable")
+        best = population[int(order[0])]
+        best_hist.append(fits[order[0]])
+        mean_hist.append(fits.mean())
+        if snapshot_every and gen % snapshot_every == 0:
+            snapshots.append((gen, best))
+        if gen == cfg.generations - 1:
+            break
+        elites = [population[int(i)] for i in order[:cfg.elitism_count]]
+        parents = []
+        for _ in range(m):
+            entrants = rng.integers(0, m, size=cfg.tournament_size)
+            parents.append(population[int(entrants[int(np.argmax(fits[entrants]))])])
+        children = []
+        for i in range(0, m, 2):
+            c1, c2 = reference_crossover(parents[i], parents[i + 1], cfg, rng)
+            children.append(reference_mutate(c1, cfg, rng))
+            children.append(reference_mutate(c2, cfg, rng))
+        population = elites + children[: m - cfg.elitism_count]
+    return best, np.array(best_hist), np.array(mean_hist), snapshots
+
+
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def search_settings(draw):
+    population = draw(st.sampled_from([4, 6, 8, 10]))
+    lo = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    cfg = GaConfig(
+        population_size=population,
+        generations=draw(st.integers(1, 6)),
+        crossover_rate=draw(rates),
+        mutation_rate=draw(rates),
+        elitism_count=draw(st.integers(0, 3)),
+        tournament_size=draw(st.integers(2, population)),
+        crossover_operator=draw(st.sampled_from(["sbx", "uniform"])),
+        sbx_eta=draw(st.sampled_from([1.0, 2.5, 15.0])),
+        # normal(1, 1) draws fall outside [lo, hi] on both sides
+        bounds=(lo, lo + draw(st.sampled_from([0.9, 2.0, 10.0]))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return cfg, draw(st.sampled_from([0, 1, 2])), draw(st.integers(1, 24))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(setting=search_settings(), records_seed=st.integers(0, 1000))
+def test_array_search_matches_per_individual_reference(setting, records_seed):
+    cfg, snapshot_every, n = setting
+    records = oracle_records(n, seed=records_seed, gap_lo=-1.0, gap_hi=1.0)
+    best, trace = optimize_records(records, cfg, snapshot_every)
+    ref_best, ref_best_hist, ref_mean_hist, ref_snapshots = reference_search(
+        records, cfg, snapshot_every)
+    assert np.array_equal(best.deltas, ref_best)
+    assert np.array_equal(trace.best_fitness, ref_best_hist)
+    assert np.array_equal(trace.mean_fitness, ref_mean_hist)
+    assert [gen for gen, _ in trace.snapshots] == [gen for gen, _ in ref_snapshots]
+    for (_, got), (_, want) in zip(trace.snapshots, ref_snapshots):
+        assert np.array_equal(got.deltas, want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(setting=search_settings(), seed=st.integers(0, 2**32 - 1))
+def test_public_operators_match_reference(setting, seed):
+    cfg, _, n = setting
+    lo, hi = cfg.bounds
+    parents = np.random.default_rng(seed).uniform(lo, hi, (2, n))
+    a, b = (InterventionVector(x, lo, hi) for x in parents)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    c1, c2 = crossover(a, b, cfg, rng)
+    r1, r2 = reference_crossover(parents[0], parents[1], cfg, ref_rng)
+    assert np.array_equal(c1.deltas, r1) and np.array_equal(c2.deltas, r2)
+    assert np.array_equal(mutate(c1, cfg, rng).deltas,
+                          reference_mutate(r1, cfg, ref_rng))
+    assert rng.random() == ref_rng.random()
+
+
+def test_long_searches_match_reference_for_each_elitism():
+    # an even population with elitism 0..3 breeds an even and an odd number
+    # of rows, so the last pair's children are kept whole, halved or dropped
+    records = oracle_records(40, seed=3, gap_lo=-1.0, gap_hi=1.0)
+    for elitism in range(4):
+        cfg = GaConfig(population_size=10, generations=30, elitism_count=elitism,
+                       mutation_rate=0.2, bounds=(0.2, 4.0), seed=elitism)
+        best, trace = optimize_records(records, cfg, snapshot_every=7)
+        ref_best, ref_best_hist, ref_mean_hist, _ = reference_search(records, cfg, 7)
+        assert np.array_equal(best.deltas, ref_best)
+        assert np.array_equal(trace.best_fitness, ref_best_hist)
+        assert np.array_equal(trace.mean_fitness, ref_mean_hist)

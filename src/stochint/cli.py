@@ -34,9 +34,8 @@ from .effects import (
     OutcomeSpec,
     PropensitySpec,
     cross_fit_records,
-    cross_fit_records_from_models,
+    expected_response_from_records,
     report_from_records,
-    sweep_from_records,
     write_influence_csv,
 )
 from .experiments import (
@@ -58,8 +57,20 @@ from .nuisance import OutcomeConfig, SolverConfig, load_model, save_model
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 
-_DGP_KEYS = ("noise_scale", "treated_fraction_target", "propensity_clip",
-             "nonlinearity", "uplift_fraction")
+_DGP_DEFAULTS = {
+    "generator": "ihdp",
+    "n": 747,
+    "d": 25,
+    "seed": 0,
+    "noise_scale": None,
+    "treated_fraction_target": None,
+    "propensity_clip": None,
+    "nonlinearity": None,
+    "uplift_fraction": None,
+}
+
+# DgpConfig overrides; left unset (None), the generator's own default holds.
+_DGP_KEYS = tuple(key for key, value in _DGP_DEFAULTS.items() if value is None)
 
 _NUISANCE_DEFAULTS = {
     "outcome_kind": "boosted_trees",
@@ -87,17 +98,7 @@ _SCHEMA_DEFAULTS = {
     "propensity_col": None,
 }
 
-SIMULATE_DEFAULTS = {
-    "generator": "ihdp",
-    "n": 747,
-    "d": 25,
-    "seed": 0,
-    "noise_scale": None,
-    "treated_fraction_target": None,
-    "propensity_clip": None,
-    "nonlinearity": None,
-    "uplift_fraction": None,
-}
+SIMULATE_DEFAULTS = dict(_DGP_DEFAULTS)
 
 ESTIMATE_DEFAULTS = {
     "data": None,
@@ -112,15 +113,7 @@ ESTIMATE_DEFAULTS = {
 }
 
 BENCHMARK_DEFAULTS = {
-    "generator": "ihdp",
-    "n": 747,
-    "d": 25,
-    "seed": 0,
-    "noise_scale": None,
-    "treated_fraction_target": None,
-    "propensity_clip": None,
-    "nonlinearity": None,
-    "uplift_fraction": None,
+    **_DGP_DEFAULTS,
     "methods": "sie,ols,ipwe",
     "replications": 50,
     "test_fraction": 0.2,
@@ -132,15 +125,9 @@ BENCHMARK_DEFAULTS = {
 
 OPTIMIZE_DEFAULTS = {
     "data": None,
+    **_DGP_DEFAULTS,
     "generator": "op",
     "n": 1000,
-    "d": 25,
-    "seed": 0,
-    "noise_scale": None,
-    "treated_fraction_target": None,
-    "propensity_clip": None,
-    "nonlinearity": None,
-    "uplift_fraction": None,
     "folds": 5,
     "population": 50,
     "generations": 100,
@@ -325,8 +312,21 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     k = int(merged["folds"])
     seed = int(merged["seed"])
 
+    # Saved models are only held out for the fold assignment they were fit
+    # on, which (n, k, seed) fixes; folds.json records it beside them.
+    folds = {"n": data.n_units, "k": k, "seed": seed}
+    fold_models = None
     if merged["load_models"]:
         model_dir = Path(merged["load_models"])
+        manifest = model_dir / "folds.json"
+        if not manifest.exists():
+            raise CliError(f"missing {manifest}; saved models need their fold manifest")
+        saved = json.loads(manifest.read_text(encoding="utf-8"))
+        if saved != folds:
+            raise CliError(
+                f"{manifest} records folds {saved} but this run uses {folds}; "
+                f"the models would score units they were trained on"
+            )
         fold_models = []
         for fold in range(k):
             p_path = model_dir / f"fold{fold}.propensity.json"
@@ -334,23 +334,22 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
             if not p_path.exists() or not o_path.exists():
                 raise CliError(f"missing saved models for fold {fold} in {model_dir}")
             fold_models.append((load_model(p_path), load_model(o_path)))
-        records, diagnostics = cross_fit_records_from_models(data, k, seed,
-                                                             fold_models)
-    else:
-        collected: list | None = [] if merged["save_models"] else None
-        records, diagnostics = cross_fit_records(data, k, seed, nuisance,
-                                                 collect_models=collected)
-        if collected is not None:
-            model_dir = Path(merged["save_models"])
-            model_dir.mkdir(parents=True, exist_ok=True)
-            for fold, (p_model, o_model) in enumerate(collected):
-                if p_model is None or o_model is None:
-                    raise CliError(
-                        "--save-models requires fitted (not oracle/constant) "
-                        "nuisances"
-                    )
-                save_model(p_model, model_dir / f"fold{fold}.propensity.json")
-                save_model(o_model, model_dir / f"fold{fold}.outcome.json")
+    collected: list | None = [] if merged["save_models"] else None
+    records, diagnostics = cross_fit_records(data, k, seed, nuisance,
+                                             collect_models=collected,
+                                             fold_models=fold_models)
+    if collected is not None:
+        model_dir = Path(merged["save_models"])
+        model_dir.mkdir(parents=True, exist_ok=True)
+        for fold, (p_model, o_model) in enumerate(collected):
+            if p_model is None or o_model is None:
+                raise CliError(
+                    "--save-models requires fitted (not oracle/constant) "
+                    "nuisances"
+                )
+            save_model(p_model, model_dir / f"fold{fold}.propensity.json")
+            save_model(o_model, model_dir / f"fold{fold}.outcome.json")
+        write_json(folds, model_dir / "folds.json")
 
     report = report_from_records(records, float(merged["delta"]), k, seed,
                                  per_fold=diagnostics)
@@ -359,8 +358,8 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     write_influence_csv(report.influence, outputs.path("influence.csv"))
     if merged["delta_grid"]:
         grid = _parse_grid(merged["delta_grid"])
-        write_sweep_csv(grid, sweep_from_records(records, grid),
-                        outputs.path("sweep.csv"))
+        psis = expected_response_from_records(records, grid[:, None])
+        write_sweep_csv(grid, psis, outputs.path("sweep.csv"))
     print(f"estimate: delta {report.delta} psi_hat {report.psi_hat:.6f} "
           f"tau_sie {report.tau_sie:.6f} tau_ate_alg1 {report.tau_ate_alg1:.6f}")
 

@@ -344,8 +344,10 @@ class DgpConfig:
             raise DatasetError("uplift_fraction must lie in (0, 1)")
 
 
-def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
+def sigmoid(z):
+    """Numerically stable logistic function."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -358,7 +360,7 @@ def _calibrate_intercept(z: np.ndarray, target: float, clip: float) -> float:
     lo, hi = -30.0, 30.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        p = np.clip(_expit(mid + z), clip, 1.0 - clip)
+        p = np.clip(sigmoid(mid + z), clip, 1.0 - clip)
         if p.mean() < target:
             lo = mid
         else:
@@ -427,7 +429,7 @@ def generate_ihdp_like(n: int, d: int, seed: int,
 
     z = 1.2 * (0.9 * c0 + 0.7 * c1 + 0.5 * (xa @ w_assign))
     alpha = _calibrate_intercept(z, cfg.treated_fraction_target, cfg.propensity_clip)
-    p = np.clip(_expit(alpha + z), cfg.propensity_clip, 1.0 - cfg.propensity_clip)
+    p = np.clip(sigmoid(alpha + z), cfg.propensity_clip, 1.0 - cfg.propensity_clip)
     t = _draw_treatments(rng, p)
 
     noise = rng.standard_normal(n)
@@ -509,7 +511,7 @@ def generate_op_like(n: int, seed: int,
 
     z = 0.7 * x[:, 0] + 0.5 * x[:, 1] - 0.4 * x[:, 9]
     alpha = _calibrate_intercept(z, cfg.treated_fraction_target, cfg.propensity_clip)
-    p = np.clip(_expit(alpha + z), cfg.propensity_clip, 1.0 - cfg.propensity_clip)
+    p = np.clip(sigmoid(alpha + z), cfg.propensity_clip, 1.0 - cfg.propensity_clip)
     t = _draw_treatments(rng, p)
 
     mu_obs = np.where(t == 1, mu1, mu0)

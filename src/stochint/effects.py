@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -191,47 +191,55 @@ class FoldDiagnostics:
     outcome_train_rmse: float | None = None
 
 
-def _propensity_for(spec: PropensitySpec, train: ObservationalDataset,
-                    eval_data: ObservationalDataset, eval_idx: np.ndarray,
-                    full: ObservationalDataset, seed: int):
-    """Held-out propensity predictions plus optional solver diagnostics."""
+def propensity_predictions(spec: PropensitySpec, train: ObservationalDataset,
+                           *eval_sets: ObservationalDataset, seed: int):
+    """Fit the propensity once on train and predict it on each evaluation set.
+
+    Oracle mode reads each set's ground truth and constant mode fills in the
+    configured probability; neither fits a model.
+
+    Returns:
+        (one prediction array per evaluation set, fitted model or None).
+    """
     if spec.mode == "oracle":
-        truth = full.truth
-        if truth is None or truth.true_propensity is None:
+        if any(ev.truth is None or ev.truth.true_propensity is None
+               for ev in eval_sets):
             raise ValueError("oracle propensity requested but ground truth is absent")
-        return truth.true_propensity[eval_idx], None
+        return [ev.truth.true_propensity for ev in eval_sets], None
     if spec.mode == "constant":
-        return np.full(eval_idx.shape[0], float(spec.constant)), None
+        return [np.full(ev.n_units, float(spec.constant)) for ev in eval_sets], None
     basis = make_basis(spec.basis_kind, train.covariates,
                        n_centers=spec.rbf_centers, seed=seed)
     model = fit_propensity(train, basis, solver=spec.solver, clip=spec.clip)
-    return model.predict(eval_data.covariates), model
+    return [model.predict(ev.covariates) for ev in eval_sets], model
 
 
-def _outcome_for(spec: OutcomeSpec, train: ObservationalDataset,
-                 eval_data: ObservationalDataset, eval_idx: np.ndarray,
-                 full: ObservationalDataset):
-    """Held-out (mu0, mu1) predictions plus optional fit diagnostics."""
-    if spec.mode == "oracle":
-        truth = full.truth
-        if truth is None:
+def _outcome_for(model, eval_data: ObservationalDataset):
+    """Held-out (mu0, mu1): the model's predictions, or oracle truth without one."""
+    if model is None:
+        if eval_data.truth is None:
             raise ValueError("oracle outcome requested but ground truth is absent")
-        return truth.mu0[eval_idx], truth.mu1[eval_idx], None, None
-    model = fit_outcome(train, spec.config)
-    mu0 = model.predict(eval_data.covariates, 0)
-    mu1 = model.predict(eval_data.covariates, 1)
-    rmse = None
-    path = model.train_rmse_path
-    if path:
-        rmse = float(np.mean([arr[-1] for arr in path.values()]))
-    return mu0, mu1, rmse, model
+        return eval_data.truth.mu0, eval_data.truth.mu1
+    x = eval_data.covariates
+    return model.predict(x, 0), model.predict(x, 1)
+
+
+def _train_rmse(model) -> float | None:
+    """Mean final-round training RMSE of a boosted model; None if not recorded.
+
+    Loaded models carry no training path, since it is not serialized.
+    """
+    path = {} if model is None else model.train_rmse_path
+    if not path or any(arr is None for arr in path.values()):
+        return None
+    return float(np.mean([arr[-1] for arr in path.values()]))
 
 
 def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
                       nuisance: NuisanceSpec | None = None,
                       need_propensity: bool = True,
-                      need_outcome: bool = True,
                       collect_models: list | None = None,
+                      fold_models: list | None = None,
                       ) -> tuple[UnitRecords, tuple[FoldDiagnostics, ...]]:
     """Cross-fitted nuisance predictions for every unit.
 
@@ -243,6 +251,10 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         collect_models: if a list is passed, one (propensity_model,
             outcome_model) pair per fold is appended to it (None entries for
             oracle/constant modes).
+        fold_models: previously saved (PropensityModel, OutcomeModel) pairs,
+            one per fold in fold order, fit against the same (n, k, seed)
+            fold assignment.  When given, the loop predicts with them
+            instead of fitting.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -250,89 +262,49 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     Raises:
         FitError: a fold's training complement lacks an arm or is otherwise
             unfittable; the message names the fold.
+        ValueError: fold_models does not hold k pairs.
     """
+    if fold_models is not None and len(fold_models) != k:
+        raise ValueError(f"expected {k} fold model pairs, got {len(fold_models)}")
     spec = nuisance or NuisanceSpec()
     n = data.n_units
     folds = split_folds(n, k, seed)
     p_hat = np.empty(n) if need_propensity else None
-    mu0 = np.empty(n) if need_outcome else None
-    mu1 = np.empty(n) if need_outcome else None
-    diagnostics = []
-    for fold in range(k):
-        eval_idx = folds.indices(fold)
-        train_idx = folds.complement(fold)
-        train = data.subset(train_idx)
-        eval_data = data.subset(eval_idx)
-        diag_kwargs = dict(
-            fold=fold,
-            n_eval=int(eval_idx.shape[0]),
-            n_train=int(train_idx.shape[0]),
-            n_train_treated=int(train.treatments.sum()),
-        )
-        p_model = o_model = None
-        try:
-            if need_propensity:
-                p_fold, p_model = _propensity_for(
-                    spec.propensity, train, eval_data, eval_idx, data,
-                    seed=1000003 * seed + fold,
-                )
-                p_hat[eval_idx] = p_fold
-                if p_model is not None:
-                    diag_kwargs["propensity_iterations"] = p_model.n_iter
-                    diag_kwargs["propensity_grad_norm"] = p_model.grad_norm
-            if need_outcome:
-                mu0_fold, mu1_fold, rmse, o_model = _outcome_for(
-                    spec.outcome, train, eval_data, eval_idx, data
-                )
-                mu0[eval_idx] = mu0_fold
-                mu1[eval_idx] = mu1_fold
-                diag_kwargs["outcome_train_rmse"] = rmse
-        except FitError as err:
-            raise FitError(f"fold {fold}: {err}") from None
-        if collect_models is not None:
-            collect_models.append((p_model, o_model))
-        diagnostics.append(FoldDiagnostics(**diag_kwargs))
-    records = UnitRecords(
-        unit_index=np.arange(n, dtype=np.int64),
-        treatments=data.treatments,
-        outcomes=data.outcomes,
-        mu0=mu0,
-        mu1=mu1,
-        p_hat=p_hat,
-    )
-    return records, tuple(diagnostics)
-
-
-def cross_fit_records_from_models(data: ObservationalDataset, k: int, seed: int,
-                                  fold_models: list,
-                                  ) -> tuple[UnitRecords, tuple[FoldDiagnostics, ...]]:
-    """Rebuild held-out records from previously saved per-fold models.
-
-    fold_models must hold one (PropensityModel, OutcomeModel) pair per fold,
-    in fold order, produced against the same (n, k, seed) fold assignment.
-    """
-    n = data.n_units
-    if len(fold_models) != k:
-        raise ValueError(f"expected {k} fold model pairs, got {len(fold_models)}")
-    folds = split_folds(n, k, seed)
-    p_hat = np.empty(n)
     mu0 = np.empty(n)
     mu1 = np.empty(n)
     diagnostics = []
     for fold in range(k):
         eval_idx = folds.indices(fold)
-        eval_x = data.covariates[eval_idx]
-        p_model, o_model = fold_models[fold]
-        p_hat[eval_idx] = p_model.predict(eval_x)
-        mu0[eval_idx] = o_model.predict(eval_x, 0)
-        mu1[eval_idx] = o_model.predict(eval_x, 1)
+        train = data.subset(folds.complement(fold))
+        eval_data = data.subset(eval_idx)
+        try:
+            if fold_models is None:
+                p_model = o_model = None
+                if need_propensity:
+                    (p_fold,), p_model = propensity_predictions(
+                        spec.propensity, train, eval_data,
+                        seed=1000003 * seed + fold,
+                    )
+                if spec.outcome.mode == "fit":
+                    o_model = fit_outcome(train, spec.outcome.config)
+            else:
+                p_model, o_model = fold_models[fold]
+                p_fold = p_model.predict(eval_data.covariates)
+        except FitError as err:
+            raise FitError(f"fold {fold}: {err}") from None
+        if need_propensity:
+            p_hat[eval_idx] = p_fold
+        mu0[eval_idx], mu1[eval_idx] = _outcome_for(o_model, eval_data)
+        if collect_models is not None:
+            collect_models.append((p_model, o_model))
         diagnostics.append(FoldDiagnostics(
             fold=fold,
-            n_eval=int(eval_idx.shape[0]),
-            n_train=n - int(eval_idx.shape[0]),
-            n_train_treated=-1,
-            propensity_iterations=p_model.n_iter,
-            propensity_grad_norm=p_model.grad_norm,
+            n_eval=eval_data.n_units,
+            n_train=train.n_units,
+            n_train_treated=int(train.treatments.sum()),
+            propensity_iterations=None if p_model is None else p_model.n_iter,
+            propensity_grad_norm=None if p_model is None else p_model.grad_norm,
+            outcome_train_rmse=_train_rmse(o_model),
         ))
     records = UnitRecords(
         unit_index=np.arange(n, dtype=np.int64),
@@ -393,18 +365,7 @@ class EstimateReport:
             "seed": self.seed,
             "n_units": self.n_units,
             "mean_outcome": self.mean_outcome,
-            "per_fold": [
-                {
-                    "fold": d.fold,
-                    "n_eval": d.n_eval,
-                    "n_train": d.n_train,
-                    "n_train_treated": d.n_train_treated,
-                    "propensity_iterations": d.propensity_iterations,
-                    "propensity_grad_norm": d.propensity_grad_norm,
-                    "outcome_train_rmse": d.outcome_train_rmse,
-                }
-                for d in self.per_fold
-            ],
+            "per_fold": [asdict(d) for d in self.per_fold],
         }
 
 
@@ -497,24 +458,24 @@ def estimate_ate_difference(data: ObservationalDataset, k: int = 5,
     return float(np.mean(records.mu1 - records.mu0))
 
 
-def expected_response_from_records(records: UnitRecords, deltas) -> float:
-    """Mean influence value under per-unit intervention strengths."""
+def expected_response_from_records(records: UnitRecords, deltas):
+    """Mean influence value of one policy, or of each row of a policy array.
+
+    deltas is either a per-unit vector of shape (n,), which gives a float, or
+    a 2-d array with one policy per row, which gives one mean per row: a
+    (P, n) stack of per-unit vectors, or a (G, 1) column of scalar deltas.
+    m1 and m0 are built once per call.
+    """
     d = _check_delta(deltas)
-    if d.shape != (records.n,):
+    n = records.n
+    if d.shape != (n,) and not (d.ndim == 2 and d.shape[1] in (1, n)):
         raise ValueError(
-            f"expected {records.n} per-unit deltas, got shape {d.shape}"
+            f"expected {n} per-unit deltas, a (P, {n}) stack or a (G, 1) "
+            f"grid, got shape {d.shape}"
         )
     p, m1, m0 = _dr_terms(records)
-    return float(np.mean(influence(stochastic_propensity(p, d), m1, m0)))
-
-
-def sweep_from_records(records: UnitRecords, deltas) -> np.ndarray:
-    """psi_hat over a 1-d grid of scalar deltas; m1 and m0 are built once."""
-    grid = _check_delta(deltas)
-    if grid.ndim != 1:
-        raise ValueError("delta grid must be 1-d")
-    p, m1, m0 = _dr_terms(records)
-    return np.array([np.mean(influence(_q(p, d), m1, m0)) for d in grid])
+    means = np.mean(influence(_q(p, d), m1, m0), axis=-1)
+    return float(means) if d.ndim == 1 else means
 
 
 def sweep_expected_outcome(data: ObservationalDataset, deltas, k: int = 5,
@@ -522,7 +483,10 @@ def sweep_expected_outcome(data: ObservationalDataset, deltas, k: int = 5,
                            nuisance: NuisanceSpec | None = None) -> np.ndarray:
     """psi_hat over a grid of scalar deltas, fitting nuisances only once."""
     records, _ = cross_fit_records(data, k, seed, nuisance)
-    return sweep_from_records(records, deltas)
+    grid = np.asarray(deltas, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("delta grid must be 1-d")
+    return expected_response_from_records(records, grid[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +563,7 @@ def baseline_ipwe(data: ObservationalDataset,
                   seed: int = 0) -> float:
     """Inverse-probability-weighted contrast with an in-sample propensity fit."""
     spec = (nuisance or NuisanceSpec()).propensity
-    all_idx = np.arange(data.n_units)
-    p_hat, _ = _propensity_for(spec, data, data, all_idx, data, seed=seed)
+    (p_hat,), _ = propensity_predictions(spec, data, data, seed=seed)
     return ipwe_from_propensity(data.treatments, data.outcomes, p_hat)
 
 

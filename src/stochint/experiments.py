@@ -32,7 +32,7 @@ from .effects import (
     expected_response_from_records,
     fit_per_arm_linear,
     ipwe_from_propensity,
-    _propensity_for,
+    propensity_predictions,
 )
 from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records
 from .nuisance import fit_outcome
@@ -148,20 +148,10 @@ def _split_estimates(method: str, train: ObservationalDataset,
         return (float(np.mean(model.contrast(train.covariates))),
                 float(np.mean(model.contrast(test.covariates))))
     if method == "ipwe":
-        spec = cfg.nuisance.propensity
-        ate_train = None
-        all_train = np.arange(train.n_units)
-        p_train, model = _propensity_for(spec, train, train, all_train, train,
-                                         seed=seed)
-        ate_train = ipwe_from_propensity(train.treatments, train.outcomes, p_train)
-        if model is not None:
-            p_test = model.predict(test.covariates)
-        else:
-            all_test = np.arange(test.n_units)
-            p_test, _ = _propensity_for(spec, train, test, all_test, test,
-                                        seed=seed)
-        ate_test = ipwe_from_propensity(test.treatments, test.outcomes, p_test)
-        return ate_train, ate_test
+        (p_train, p_test), _ = propensity_predictions(
+            cfg.nuisance.propensity, train, train, test, seed=seed)
+        return (ipwe_from_propensity(train.treatments, train.outcomes, p_train),
+                ipwe_from_propensity(test.treatments, test.outcomes, p_test))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -235,12 +225,14 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
     ones = np.clip(np.ones(n), lo, hi)
     rng = np.random.default_rng([cfg.seed, 1])
     random_policy = np.clip(rng.normal(cfg.init_mean, cfg.init_std, n), lo, hi)
+    values = expected_response_from_records(
+        records, np.stack([best.deltas, ones, random_policy]))
     return OptimizationRun(
         best=best,
         trace=trace,
-        expected_best=expected_response_from_records(records, best.deltas),
-        expected_status_quo=expected_response_from_records(records, ones),
-        expected_random=expected_response_from_records(records, random_policy),
+        expected_best=float(values[0]),
+        expected_status_quo=float(values[1]),
+        expected_random=float(values[2]),
         fitness_best=float(trace.best_fitness[-1]),
     )
 

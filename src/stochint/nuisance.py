@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, sigmoid
 from .trees import GradientBoostedRegressor
 
 SERIALIZATION_VERSION = 1
@@ -28,17 +28,6 @@ OUTCOME_KINDS = ("boosted_trees", "ridge_linear")
 
 class FitError(RuntimeError):
     """Raised when a nuisance model cannot be fit as configured."""
-
-
-def sigmoid(z):
-    """Numerically stable logistic function."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 # ---------------------------------------------------------------------------

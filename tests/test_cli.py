@@ -114,6 +114,59 @@ def test_estimate_save_then_load_models_matches(tmp_path):
         assert report_a[key] == report_b[key]
     assert (out_a / "influence.csv").read_bytes() == \
         (out_b / "influence.csv").read_bytes()
+    # the training RMSE path is not serialized, so loaded models report none
+    for fold_a, fold_b in zip(report_a["per_fold"], report_b["per_fold"], strict=True):
+        fold_a.pop("outcome_train_rmse")
+        assert fold_b.pop("outcome_train_rmse") is None
+        assert fold_a == fold_b
+
+
+def test_estimate_load_boosted_models_reports_no_rmse(tmp_path):
+    data_path = simulate_small(tmp_path / "sim")
+    models = tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
+                 "--folds", "2", "--n-trees", "3", "--save-models", models)
+    assert rc == 0
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
+                 "--folds", "2", "--n-trees", "3", "--load-models", models)
+    assert rc == 0
+    saved = json.loads((tmp_path / "a" / "report.json").read_text())
+    loaded = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert all(f["outcome_train_rmse"] > 0 for f in saved["per_fold"])
+    assert all(f["outcome_train_rmse"] is None for f in loaded["per_fold"])
+    assert saved["psi_hat"] == loaded["psi_hat"]
+
+
+@pytest.mark.parametrize("flags", [("--folds", "2"), ("--seed", "7")],
+                         ids=["k", "seed"])
+def test_estimate_load_models_rejects_other_folds(tmp_path, capsys, flags):
+    data_path = simulate_small(tmp_path / "sim")
+    models = tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
+                 "--folds", "3", "--seed", "0", "--save-models", models, *FAST)
+    assert rc == 0
+    assert json.loads((models / "folds.json").read_text()) == \
+        {"n": 120, "k": 3, "seed": 0}
+    out = tmp_path / "b"
+    rc = run_cli("estimate", "--data", data_path, "--out", out,
+                 "--folds", "3", "--seed", "0", *flags,
+                 "--load-models", models, *FAST)
+    assert rc == 1
+    assert "folds.json records folds" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_estimate_load_models_requires_manifest(tmp_path, capsys):
+    data_path = simulate_small(tmp_path / "sim")
+    models = tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
+                 "--folds", "3", "--save-models", models, *FAST)
+    assert rc == 0
+    (models / "folds.json").unlink()
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
+                 "--folds", "3", "--load-models", models, *FAST)
+    assert rc == 1
+    assert "folds.json" in capsys.readouterr().err
 
 
 def test_estimate_oracle_modes_via_truth_columns(tmp_path):

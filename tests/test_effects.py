@@ -16,7 +16,6 @@ from stochint.effects import (
     baseline_ipwe,
     baseline_ols,
     cross_fit_records,
-    cross_fit_records_from_models,
     epsilon_ate,
     estimate_ate_difference,
     estimate_sie,
@@ -212,7 +211,7 @@ def test_cross_fit_collected_models_reproduce_records():
     records, _ = cross_fit_records(data, k=4, seed=2, nuisance=FAST_NUISANCE,
                                    collect_models=collected)
     assert len(collected) == 4
-    rebuilt, _ = cross_fit_records_from_models(data, k=4, seed=2, fold_models=collected)
+    rebuilt, _ = cross_fit_records(data, k=4, seed=2, fold_models=collected)
     assert np.array_equal(rebuilt.p_hat, records.p_hat)
     assert np.array_equal(rebuilt.mu0, records.mu0)
     assert np.array_equal(rebuilt.mu1, records.mu1)
@@ -221,7 +220,7 @@ def test_cross_fit_collected_models_reproduce_records():
 def test_cross_fit_from_models_checks_count():
     data = make_cross_fit_data()
     with pytest.raises(ValueError, match="fold model pairs"):
-        cross_fit_records_from_models(data, k=3, seed=0, fold_models=[None])
+        cross_fit_records(data, k=3, seed=0, fold_models=[None])
 
 
 # ---------------------------------------------------------------------------

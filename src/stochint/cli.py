@@ -159,7 +159,10 @@ class _Outputs:
         self.written: list[Path] = []
 
     def path(self, *parts: str) -> Path:
-        target = self.dir.joinpath(*parts)
+        return self.add(self.dir.joinpath(*parts))
+
+    def add(self, target: Path) -> Path:
+        """Track a file the run writes, also outside the output directory."""
         target.parent.mkdir(parents=True, exist_ok=True)
         self.written.append(target)
         return target
@@ -268,11 +271,16 @@ def _echo_config(merged: dict, command: str, outputs: _Outputs) -> None:
     write_json(payload, outputs.path("config.json"))
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    parts = spec.split(":")
+def _parse_grid(spec) -> np.ndarray:
+    parts = str(spec).split(":")
     if len(parts) != 3:
         raise CliError("--delta-grid expects lo:hi:step")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        raise CliError(f"--delta-grid {spec}: lo, hi and step must be numbers") from None
+    if not all(np.isfinite((lo, hi, step))):
+        raise CliError(f"--delta-grid {spec}: lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise CliError("--delta-grid needs step > 0 and hi >= lo")
     return np.arange(lo, hi + 0.5 * step, step)
@@ -311,13 +319,22 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     nuisance = _nuisance_from(merged)
     k = int(merged["folds"])
     seed = int(merged["seed"])
+    # what can fail without a fit fails before it
+    grid = _parse_grid(merged["delta_grid"]) if merged["delta_grid"] else None
+    save_dir, load_dir = merged["save_models"], merged["load_models"]
+    if save_dir and load_dir and Path(save_dir).resolve() == Path(load_dir).resolve():
+        raise CliError("--save-models must differ from --load-models: "
+                       "a failed run removes the model files it wrote")
+    fitted = nuisance.propensity.mode == "fit" and nuisance.outcome.mode == "fit"
+    if save_dir and not load_dir and not fitted:
+        raise CliError("--save-models requires fitted (not oracle/constant) nuisances")
 
     # Saved models are only held out for the fold assignment they were fit
     # on, which (n, k, seed) fixes; folds.json records it beside them.
     folds = {"n": data.n_units, "k": k, "seed": seed}
     fold_models = None
-    if merged["load_models"]:
-        model_dir = Path(merged["load_models"])
+    if load_dir:
+        model_dir = Path(load_dir)
         manifest = model_dir / "folds.json"
         if not manifest.exists():
             raise CliError(f"missing {manifest}; saved models need their fold manifest")
@@ -334,30 +351,23 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
             if not p_path.exists() or not o_path.exists():
                 raise CliError(f"missing saved models for fold {fold} in {model_dir}")
             fold_models.append((load_model(p_path), load_model(o_path)))
-    collected: list | None = [] if merged["save_models"] else None
+    collected: list | None = [] if save_dir else None
     records, diagnostics = cross_fit_records(data, k, seed, nuisance,
                                              collect_models=collected,
                                              fold_models=fold_models)
     if collected is not None:
-        model_dir = Path(merged["save_models"])
-        model_dir.mkdir(parents=True, exist_ok=True)
+        model_dir = Path(save_dir)
         for fold, (p_model, o_model) in enumerate(collected):
-            if p_model is None or o_model is None:
-                raise CliError(
-                    "--save-models requires fitted (not oracle/constant) "
-                    "nuisances"
-                )
-            save_model(p_model, model_dir / f"fold{fold}.propensity.json")
-            save_model(o_model, model_dir / f"fold{fold}.outcome.json")
-        write_json(folds, model_dir / "folds.json")
+            save_model(p_model, outputs.add(model_dir / f"fold{fold}.propensity.json"))
+            save_model(o_model, outputs.add(model_dir / f"fold{fold}.outcome.json"))
+        write_json(folds, outputs.add(model_dir / "folds.json"))
 
     report = report_from_records(records, float(merged["delta"]), k, seed,
                                  per_fold=diagnostics)
     _echo_config(merged, "estimate", outputs)
     write_json(report.to_dict(), outputs.path("report.json"))
     write_influence_csv(report.influence, outputs.path("influence.csv"))
-    if merged["delta_grid"]:
-        grid = _parse_grid(merged["delta_grid"])
+    if grid is not None:
         psis = expected_response_from_records(records, grid[:, None])
         write_sweep_csv(grid, psis, outputs.path("sweep.csv"))
     print(f"estimate: delta {report.delta} psi_hat {report.psi_hat:.6f} "

@@ -63,7 +63,36 @@ class RegressionTree:
         )
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray):
+class PresortedColumns:
+    """The columns of one covariate matrix in sorted order, shared by many trees.
+
+    ``order`` is ``argsort(x, axis=0, kind="stable").T``, computed here unless
+    given.  ``tied`` lists the features whose sorted values are not strictly
+    increasing.  A node's rows keep that order, so only these features can hold
+    a tie inside a node and need the split search's tie mask.  The rest holds
+    the split search's scratch space, and ``leaf``, into which ``fit_tree``
+    writes each training row's leaf id.
+    """
+
+    def __init__(self, x: np.ndarray, order: np.ndarray | None = None):
+        n, d = x.shape
+        self.order = order if order is not None \
+            else np.argsort(x, axis=0, kind="stable").T
+        xs = x[self.order, np.arange(d)[:, None]]
+        self.tied = np.flatnonzero(~(xs[:, 1:] > xs[:, :-1]).all(axis=1))
+        self.leaf = np.zeros(n, dtype=np.int64)
+        self.go_left = np.zeros(n, dtype=bool)
+        # an m-row node's m - 1 cut points leave count_left[:m - 1] rows on
+        # the left and count_right[1 - m:] on the right
+        self.count_left = np.arange(1, n, dtype=float)
+        self.count_right = np.arange(n - 1, 0, -1, dtype=float)
+        self.csum = np.empty(d * n)
+        self.gain = np.empty(d * n)
+        self.tmp = np.empty(d * n)
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray,
+                cols: PresortedColumns):
     """Best (feature, threshold) by squared-error reduction, or None.
 
     order holds, per feature, the node's row indices sorted by that feature.
@@ -71,16 +100,27 @@ def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray):
     d, m = order.shape
     if m < 2:
         return None
-    xs = x[order, np.arange(d)[:, None]]
+    # y[order] keeps order's memory layout, and with it the summation order
+    # np.dot uses for the row-0 mean square below
     ys = y[order]
-    csum = np.cumsum(ys, axis=1)
+    csum = np.cumsum(ys, axis=1, out=cols.csum[:d * m].reshape(d, m))
     total = csum[:, -1]
-    n_left = np.arange(1, m, dtype=float)
     s_left = csum[:, :-1]
     parent = (total * total) / m
-    gain = (s_left * s_left) / n_left + (total[:, None] - s_left) ** 2 / (m - n_left)
+    gain = cols.gain[:d * (m - 1)].reshape(d, m - 1)
+    tmp = cols.tmp[:d * (m - 1)].reshape(d, m - 1)
+    np.multiply(s_left, s_left, out=gain)
+    np.divide(gain, cols.count_left[:m - 1], out=gain)
+    np.subtract(total[:, None], s_left, out=tmp)
+    np.square(tmp, out=tmp)
+    np.divide(tmp, cols.count_right[1 - m:], out=tmp)
+    gain += tmp
     gain -= parent[:, None]
-    gain[xs[:, 1:] <= xs[:, :-1]] = -np.inf
+    if cols.tied.size:
+        xt = x[order[cols.tied], cols.tied[:, None]]
+        gt = gain[cols.tied]
+        gt[xt[:, 1:] <= xt[:, :-1]] = -np.inf
+        gain[cols.tied] = gt
 
     flat = int(np.argmax(gain))
     j, pos = divmod(flat, m - 1)
@@ -88,7 +128,7 @@ def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray):
     mean_square = float(np.dot(ys[0], ys[0])) / m
     if not np.isfinite(best) or best <= _GAIN_EPS * max(1.0, mean_square):
         return None
-    a, b = xs[j, pos], xs[j, pos + 1]
+    a, b = x[order[j, pos], j], x[order[j, pos + 1], j]
     thr = 0.5 * (a + b)
     if thr >= b:
         thr = a
@@ -96,17 +136,19 @@ def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray):
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
-             presorted: np.ndarray | None = None) -> RegressionTree:
+             presorted: np.ndarray | PresortedColumns | None = None) -> RegressionTree:
     """Grow a depth-limited least-squares tree with deterministic splits.
 
-    presorted may carry argsort(x, axis=0).T to avoid re-sorting when many
-    trees are grown on the same covariates.
+    presorted may carry argsort(x, axis=0, kind="stable").T, or a
+    PresortedColumns built on x, to avoid re-sorting when many trees are
+    grown on the same covariates.  A PresortedColumns also keeps its scratch
+    space across calls, and after the call its ``leaf`` holds each training
+    row's leaf id, so ``tree.value[leaf]`` equals ``tree.predict(x)``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, d = x.shape
-    order0 = presorted if presorted is not None \
-        else np.argsort(x, axis=0, kind="stable").T
+    cols = presorted if isinstance(presorted, PresortedColumns) \
+        else PresortedColumns(x, presorted)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -123,23 +165,28 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         value.append(float(np.mean(y[rows_sorted[0]])))
         return node_id
 
-    root = new_node(order0)
-    stack = [(root, order0, 0)]
+    root = new_node(cols.order)
+    stack = [(root, cols.order, 0)]
     while stack:
         node_id, order, depth = stack.pop()
-        if depth >= max_depth:
-            continue
-        found = _best_split(x, y, order)
+        rows = order[0]
+        found = None if depth >= max_depth else _best_split(x, y, order, cols)
         if found is None:
+            cols.leaf[rows] = node_id
             continue
         j, thr, _ = found
-        go_left = x[:, j] <= thr
-        mask = go_left[order]
-        n_left = int(mask[0].sum())
-        if n_left == 0 or n_left == order.shape[1]:
+        cols.go_left[rows] = x[rows, j] <= thr
+        # children at max_depth stay leaves: row 0 is all they need
+        part = order if depth + 1 < max_depth else order[:1]
+        mask = cols.go_left[part].ravel()
+        part = part.ravel()
+        m = rows.shape[0]
+        n_left = int(np.count_nonzero(mask[:m]))
+        if n_left == 0 or n_left == m:
+            cols.leaf[rows] = node_id
             continue
-        order_left = order[mask].reshape(d, n_left)
-        order_right = order[~mask].reshape(d, order.shape[1] - n_left)
+        order_left = np.compress(mask, part).reshape(-1, n_left)
+        order_right = np.compress(~mask, part).reshape(-1, m - n_left)
         feature[node_id] = j
         threshold[node_id] = thr
         left_id = new_node(order_left)
@@ -182,15 +229,17 @@ class GradientBoostedRegressor:
             raise ValueError("n_trees and max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite")
         self.base_ = float(np.mean(y))
         self.trees_ = []
         current = np.full(x.shape[0], self.base_)
         rmse = np.empty(self.n_trees)
-        presorted = np.argsort(x, axis=0, kind="stable").T
+        cols = PresortedColumns(x)
         for round_idx in range(self.n_trees):
             residual = y - current
-            tree = fit_tree(x, residual, self.max_depth, presorted=presorted)
-            current = current + self.learning_rate * tree.predict(x)
+            tree = fit_tree(x, residual, self.max_depth, presorted=cols)
+            current = current + self.learning_rate * tree.value[cols.leaf]
             self.trees_.append(tree)
             rmse[round_idx] = float(np.sqrt(np.mean((y - current) ** 2)))
         self.train_rmse_ = rmse

@@ -214,6 +214,80 @@ def test_estimate_save_models_rejects_oracle(tmp_path, capsys):
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def _fail_if_fitted(*args, **kwargs):
+    raise AssertionError("cross-fitting ran before the check that refuses the run")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1:0:1", "step > 0 and hi >= lo"),
+    ("nan:1:1", "must be finite"),
+    ("0:inf:1", "must be finite"),
+    ("0:5:x", "must be numbers"),
+], ids=["hi-below-lo", "nan", "inf", "non-numeric"])
+def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
+                                                  grid, message):
+    data_path = simulate_small(tmp_path / "sim")
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
+    out, models = tmp_path / "est", tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", out,
+                 "--save-models", models, "--delta-grid", grid, *FAST)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--delta-grid" in err and message in err
+    assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+
+
+def test_estimate_delta_grid_from_config_needs_a_spec(tmp_path, capsys):
+    data_path = simulate_small(tmp_path / "sim")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"delta_grid": 0.5}))
+    rc = run_cli("estimate", "--data", data_path, "--config", cfg_path,
+                 "--out", tmp_path / "est", *FAST)
+    assert rc == 1
+    assert "--delta-grid expects lo:hi:step" in capsys.readouterr().err
+
+
+def test_estimate_save_models_rejects_oracle_before_fit(tmp_path, capsys, monkeypatch):
+    data = generate_ihdp_like(80, 3, seed=3)
+    data_path = tmp_path / "with_truth.csv"
+    write_csv(data, data_path, schema=default_schema(3, with_truth=True))
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "est",
+                 "--folds", "2", "--save-models", tmp_path / "m",
+                 "--covariate-cols", "x0,x1,x2", "--propensity-col", "p",
+                 "--propensity-mode", "oracle", *FAST)
+    assert rc == 1
+    assert "--save-models requires fitted" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_estimate_failed_run_removes_saved_models(tmp_path, capsys):
+    # the fit succeeds and the models are written; the negative delta then
+    # fails the report, and the run removes every file it wrote
+    data_path = simulate_small(tmp_path / "sim")
+    out, models = tmp_path / "est", tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
+                 "--delta", "-1", "--save-models", models, *FAST)
+    assert rc == 1
+    assert "delta must be finite" in capsys.readouterr().err
+    assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+
+
+def test_estimate_save_models_into_load_dir_refused(tmp_path, capsys):
+    data_path = simulate_small(tmp_path / "sim")
+    models = tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
+                 "--folds", "3", "--save-models", models, *FAST)
+    assert rc == 0
+    saved = {p.name: p.read_bytes() for p in models.iterdir()}
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
+                 "--folds", "3", "--load-models", models,
+                 "--save-models", models / ".", *FAST)
+    assert rc == 1
+    assert "--save-models must differ" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in models.iterdir()} == saved
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------

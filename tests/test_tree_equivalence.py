@@ -1,0 +1,202 @@
+"""The tree learner against a frozen copy of its first version.
+
+The reference below gathers the sorted feature values and the tie mask of
+every feature at every node, partitions the whole order at every split, and
+predicts the training rows after each boosting round.  It is kept here only
+to pin the learner's output bit for bit; nothing in the package uses it.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stochint.trees import (
+    GradientBoostedRegressor,
+    PresortedColumns,
+    RegressionTree,
+    fit_tree,
+)
+
+_GAIN_EPS = 1e-12
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def reference_best_split(x, y, order):
+    d, m = order.shape
+    if m < 2:
+        return None
+    xs = x[order, np.arange(d)[:, None]]
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)
+    total = csum[:, -1]
+    n_left = np.arange(1, m, dtype=float)
+    s_left = csum[:, :-1]
+    parent = (total * total) / m
+    gain = (s_left * s_left) / n_left + (total[:, None] - s_left) ** 2 / (m - n_left)
+    gain -= parent[:, None]
+    gain[xs[:, 1:] <= xs[:, :-1]] = -np.inf
+
+    flat = int(np.argmax(gain))
+    j, pos = divmod(flat, m - 1)
+    best = gain[j, pos]
+    mean_square = float(np.dot(ys[0], ys[0])) / m
+    if not np.isfinite(best) or best <= _GAIN_EPS * max(1.0, mean_square):
+        return None
+    a, b = xs[j, pos], xs[j, pos + 1]
+    thr = 0.5 * (a + b)
+    if thr >= b:
+        thr = a
+    return int(j), float(thr), best
+
+
+def reference_fit_tree(x, y, max_depth, presorted=None):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = x.shape
+    order0 = presorted if presorted is not None \
+        else np.argsort(x, axis=0, kind="stable").T
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(rows_sorted):
+        node_id = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(np.mean(y[rows_sorted[0]])))
+        return node_id
+
+    root = new_node(order0)
+    stack = [(root, order0, 0)]
+    while stack:
+        node_id, order, depth = stack.pop()
+        if depth >= max_depth:
+            continue
+        found = reference_best_split(x, y, order)
+        if found is None:
+            continue
+        j, thr, _ = found
+        go_left = x[:, j] <= thr
+        mask = go_left[order]
+        n_left = int(mask[0].sum())
+        if n_left == 0 or n_left == order.shape[1]:
+            continue
+        order_left = order[mask].reshape(d, n_left)
+        order_right = order[~mask].reshape(d, order.shape[1] - n_left)
+        feature[node_id] = j
+        threshold[node_id] = thr
+        left_id = new_node(order_left)
+        right_id = new_node(order_right)
+        left[node_id] = left_id
+        right[node_id] = right_id
+        stack.append((right_id, order_right, depth + 1))
+        stack.append((left_id, order_left, depth + 1))
+
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=float),
+    )
+
+
+def reference_boost(x, y, n_trees, max_depth, learning_rate):
+    """(base, trees, train_rmse) of the first GradientBoostedRegressor.fit."""
+    base = float(np.mean(y))
+    trees = []
+    current = np.full(x.shape[0], base)
+    rmse = np.empty(n_trees)
+    presorted = np.argsort(x, axis=0, kind="stable").T
+    for round_idx in range(n_trees):
+        residual = y - current
+        tree = reference_fit_tree(x, residual, max_depth, presorted=presorted)
+        current = current + learning_rate * tree.predict(x)
+        trees.append(tree)
+        rmse[round_idx] = float(np.sqrt(np.mean((y - current) ** 2)))
+    return base, trees, rmse
+
+
+def assert_same_tree(got, want):
+    for name in TREE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def problems(draw):
+    """(x, y) with tied, constant and duplicated columns and flat targets."""
+    n = draw(st.one_of(st.just(2), st.integers(1, 400)))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(
+            ["normal", "integer", "binary", "constant", "duplicate"]))
+        if kind == "normal":
+            columns.append(rng.standard_normal(n))
+        elif kind == "integer":
+            columns.append(rng.integers(-3, 4, n).astype(float))
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, n).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, 1.5))
+        else:
+            columns.append(columns[-1] if columns else rng.standard_normal(n))
+    x = np.column_stack(columns)
+    target = draw(st.sampled_from(["smooth", "noise", "constant", "rounded"]))
+    if target == "smooth":
+        y = np.sin(x[:, 0]) + 0.5 * x[:, -1] ** 2 + 0.1 * rng.standard_normal(n)
+    elif target == "noise":
+        y = rng.standard_normal(n)
+    elif target == "constant":
+        y = np.full(n, draw(st.sampled_from([0.0, 0.1, -3.0])))
+    else:
+        y = np.round(2.0 * rng.standard_normal(n))
+    return x, y
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(problem=problems(), max_depth=st.integers(1, 5),
+       given_order=st.booleans())
+@example(problem=(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])),
+         max_depth=1, given_order=False)
+def test_fit_tree_matches_reference(problem, max_depth, given_order):
+    x, y = problem
+    presorted = np.argsort(x, axis=0, kind="stable").T if given_order else None
+    want = reference_fit_tree(x, y, max_depth, presorted=presorted)
+    assert_same_tree(fit_tree(x, y, max_depth, presorted=presorted), want)
+
+    cols = PresortedColumns(x, presorted)
+    got = fit_tree(x, y, max_depth, presorted=cols)
+    assert_same_tree(got, want)
+    assert (got.feature[cols.leaf] == -1).all()
+    assert np.array_equal(got.value[cols.leaf], got.predict(x))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(problem=problems(), max_depth=st.integers(1, 5),
+       n_trees=st.integers(1, 10),
+       learning_rate=st.sampled_from([0.1, 0.5, 1.0]))
+@example(problem=(np.array([[0.0, 2.0], [1.0, 2.0]]), np.array([1.0, 3.0])),
+         max_depth=2, n_trees=3, learning_rate=0.1)
+def test_boosting_matches_reference(problem, max_depth, n_trees, learning_rate):
+    x, y = problem
+    base, trees, rmse = reference_boost(x, y, n_trees, max_depth, learning_rate)
+    model = GradientBoostedRegressor(n_trees=n_trees, max_depth=max_depth,
+                                     learning_rate=learning_rate).fit(x, y)
+    assert np.array_equal(model.base_, base)
+    assert np.array_equal(model.train_rmse_, rmse)
+    assert len(model.trees_) == n_trees
+    for got, want in zip(model.trees_, trees):
+        assert_same_tree(got, want)
+    want_pred = np.full(x.shape[0], base)
+    for tree in trees:
+        want_pred += learning_rate * tree.predict(x)
+    assert np.array_equal(model.predict(x), want_pred)
+
+
+def test_presorted_columns_marks_only_tied_features():
+    x = np.array([[0.0, 1.0, 2.0, -0.0],
+                  [1.0, 1.0, 3.0, 0.0],
+                  [2.0, 0.0, 2.0, 1.0]])
+    assert PresortedColumns(x).tied.tolist() == [1, 2, 3]

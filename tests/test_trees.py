@@ -184,3 +184,17 @@ def test_boosting_validation():
         GradientBoostedRegressor().fit(x, y[:5])
     with pytest.raises(ValueError):
         GradientBoostedRegressor().fit(y, y)
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_boosting_rejects_non_finite_input(where, bad):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((20, 2))
+    y = rng.standard_normal(20)
+    if where == "x":
+        x[3, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GradientBoostedRegressor(n_trees=2).fit(x, y)

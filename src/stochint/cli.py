@@ -57,6 +57,9 @@ from .nuisance import OutcomeConfig, SolverConfig, load_model, save_model
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 
+# The sweep holds a few (points, n) arrays at once, so the grid is bounded.
+MAX_GRID_POINTS = 1000
+
 _DGP_DEFAULTS = {
     "generator": "ihdp",
     "n": 747,
@@ -283,7 +286,12 @@ def _parse_grid(spec) -> np.ndarray:
         raise CliError(f"--delta-grid {spec}: lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise CliError("--delta-grid needs step > 0 and hi >= lo")
-    return np.arange(lo, hi + 0.5 * step, step)
+    # the quotient bounds what is allocated; the grid's own size is exact
+    if (hi - lo) / step < MAX_GRID_POINTS:
+        grid = np.arange(lo, hi + 0.5 * step, step)
+        if grid.size <= MAX_GRID_POINTS:
+            return grid
+    raise CliError(f"--delta-grid {spec}: more than {MAX_GRID_POINTS} points")
 
 
 def _parse_tuple(spec, caster=float):

@@ -8,6 +8,7 @@ benchmark and Monte Carlo tests run several minutes in total.
 import time
 
 import numpy as np
+import pytest
 
 from stochint.cli import main
 from stochint.data import DgpConfig, generate_ihdp_like, generate_op_like
@@ -31,6 +32,8 @@ from stochint.nuisance import (
 from stochint.trees import GradientBoostedRegressor
 
 from conftest import oracle_records
+
+pytestmark = pytest.mark.slow
 
 
 def _verdict(name: str, ok: bool, detail: str, t0: float) -> None:

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochint.cli import OUTPUT_ROOT_ENV, main
+import stochint
+from stochint.cli import MAX_GRID_POINTS, OUTPUT_ROOT_ENV, _parse_grid, main
 from stochint.data import (
     DgpConfig,
     default_schema,
@@ -223,7 +228,12 @@ def _fail_if_fitted(*args, **kwargs):
     ("nan:1:1", "must be finite"),
     ("0:inf:1", "must be finite"),
     ("0:5:x", "must be numbers"),
-], ids=["hi-below-lo", "nan", "inf", "non-numeric"])
+    ("0:1e300:1", f"more than {MAX_GRID_POINTS} points"),
+    ("0:5:1e-300", f"more than {MAX_GRID_POINTS} points"),
+    (f"0:{MAX_GRID_POINTS}:1", f"more than {MAX_GRID_POINTS} points"),
+    (f"0:{MAX_GRID_POINTS - 0.4}:1", f"more than {MAX_GRID_POINTS} points"),
+], ids=["hi-below-lo", "nan", "inf", "non-numeric", "huge-hi", "tiny-step",
+        "just-over-cap", "rounds-over-cap"])
 def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
                                                   grid, message):
     data_path = simulate_small(tmp_path / "sim")
@@ -235,6 +245,10 @@ def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "--delta-grid" in err and message in err
     assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+
+
+def test_delta_grid_at_cap_is_allowed():
+    assert _parse_grid(f"0:{MAX_GRID_POINTS - 1}:1").size == MAX_GRID_POINTS
 
 
 def test_estimate_delta_grid_from_config_needs_a_spec(tmp_path, capsys):
@@ -429,3 +443,21 @@ def test_explicit_out_beats_env_var(tmp_path, monkeypatch):
     simulate_small(out, n=40)
     assert (out / "dataset.csv").exists()
     assert not (tmp_path / "root").exists()
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # the outcome fits fork their workers without the multiprocessing
+    # machinery, so a cold import of the CLI stays as cheap as before
+    src = Path(stochint.__file__).resolve().parents[1]
+    code = ("import sys, stochint.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == "[]"

@@ -1,12 +1,17 @@
 """Tests for the influence-function estimator, cross-fitting, and baselines."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+import stochint.effects
 from stochint.data import (
     DgpConfig,
     ObservationalDataset,
     generate_ihdp_like,
+    split_folds,
 )
 from stochint.effects import (
     NuisanceSpec,
@@ -28,7 +33,8 @@ from stochint.effects import (
     stochastic_propensity,
     sweep_expected_outcome,
 )
-from stochint.nuisance import FitError, OutcomeConfig
+from stochint.nuisance import FitError, OutcomeConfig, model_to_dict
+from stochint.trees import GradientBoostedRegressor
 
 from conftest import oracle_records
 
@@ -221,6 +227,110 @@ def test_cross_fit_from_models_checks_count():
     data = make_cross_fit_data()
     with pytest.raises(ValueError, match="fold model pairs"):
         cross_fit_records(data, k=3, seed=0, fold_models=[None])
+
+
+# The boosted outcome fits of all folds run in forked worker processes when
+# more than one CPU is usable.  These pin that path to the in-process one.
+BOOSTED_NUISANCE = NuisanceSpec(
+    propensity=PropensitySpec(basis_kind="raw"),
+    outcome=OutcomeSpec(config=OutcomeConfig(n_trees=10, max_depth=2)),
+)
+
+
+def cross_fit_with_workers(monkeypatch, workers, data, k, collect):
+    """cross_fit_records with the worker count forced; also counts the
+    boosted fits made in this process."""
+    fits_here = []
+    real_fit = GradientBoostedRegressor.fit
+
+    def counting_fit(self, *args, **kwargs):
+        fits_here.append(1)
+        return real_fit(self, *args, **kwargs)
+
+    models = [] if collect else None
+    with monkeypatch.context() as patch:
+        patch.setattr(stochint.effects, "_usable_cpus", lambda: workers)
+        patch.setattr(GradientBoostedRegressor, "fit", counting_fit)
+        records, diags = cross_fit_records(data, k=k, seed=1,
+                                           nuisance=BOOSTED_NUISANCE,
+                                           collect_models=models)
+    return records, diags, models, len(fits_here)
+
+
+def assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("collect", [False, True], ids=["records", "collect-models"])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_forked_outcome_fits_match_in_process(monkeypatch, k, collect):
+    data = make_cross_fit_data(n=150, seed=6)
+    serial = cross_fit_with_workers(monkeypatch, 1, data, k, collect)
+    forked = cross_fit_with_workers(monkeypatch, 2, data, k, collect)
+    assert serial[3] == 2 * k  # one boosted fit per arm and fold, here
+    assert forked[3] == 0  # all of them in the workers
+    for name in ("p_hat", "mu0", "mu1"):
+        assert np.array_equal(getattr(serial[0], name), getattr(forked[0], name))
+    assert serial[1] == forked[1]
+    if collect:
+        assert len(serial[2]) == len(forked[2]) == k
+        for serial_pair, forked_pair in zip(serial[2], forked[2]):
+            assert ([model_to_dict(m) for m in serial_pair]
+                    == [model_to_dict(m) for m in forked_pair])
+    assert_no_child_processes()
+
+
+def test_outcome_fits_stay_in_process_while_another_thread_runs(monkeypatch):
+    # fork would copy no other thread into the workers
+    data = make_cross_fit_data(n=150, seed=6)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        _, _, _, fits_here = cross_fit_with_workers(monkeypatch, 2, data, 3, False)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert fits_here == 2 * 3
+
+
+def test_forked_fit_error_names_first_failing_fold(monkeypatch):
+    data = make_cross_fit_data(n=150, seed=6)
+    k, seed = 5, 3
+    folds = split_folds(data.n_units, k, seed)
+    treated = [int(data.treatments[folds.complement(f)].sum()) for f in range(k)]
+    # only the folds whose complement has the most treated units can fit:
+    # folds 0 and 1 fit, one in each worker, then folds 2 and 3 fail
+    floor = max(treated)
+    failing = [f for f in range(k) if treated[f] < floor]
+    assert failing == [2, 3]
+    spec = NuisanceSpec(
+        propensity=PropensitySpec(basis_kind="raw"),
+        outcome=OutcomeSpec(config=OutcomeConfig(n_trees=5, max_depth=2,
+                                                 min_arm_size=floor)),
+    )
+    monkeypatch.setattr(stochint.effects, "_usable_cpus", lambda: 2)
+    with pytest.raises(FitError, match=f"^fold {failing[0]}: arm 1 has"):
+        cross_fit_records(data, k=k, seed=seed, nuisance=spec)
+    assert_no_child_processes()
+
+
+def test_worker_that_dies_is_reported_and_reaped(monkeypatch):
+    test_process = os.getpid()
+
+    def die(*args, **kwargs):
+        if os.getpid() == test_process:
+            pytest.fail("the outcome fit ran in the test process")
+        os._exit(3)
+
+    monkeypatch.setattr(stochint.effects, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stochint.effects, "fit_outcome", die)
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        cross_fit_records(make_cross_fit_data(n=150, seed=6), k=3, seed=1,
+                          nuisance=BOOSTED_NUISANCE)
+    assert_no_child_processes()
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,6 @@ OPTIMIZE_DEFAULTS = {
     "init_std": 1.0,
     "bounds": "0,10",
     "ga_seed": 0,
-    "snapshot_every": 0,
     **_SCHEMA_DEFAULTS,
     **_NUISANCE_DEFAULTS,
 }
@@ -441,8 +440,7 @@ def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
         seed=int(merged["ga_seed"]),
     )
     run = run_optimization(data, ga, _nuisance_from(merged),
-                           k=int(merged["folds"]), seed=int(merged["seed"]),
-                           snapshot_every=int(merged["snapshot_every"]))
+                           k=int(merged["folds"]), seed=int(merged["seed"]))
     _echo_config(merged, "optimize", outputs)
     write_best_delta_csv(run.best, outputs.path("best_delta.csv"))
     write_trace_csv(run.trace, outputs.path("trace.csv"))
@@ -582,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(opt, "--init-std", dest="init_std", type=float)
     _add_option(opt, "--bounds", help="lo,hi box for deltas")
     _add_option(opt, "--ga-seed", dest="ga_seed", type=int)
-    _add_option(opt, "--snapshot-every", dest="snapshot_every", type=int)
     _add_schema_options(opt)
     _add_nuisance_options(opt)
     opt.set_defaults(func=cmd_optimize)

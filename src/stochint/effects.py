@@ -16,10 +16,6 @@ saw it.
 from __future__ import annotations
 
 import csv
-import os
-import pickle
-import sys
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -36,6 +32,7 @@ from .nuisance import (
     fit_propensity,
     make_basis,
 )
+from .parallel import forked_map
 
 # ---------------------------------------------------------------------------
 # pointwise building blocks
@@ -240,14 +237,6 @@ def _train_rmse(model) -> float | None:
     return float(np.mean([arr[-1] for arr in path.values()]))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _fit_outcomes(data: ObservationalDataset, folds: FoldAssignment,
                   config: OutcomeConfig, keep_models: bool) -> list:
     """Fit the outcome model of every fold and predict its held-out units.
@@ -271,69 +260,9 @@ def _fit_outcomes(data: ObservationalDataset, folds: FoldAssignment,
         held_out = _outcome_for(model, data.subset(folds.indices(fold)))
         return (model if keep_models else None, *held_out)
 
-    workers = min(_usable_cpus(), folds.k)
-    # The workers are forked copies of this process: they need no inputs
-    # sent and import nothing.  fork copies only the calling thread, so the
-    # fits stay here while another Python thread runs; OpenBLAS stops its
-    # own threads at fork, which was checked on Linux only.
-    if (config.kind != "boosted_trees" or workers < 2
-            or sys.platform != "linux" or threading.active_count() > 1):
+    if config.kind != "boosted_trees":
         return [fit(fold) for fold in range(folds.k)]
-    return _forked_map(fit, range(folds.k), workers)
-
-
-def _forked_map(func, items, workers: int) -> list:
-    """[func(item) for item in items], computed by forked worker processes.
-
-    Worker w computes items w, w + workers, ... and sends back each result,
-    or the exception it raised, through its own pipe.  The first exception
-    in item order is raised here.  Every worker has exited and been reaped
-    when this returns or raises.
-    """
-    children = []
-    results = []
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                for _, pipe in children:
-                    pipe.close()
-                _send_results(func, items[w::workers], write_fd)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        for i in range(len(items)):
-            pid, pipe = children[i % workers]
-            try:
-                failed, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker process {pid} ended without a result") from None
-            if failed:
-                raise value
-            results.append(value)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    return results
-
-
-def _send_results(func, items, write_fd: int) -> None:
-    """Pickle (failed, func(item) or its exception) for each item to write_fd,
-    then end the process; runs in a forked worker and never returns."""
-    status = 1
-    try:
-        with os.fdopen(write_fd, "wb") as pipe:
-            for item in items:
-                try:
-                    reply = (False, func(item))
-                except Exception as err:
-                    reply = (True, err)
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+    return forked_map(fit, range(folds.k))
 
 
 def cross_fit_records(data: ObservationalDataset, k: int, seed: int,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from .effects import (
     propensity_predictions,
 )
 from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records
-from .nuisance import fit_outcome
+from .nuisance import FitError, fit_outcome
+from .parallel import forked_map
 
 METHODS = ("sie", "ols", "ipwe")
 GENERATORS = ("ihdp", "op")
@@ -155,15 +157,44 @@ def _split_estimates(method: str, train: ObservationalDataset,
     raise ValueError(f"unknown method {method!r}")
 
 
+@contextmanager
+def _replication(size: int, rep: int):
+    """Prefix a FitError or ValueError raised inside with its replication."""
+    try:
+        yield
+    except FitError as err:
+        raise FitError(f"size {size} replication {rep}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"size {size} replication {rep}: {err}") from None
+
+
+def _named_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
+                     ) -> tuple[float, float]:
+    """_split_estimates on one (size, replication, seed, train, test) split."""
+    size, rep, seed, train, test = split
+    with _replication(size, rep):
+        return _split_estimates(method, train, test, cfg, seed)
+
+
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Replicated benchmark of absolute ATE error per method and split.
 
     Within a replication every method sees the same data and the same
-    train/test split, so methods are compared pairwise.
+    train/test split, so methods are compared pairwise.  Every split is
+    built here, in (size, replication) order, and the ols and ipwe
+    estimates are made here too: the last bits of their least-squares and
+    Newton solves depend on the OpenBLAS thread count.  Then each
+    replication's boosted sie estimate is one task for forked workers (see
+    parallel.forked_map).  Estimates are placed by (size, replication,
+    method), so no row depends on the worker count.
+
+    Raises:
+        FitError, ValueError: the first failing ols or ipwe estimate in
+            (size, replication) order, else the first failing sie estimate;
+            the message names the size and replication.
     """
-    rows = []
-    sizes = cfg.sizes or (cfg.n,)
-    for size in sizes:
+    splits = []
+    for size in cfg.sizes or (cfg.n,):
         fixed_data = None
         if cfg.replicate_mode == "seed":
             fixed_data = make_dataset(cfg.generator, size, cfg.d, cfg.seed, cfg.dgp)
@@ -173,21 +204,33 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
                 data = make_dataset(cfg.generator, size, cfg.d, rep_seed, cfg.dgp)
             else:
                 data = fixed_data
-            train, test = train_test_split(data, cfg.test_fraction, rep_seed)
-            truth = {"train": train.truth.ate, "test": test.truth.ate}
-            for method in cfg.methods:
-                est_train, est_test = _split_estimates(method, train, test,
-                                                       cfg, rep_seed)
-                for split, est in (("train", est_train), ("test", est_test)):
-                    rows.append(ReplicationRow(
-                        size=size,
-                        replication=rep,
-                        method=method,
-                        split=split,
-                        estimate=est,
-                        truth=truth[split],
-                        epsilon=epsilon_ate(est, truth[split]),
-                    ))
+            splits.append((size, rep, rep_seed,
+                           *train_test_split(data, cfg.test_fraction, rep_seed)))
+    estimates = {(split[0], split[1], method): _named_estimates(method, split, cfg)
+                 for split in splits for method in cfg.methods if method != "sie"}
+    if "sie" in cfg.methods:
+        def sie(split):
+            return _named_estimates("sie", split, cfg)
+        boosted = cfg.nuisance.outcome.config.kind == "boosted_trees"
+        sie_estimates = forked_map(sie, splits) if boosted else map(sie, splits)
+        for (size, rep, *_), est in zip(splits, sie_estimates):
+            estimates[size, rep, "sie"] = est
+    rows = []
+    for size, rep, _, train, test in splits:
+        truth = {"train": train.truth.ate, "test": test.truth.ate}
+        for method in cfg.methods:
+            for split, est in zip(("train", "test"), estimates[size, rep, method]):
+                with _replication(size, rep):
+                    epsilon = epsilon_ate(est, truth[split])
+                rows.append(ReplicationRow(
+                    size=size,
+                    replication=rep,
+                    method=method,
+                    split=split,
+                    estimate=est,
+                    truth=truth[split],
+                    epsilon=epsilon,
+                ))
     return BenchmarkResult(config=cfg, rows=tuple(rows))
 
 

@@ -23,6 +23,9 @@ from .trees import GradientBoostedRegressor
 SERIALIZATION_VERSION = 1
 
 BASIS_KINDS = ("raw", "polynomial2", "rbf")
+# widest polynomial2 basis (d <= 61): each Newton step of the propensity fit
+# solves a system of this many unknowns, 5,151 at d = 100
+MAX_POLYNOMIAL2_COLUMNS = 2000
 OUTCOME_KINDS = ("boosted_trees", "ridge_linear")
 
 
@@ -63,6 +66,11 @@ class BasisExpansion:
             object.__setattr__(self, "centers", c)
             if not self.scale > 0:
                 raise ValueError("rbf scale must be > 0")
+        if self.kind == "polynomial2" and self.output_dim > MAX_POLYNOMIAL2_COLUMNS:
+            raise ValueError(
+                f"a polynomial2 basis on {self.n_inputs} covariates has "
+                f"{self.output_dim} columns, more than {MAX_POLYNOMIAL2_COLUMNS}; "
+                "use the raw or rbf basis")
 
     @property
     def output_dim(self) -> int:

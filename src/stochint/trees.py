@@ -8,6 +8,7 @@ refitting on identical data reproduces the tree structure bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +29,7 @@ class RegressionTree:
     value: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                return self.value[node]
-            rows = np.flatnonzero(internal)
-            go_left = x[rows, feat[rows]] <= self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
+        return _StackedTrees([self]).leaf_values(np.asarray(x, dtype=float))[0]
 
     @property
     def n_nodes(self) -> int:
@@ -91,19 +83,17 @@ class PresortedColumns:
         self.tmp = np.empty(d * n)
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray,
+def _best_split(x: np.ndarray, ys: np.ndarray, order: np.ndarray,
                 cols: PresortedColumns):
     """Best (feature, threshold) by squared-error reduction, or None.
 
-    order holds, per feature, the node's row indices sorted by that feature.
+    order holds, per feature, the node's row indices sorted by that feature,
+    and ys is y[order].
     """
     d, m = order.shape
     if m < 2:
         return None
-    # y[order] keeps order's memory layout, and with it the summation order
-    # np.dot uses for the row-0 mean square below
-    ys = y[order]
-    csum = np.cumsum(ys, axis=1, out=cols.csum[:d * m].reshape(d, m))
+    csum = np.add.accumulate(ys, axis=1, out=cols.csum[:d * m].reshape(d, m))
     total = csum[:, -1]
     s_left = csum[:, :-1]
     parent = (total * total) / m
@@ -122,17 +112,26 @@ def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray,
         gt[xt[:, 1:] <= xt[:, :-1]] = -np.inf
         gain[cols.tied] = gt
 
-    flat = int(np.argmax(gain))
-    j, pos = divmod(flat, m - 1)
-    best = gain[j, pos]
-    mean_square = float(np.dot(ys[0], ys[0])) / m
-    if not np.isfinite(best) or best <= _GAIN_EPS * max(1.0, mean_square):
+    flat = int(gain.argmax())
+    best = gain.item(flat)
+    # y[order] keeps order's memory layout, and with it the summation order
+    # np.dot uses here
+    row = ys[0]
+    mean_square = float(np.dot(row, row)) / m
+    if not math.isfinite(best) or best <= _GAIN_EPS * max(1.0, mean_square):
         return None
-    a, b = x[order[j, pos], j], x[order[j, pos + 1], j]
+    j, pos = divmod(flat, m - 1)
+    a = x.item(order.item(j, pos), j)
+    b = x.item(order.item(j, pos + 1), j)
     thr = 0.5 * (a + b)
     if thr >= b:
         thr = a
-    return int(j), float(thr), best
+    return j, thr
+
+
+def _node_value(ys: np.ndarray) -> float:
+    """np.mean(ys[0]), the node's mean target, without np.mean's overhead."""
+    return float(np.add.reduce(ys[0])) / ys.shape[1]
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
@@ -150,31 +149,21 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
     cols = presorted if isinstance(presorted, PresortedColumns) \
         else PresortedColumns(x, presorted)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node(rows_sorted: np.ndarray) -> int:
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(np.mean(y[rows_sorted[0]])))
-        return node_id
-
-    root = new_node(cols.order)
-    stack = [(root, cols.order, 0)]
+    ys = y[cols.order]
+    feature = [-1]
+    threshold = [0.0]
+    left = [-1]
+    right = [-1]
+    value = [_node_value(ys)]
+    stack = [(0, cols.order, ys, 0)]
     while stack:
-        node_id, order, depth = stack.pop()
+        node_id, order, ys, depth = stack.pop()
         rows = order[0]
-        found = None if depth >= max_depth else _best_split(x, y, order, cols)
+        found = None if depth >= max_depth else _best_split(x, ys, order, cols)
         if found is None:
             cols.leaf[rows] = node_id
             continue
-        j, thr, _ = found
+        j, thr = found
         cols.go_left[rows] = x[rows, j] <= thr
         # children at max_depth stay leaves: row 0 is all they need
         part = order if depth + 1 < max_depth else order[:1]
@@ -185,16 +174,22 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         if n_left == 0 or n_left == m:
             cols.leaf[rows] = node_id
             continue
-        order_left = np.compress(mask, part).reshape(-1, n_left)
-        order_right = np.compress(~mask, part).reshape(-1, m - n_left)
+        order_left = part.compress(mask).reshape(-1, n_left)
+        order_right = part.compress(~mask).reshape(-1, m - n_left)
+        ys_left = y[order_left]
+        ys_right = y[order_right]
+        left_id = len(feature)
         feature[node_id] = j
         threshold[node_id] = thr
-        left_id = new_node(order_left)
-        right_id = new_node(order_right)
         left[node_id] = left_id
-        right[node_id] = right_id
-        stack.append((right_id, order_right, depth + 1))
-        stack.append((left_id, order_left, depth + 1))
+        right[node_id] = left_id + 1
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += (-1, -1)
+        right += (-1, -1)
+        value += (_node_value(ys_left), _node_value(ys_right))
+        stack.append((left_id + 1, order_right, ys_right, depth + 1))
+        stack.append((left_id, order_left, ys_left, depth + 1))
 
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),
@@ -203,6 +198,53 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
     )
+
+
+# rows per block in GradientBoostedRegressor.predict: its (trees, rows)
+# temporaries stay near 200 KiB each (100 trees), whatever the input size
+_PREDICT_BLOCK = 256
+
+
+class _StackedTrees:
+    """Several trees' arrays end to end, with node ids offset to match.
+
+    A leaf gets feature 0 and points to itself, so every tree can step down
+    depth times, depth being the deepest tree's depth.
+    """
+
+    def __init__(self, trees: list[RegressionTree]):
+        sizes = [tree.n_nodes for tree in trees]
+        self.roots = np.cumsum(sizes) - sizes
+        feature = np.concatenate([tree.feature for tree in trees])
+        internal = feature >= 0
+        ids = np.arange(feature.shape[0])
+        offset = np.repeat(self.roots, sizes)
+        self.left = np.where(
+            internal, np.concatenate([t.left for t in trees]) + offset, ids)
+        self.right = np.where(
+            internal, np.concatenate([t.right for t in trees]) + offset, ids)
+        self.feature = np.where(internal, feature, 0)
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.value = np.concatenate([tree.value for tree in trees])
+        self.depth = 0
+        level = self.roots[internal[self.roots]]
+        while level.size:
+            self.depth += 1
+            level = np.concatenate([self.left[level], self.right[level]])
+            level = level[internal[level]]
+
+    def leaf_values(self, x: np.ndarray) -> np.ndarray:
+        """(trees, rows) leaf values of x's rows, all trees stepped at once."""
+        if x.ndim != 2 or x.shape[1] <= self.feature.max():
+            raise ValueError(f"x needs {self.feature.max() + 1} or more columns, "
+                             f"got shape {x.shape}")
+        x = np.ascontiguousarray(x)
+        row_start = np.arange(x.shape[0]) * x.shape[1]
+        node = np.repeat(self.roots[:, None], x.shape[0], axis=1)
+        for _ in range(self.depth):
+            go_left = x.take(self.feature[node] + row_start) <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 @dataclass
@@ -231,9 +273,10 @@ class GradientBoostedRegressor:
             raise ValueError("learning_rate must lie in (0, 1]")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("x and y must be finite")
+        n = x.shape[0]
         self.base_ = float(np.mean(y))
         self.trees_ = []
-        current = np.full(x.shape[0], self.base_)
+        current = np.full(n, self.base_)
         rmse = np.empty(self.n_trees)
         cols = PresortedColumns(x)
         for round_idx in range(self.n_trees):
@@ -241,15 +284,29 @@ class GradientBoostedRegressor:
             tree = fit_tree(x, residual, self.max_depth, presorted=cols)
             current = current + self.learning_rate * tree.value[cols.leaf]
             self.trees_.append(tree)
-            rmse[round_idx] = float(np.sqrt(np.mean((y - current) ** 2)))
+            rmse[round_idx] = math.sqrt(np.add.reduce((y - current) ** 2) / n)
         self.train_rmse_ = rmse
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """base_ plus learning_rate times each tree's leaf value, tree by tree.
+
+        All trees step a block of rows down together, on their stacked
+        arrays, in which each leaf points to itself; then the trees' leaf
+        values are added in tree order, so the sums are those of a
+        per-tree loop.
+        """
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape[0], self.base_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict(x)
+        if not self.trees_:
+            return out
+        stacked = _StackedTrees(self.trees_)
+        for start in range(0, x.shape[0], _PREDICT_BLOCK):
+            leaf_values = stacked.leaf_values(x[start:start + _PREDICT_BLOCK])
+            leaf_values *= self.learning_rate
+            rows = out[start:start + _PREDICT_BLOCK]
+            for tree_values in leaf_values:
+                rows += tree_values
         return out
 
     def to_dict(self) -> dict:

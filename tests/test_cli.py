@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import stochint
+import stochint.experiments
+import stochint.parallel
 from stochint.cli import MAX_GRID_POINTS, OUTPUT_ROOT_ENV, _parse_grid, main
 from stochint.data import (
     DgpConfig,
@@ -18,6 +20,7 @@ from stochint.data import (
     load_csv,
     write_csv,
 )
+from stochint.nuisance import FitError
 
 FAST = ["--outcome-kind", "ridge_linear", "--basis", "raw"]
 
@@ -375,6 +378,45 @@ def test_benchmark_sizes_writes_by_size_table(tmp_path):
     assert {line.split(",")[0] for line in lines[1:]} == {"100", "150"}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_benchmark_error_names_the_failing_replication(tmp_path, capsys,
+                                                       monkeypatch, workers):
+    # at n=80 and seed 0, replication 0 fits and replication 1's fold 2
+    # leaves too few treated units; with two workers, each fits one
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
+    rc = run_cli("benchmark", "--out", tmp_path / "bench", "--n", "80",
+                 "--methods", "sie", "--replications", "2", "--n-trees", "5")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: size 80 replication 1: fold 2: arm 1 has 9 units")
+    assert not (tmp_path / "bench" / "tables").exists()
+
+
+@pytest.mark.filterwarnings("ignore:rank-deficient least-squares design")
+def test_benchmark_baseline_failure_surfaces_before_sie_failure(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
+    argv = ["benchmark", "--out", tmp_path / "bench", "--n", "60",
+            "--methods", "sie,ols", "--replications", "2", "--n-trees", "5"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: size 60 replication 0: fold 1: arm 1 has 8 units")
+    # an ols failure in replication 1 is reported before that sie failure
+    calls = []
+    real_fit = stochint.experiments.fit_per_arm_linear
+
+    def fail_second_call(train):
+        calls.append(1)
+        if len(calls) == 2:
+            raise FitError("per-arm linear fit needs both arms present")
+        return real_fit(train)
+
+    monkeypatch.setattr(stochint.experiments, "fit_per_arm_linear", fail_second_call)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        "error: size 60 replication 1: per-arm linear fit needs both arms present\n")
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
@@ -384,7 +426,7 @@ def test_optimize_writes_policy_and_trace(tmp_path):
     out = tmp_path / "opt"
     rc = run_cli("optimize", "--out", out, "--generator", "op",
                  "--n", "80", "--folds", "3", "--population", "8",
-                 "--generations", "5", "--snapshot-every", "2", *FAST)
+                 "--generations", "5", *FAST)
     assert rc == 0
     best_lines = (out / "best_delta.csv").read_text().strip().splitlines()
     assert best_lines[0] == "unit_index,delta"
@@ -401,6 +443,17 @@ def test_optimize_writes_policy_and_trace(tmp_path):
     assert comparison["improvement_vs_status_quo"] == pytest.approx(
         comparison["expected_best"] - comparison["expected_status_quo"]
     )
+
+
+def test_optimize_config_with_snapshot_every_is_refused(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"snapshot_every": 2}))
+    out = tmp_path / "opt"
+    rc = run_cli("optimize", "--config", cfg_path, "--out", out, "--n", "40",
+                 "--folds", "2", "--population", "4", "--generations", "2", *FAST)
+    assert rc == 1
+    assert "unknown config keys: snapshot_every" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_optimize_from_csv_data(tmp_path):

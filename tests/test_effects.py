@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stochint.effects
+import stochint.parallel
 from stochint.data import (
     DgpConfig,
     ObservationalDataset,
@@ -249,7 +250,7 @@ def cross_fit_with_workers(monkeypatch, workers, data, k, collect):
 
     models = [] if collect else None
     with monkeypatch.context() as patch:
-        patch.setattr(stochint.effects, "_usable_cpus", lambda: workers)
+        patch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
         patch.setattr(GradientBoostedRegressor, "fit", counting_fit)
         records, diags = cross_fit_records(data, k=k, seed=1,
                                            nuisance=BOOSTED_NUISANCE,
@@ -311,7 +312,7 @@ def test_forked_fit_error_names_first_failing_fold(monkeypatch):
         outcome=OutcomeSpec(config=OutcomeConfig(n_trees=5, max_depth=2,
                                                  min_arm_size=floor)),
     )
-    monkeypatch.setattr(stochint.effects, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
     with pytest.raises(FitError, match=f"^fold {failing[0]}: arm 1 has"):
         cross_fit_records(data, k=k, seed=seed, nuisance=spec)
     assert_no_child_processes()
@@ -325,7 +326,7 @@ def test_worker_that_dies_is_reported_and_reaped(monkeypatch):
             pytest.fail("the outcome fit ran in the test process")
         os._exit(3)
 
-    monkeypatch.setattr(stochint.effects, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(stochint.effects, "fit_outcome", die)
     with pytest.raises(RuntimeError, match="ended without a result"):
         cross_fit_records(make_cross_fit_data(n=150, seed=6), k=3, seed=1,

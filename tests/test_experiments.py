@@ -1,10 +1,13 @@
 """Tests for the benchmark and optimization drivers and their writers."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+import stochint.experiments
+import stochint.parallel
 from stochint.data import DatasetError, DgpConfig
 from stochint.effects import NuisanceSpec, OutcomeSpec, PropensitySpec
 from stochint.experiments import (
@@ -21,7 +24,7 @@ from stochint.experiments import (
     write_trace_csv,
 )
 from stochint.genetic import GaConfig
-from stochint.nuisance import OutcomeConfig
+from stochint.nuisance import FitError, OutcomeConfig
 
 FAST_NUISANCE = NuisanceSpec(
     propensity=PropensitySpec(basis_kind="raw"),
@@ -134,6 +137,78 @@ def test_run_benchmark_is_deterministic():
     b = run_benchmark(small_benchmark())
     for row_a, row_b in zip(a.rows, b.rows):
         assert row_a == row_b
+
+
+# Each replication's boosted sie estimate runs in a forked worker when more
+# than one CPU is usable.  These pin that path to the in-process one.
+BOOSTED_NUISANCE = NuisanceSpec(
+    propensity=PropensitySpec(basis_kind="raw"),
+    outcome=OutcomeSpec(config=OutcomeConfig(n_trees=5, max_depth=2)),
+)
+
+
+def benchmark_with_workers(monkeypatch, workers, cfg):
+    """run_benchmark's rows with the worker count forced, and the number of
+    forks; a worker that forks fails the run."""
+    test_process = os.getpid()
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        if os.getpid() != test_process:
+            raise AssertionError("a replication worker forked")
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
+        patch.setattr(os, "fork", fork)
+        rows = run_benchmark(cfg).rows
+    return rows, len(forks)
+
+
+def assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("overrides, forks", [
+    (dict(sizes=(100, 160), methods=("sie", "ols", "ipwe")), 2),
+    (dict(replicate_mode="seed", replications=3), 2),
+    (dict(nuisance=FAST_NUISANCE), 0),
+    (dict(methods=("ols", "ipwe")), 0),
+], ids=["sizes", "seed-mode", "ridge", "no-sie"])
+def test_replication_workers_match_in_process(monkeypatch, overrides, forks):
+    cfg = small_benchmark(**{"nuisance": BOOSTED_NUISANCE, **overrides})
+    serial, serial_forks = benchmark_with_workers(monkeypatch, 1, cfg)
+    forked, forked_forks = benchmark_with_workers(monkeypatch, 2, cfg)
+    assert serial == forked
+    assert len(serial) == 2 * len(cfg.methods) * cfg.replications * len(
+        cfg.sizes or (cfg.n,))
+    assert (serial_forks, forked_forks) == (0, forks)
+    assert_no_child_processes()
+
+
+def test_replication_worker_failure_names_it_and_reaps_workers(monkeypatch):
+    spec = NuisanceSpec(
+        propensity=PropensitySpec(basis_kind="raw"),
+        outcome=OutcomeSpec(config=OutcomeConfig(n_trees=5, max_depth=2,
+                                                 min_arm_size=1000)),
+    )
+    cfg = small_benchmark(nuisance=spec, replications=3)
+    with pytest.raises(FitError, match="^size 160 replication 0: fold 0: arm 0 has"):
+        benchmark_with_workers(monkeypatch, 2, cfg)
+    assert_no_child_processes()
+
+
+def test_non_finite_estimate_names_its_replication(monkeypatch):
+    def estimates(method, train, test, cfg, seed):
+        return (np.nan if seed == cfg.seed + 2 else 0.0), 0.0
+
+    monkeypatch.setattr(stochint.experiments, "_split_estimates", estimates)
+    with pytest.raises(ValueError, match="^size 160 replication 1: epsilon_ate "
+                                         "needs finite inputs"):
+        run_benchmark(small_benchmark(methods=("ols",)))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,21 @@ def test_basis_rejects_bad_input():
         BasisExpansion(kind="rbf", n_inputs=2)
 
 
+def test_wide_polynomial2_basis_fails_before_expanding(monkeypatch):
+    # 1 + d + d (d + 1) / 2 columns: 1,953 at d = 61, 2,016 at d = 62
+    assert BasisExpansion(kind="polynomial2", n_inputs=61).output_dim == 1953
+
+    def expand(self, x):
+        pytest.fail("the wide basis was expanded")
+
+    monkeypatch.setattr(BasisExpansion, "expand", expand)
+    data = logistic_dataset(40, [0.0] + [0.1] * 62, seed=0)
+    with pytest.raises(ValueError, match="62 covariates has 2016 columns, "
+                                         "more than 2000; use the raw or rbf basis"):
+        fit_propensity(data, make_basis("polynomial2", data.covariates))
+    assert make_basis("raw", data.covariates).output_dim == 63
+
+
 def test_make_rbf_basis_is_deterministic():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((200, 3))

@@ -2,15 +2,19 @@
 
 The reference below gathers the sorted feature values and the tie mask of
 every feature at every node, partitions the whole order at every split, and
-predicts the training rows after each boosting round.  It is kept here only
-to pin the learner's output bit for bit; nothing in the package uses it.
+predicts the training rows after each boosting round.  A boosted model's
+reference prediction steps one tree at a time.  They are kept here only to
+pin the learner's output bit for bit; nothing in the package uses them.
 """
+
+import json
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochint.trees import (
+    _PREDICT_BLOCK,
     GradientBoostedRegressor,
     PresortedColumns,
     RegressionTree,
@@ -101,6 +105,27 @@ def reference_fit_tree(x, y, max_depth, presorted=None):
     )
 
 
+def reference_tree_predict(tree, x):
+    """The first RegressionTree.predict."""
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        internal = feat >= 0
+        if not internal.any():
+            return tree.value[node]
+        rows = np.flatnonzero(internal)
+        go_left = x[rows, feat[rows]] <= tree.threshold[node[rows]]
+        node[rows] = np.where(go_left, tree.left[node[rows]], tree.right[node[rows]])
+
+
+def reference_predict(model, x):
+    """The first GradientBoostedRegressor.predict: one tree at a time."""
+    out = np.full(x.shape[0], model.base_)
+    for tree in model.trees_:
+        out += model.learning_rate * reference_tree_predict(tree, x)
+    return out
+
+
 def reference_boost(x, y, n_trees, max_depth, learning_rate):
     """(base, trees, train_rmse) of the first GradientBoostedRegressor.fit."""
     base = float(np.mean(y))
@@ -111,7 +136,7 @@ def reference_boost(x, y, n_trees, max_depth, learning_rate):
     for round_idx in range(n_trees):
         residual = y - current
         tree = reference_fit_tree(x, residual, max_depth, presorted=presorted)
-        current = current + learning_rate * tree.predict(x)
+        current = current + learning_rate * reference_tree_predict(tree, x)
         trees.append(tree)
         rmse[round_idx] = float(np.sqrt(np.mean((y - current) ** 2)))
     return base, trees, rmse
@@ -171,6 +196,7 @@ def test_fit_tree_matches_reference(problem, max_depth, given_order):
     assert_same_tree(got, want)
     assert (got.feature[cols.leaf] == -1).all()
     assert np.array_equal(got.value[cols.leaf], got.predict(x))
+    assert np.array_equal(got.predict(x), reference_tree_predict(got, x))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -191,7 +217,7 @@ def test_boosting_matches_reference(problem, max_depth, n_trees, learning_rate):
         assert_same_tree(got, want)
     want_pred = np.full(x.shape[0], base)
     for tree in trees:
-        want_pred += learning_rate * tree.predict(x)
+        want_pred += learning_rate * reference_tree_predict(tree, x)
     assert np.array_equal(model.predict(x), want_pred)
 
 
@@ -200,3 +226,44 @@ def test_presorted_columns_marks_only_tied_features():
                   [1.0, 1.0, 3.0, 0.0],
                   [2.0, 0.0, 2.0, 1.0]])
     assert PresortedColumns(x).tied.tolist() == [1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(problem=problems(), max_depth=st.integers(1, 5),
+       n_trees=st.integers(1, 10),
+       learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
+       n_new=st.integers(0, 2 * _PREDICT_BLOCK + 1),
+       seed=st.integers(0, 2**32 - 1))
+@example(problem=(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])), max_depth=1,
+         n_trees=2, learning_rate=0.5, n_new=2 * _PREDICT_BLOCK + 1, seed=0)
+def test_predict_on_held_out_rows_matches_per_tree_loop(
+        problem, max_depth, n_trees, learning_rate, n_new, seed):
+    x, y = problem
+    model = GradientBoostedRegressor(n_trees=n_trees, max_depth=max_depth,
+                                     learning_rate=learning_rate).fit(x, y)
+    # fresh rows, with some entries copied from training rows (which puts
+    # them on a threshold's side exactly as in training) and some NaN
+    rng = np.random.default_rng(seed)
+    x_new = 2.0 * rng.standard_normal((n_new, x.shape[1]))
+    copied = rng.random(x_new.shape) < 0.5
+    source = x[rng.integers(0, x.shape[0], x_new.shape), np.arange(x.shape[1])]
+    x_new[copied] = source[copied]
+    x_new[rng.random(x_new.shape) < 0.02] = np.nan
+    want = reference_predict(model, x_new)
+    assert np.array_equal(model.predict(x_new), want, equal_nan=True)
+    clone = GradientBoostedRegressor.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert np.array_equal(clone.predict(x_new), want, equal_nan=True)
+
+
+def test_predict_with_single_leaf_trees_matches_per_tree_loop():
+    x = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0]])
+    x_new = np.array([[-1.0, 0.0], [1.0, 9.0], [1.5, 1.0], [4.0, 4.0]])
+    # a constant target gives only single-leaf trees
+    flat = GradientBoostedRegressor(n_trees=3, max_depth=2).fit(x, np.full(4, 0.3))
+    assert [tree.n_nodes for tree in flat.trees_] == [1, 1, 1]
+    assert np.array_equal(flat.predict(x_new), reference_predict(flat, x_new))
+    # the first tree fits the target exactly, so the later trees are leaves
+    step = GradientBoostedRegressor(n_trees=4, max_depth=2, learning_rate=1.0)
+    step.fit(x, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert [tree.n_nodes for tree in step.trees_] == [3, 1, 1, 1]
+    assert np.array_equal(step.predict(x_new), reference_predict(step, x_new))

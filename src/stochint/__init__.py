@@ -39,18 +39,7 @@ from .effects import (
     sweep_expected_outcome,
     write_influence_csv,
 )
-from .genetic import (
-    GaConfig,
-    GaTrace,
-    InterventionVector,
-    crossover,
-    fitness,
-    initialize_population,
-    mutate,
-    optimize,
-    optimize_records,
-    select_parents,
-)
+from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records
 from .nuisance import (
     BasisExpansion,
     FitError,

@@ -194,11 +194,31 @@ def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value, defaults[key])
         merged.update(loaded)
     for key, value in vars(args).items():
         if key in defaults:
             merged[key] = value
     return merged
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """Refuse a config-file value whose JSON type does not fit its default's.
+
+    Flags need no check: argparse already converts them.
+    """
+    if isinstance(default, bool):
+        wanted, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, int):
+        wanted, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        wanted = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        return
+    if not ok:
+        raise CliError(f"config key {key} must be {wanted}, not {json.dumps(value)}")
 
 
 def _resolve_out(args: argparse.Namespace, command: str) -> Path:

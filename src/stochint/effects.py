@@ -543,7 +543,6 @@ class PerArmLinearModel:
 
     coef0: np.ndarray
     coef1: np.ndarray
-    used_ridge_fallback: bool = False
 
     def predict(self, x: np.ndarray, arm: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -554,12 +553,12 @@ class PerArmLinearModel:
         return self.predict(x, 1) - self.predict(x, 0)
 
 
-def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+def _ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     a = np.hstack([np.ones((n, 1)), x])
     coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank == a.shape[1]:
-        return coef, False
+        return coef
     warnings.warn(
         "rank-deficient least-squares design; falling back to ridge 1e-8",
         RuntimeWarning,
@@ -567,8 +566,7 @@ def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     )
     d = np.eye(a.shape[1])
     d[0, 0] = 0.0
-    coef = np.linalg.solve(a.T @ a + 1e-8 * n * d, a.T @ y)
-    return coef, True
+    return np.linalg.solve(a.T @ a + 1e-8 * n * d, a.T @ y)
 
 
 def fit_per_arm_linear(data: ObservationalDataset) -> PerArmLinearModel:
@@ -576,19 +574,13 @@ def fit_per_arm_linear(data: ObservationalDataset) -> PerArmLinearModel:
     t = data.treatments
     if t.min() == t.max():
         raise FitError("per-arm linear fit needs both arms present")
-    coef0, fb0 = _ls_fit(data.covariates[t == 0], data.outcomes[t == 0])
-    coef1, fb1 = _ls_fit(data.covariates[t == 1], data.outcomes[t == 1])
-    return PerArmLinearModel(coef0=coef0, coef1=coef1,
-                             used_ridge_fallback=fb0 or fb1)
+    x, y = data.covariates, data.outcomes
+    return PerArmLinearModel(coef0=_ls_fit(x[t == 0], y[t == 0]),
+                             coef1=_ls_fit(x[t == 1], y[t == 1]))
 
 
-def baseline_ols(data: ObservationalDataset, seed: int = 0) -> float:
-    """Average treated-minus-control contrast of per-arm linear fits.
-
-    The seed argument is accepted for interface uniformity; the fit itself
-    is deterministic.
-    """
-    del seed
+def baseline_ols(data: ObservationalDataset) -> float:
+    """Average treated-minus-control contrast of per-arm linear fits."""
     model = fit_per_arm_linear(data)
     return float(np.mean(model.contrast(data.covariates)))
 

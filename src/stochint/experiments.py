@@ -26,7 +26,6 @@ from .data import (
 )
 from .effects import (
     NuisanceSpec,
-    baseline_ols,
     cross_fit_records,
     epsilon_ate,
     estimate_ate_difference,
@@ -253,7 +252,7 @@ class OptimizationRun:
 
 def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
                      nuisance: NuisanceSpec | None = None, k: int = 5,
-                     seed: int = 0, snapshot_every: int = 0) -> OptimizationRun:
+                     seed: int = 0) -> OptimizationRun:
     """Cross-fit once, search per-unit deltas, and score reference policies.
 
     The status-quo policy is the all-ones vector (leave every propensity
@@ -262,7 +261,7 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
     """
     cfg = ga or GaConfig()
     records, _ = cross_fit_records(data, k, seed, nuisance or NuisanceSpec())
-    best, trace = optimize_records(records, cfg, snapshot_every)
+    best, trace = optimize_records(records, cfg)
     n = records.n
     lo, hi = cfg.bounds
     ones = np.clip(np.ones(n), lo, hi)

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ObservationalDataset
-from .effects import (
-    NuisanceSpec,
-    UnitRecords,
-    _check_delta,
-    _dr_terms,
-    _q,
-    cross_fit_records,
-    influence,
-)
+from .effects import UnitRecords, _dr_terms, _q, influence
 
 CROSSOVER_OPERATORS = ("sbx", "uniform")
 
@@ -101,12 +92,10 @@ class GaConfig:
 
 @dataclass(frozen=True, eq=False)
 class GaTrace:
-    """Per-generation fitness history and optional best-vector snapshots."""
+    """Per-generation best and mean fitness."""
 
     best_fitness: np.ndarray
     mean_fitness: np.ndarray
-    snapshot_every: int = 0
-    snapshots: tuple[tuple[int, InterventionVector], ...] = ()
 
     @property
     def generations(self) -> int:
@@ -116,35 +105,6 @@ class GaTrace:
 def _row_fitness(deltas, p, m1, m0) -> float:
     """Summed influence value of one already-checked delta row."""
     return float(np.sum(influence(_q(p, deltas), m1, m0)))
-
-
-def fitness(individual, records: UnitRecords) -> float:
-    """Summed influence value of a per-unit delta vector over the records.
-
-    Raises:
-        ValueError: length mismatch between the vector and the records, or a
-            non-finite fitness value.
-    """
-    deltas = individual.deltas if isinstance(individual, InterventionVector) \
-        else np.asarray(individual, dtype=float)
-    if deltas.shape != (records.n,):
-        raise ValueError(
-            f"delta vector has length {deltas.shape}, records have {records.n} units"
-        )
-    p, m1, m0 = _dr_terms(records)
-    value = _row_fitness(_check_delta(deltas), p, m1, m0)
-    if not np.isfinite(value):
-        raise ValueError("non-finite fitness value")
-    return value
-
-
-def initialize_population(n: int, config: GaConfig,
-                          rng: np.random.Generator | None = None
-                          ) -> list[InterventionVector]:
-    """Draw population_size vectors ~ normal(init_mean, init_std), clamped."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    lo, hi = config.bounds
-    return [InterventionVector(row, lo, hi) for row in _initial_rows(n, config, rng)]
 
 
 def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator) -> np.ndarray:
@@ -164,19 +124,13 @@ def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> list:
     return [group[np.argmax(fits[group])] for group in entrants]
 
 
-def select_parents(population: list[InterventionVector], fitnesses,
-                   config: GaConfig,
-                   rng: np.random.Generator) -> list[InterventionVector]:
-    """Tournament selection with replacement; returns population_size parents."""
-    fits = np.asarray(fitnesses, dtype=float)
-    if fits.shape != (len(population),):
-        raise ValueError("need one fitness per individual")
-    return [population[i] for i in _tournament(fits, config.tournament_size, rng)]
-
-
 def _crossover_rows(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
                     config: GaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped children of rows a and b; draws[0] gates mixing, draws[1] is u."""
+    """Clamped children of rows a and b; draws[0] gates mixing, draws[1] is u.
+
+    "sbx" is simulated binary crossover with distribution index sbx_eta;
+    "uniform" swaps each mixed coordinate with probability 0.5.
+    """
     u = draws[1]
     if config.crossover_operator == "sbx":
         # one pow of the branch-selected base is bit-identical to selecting
@@ -196,40 +150,13 @@ def _crossover_rows(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
     return np.clip(c1, *config.bounds, out=c1), np.clip(c2, *config.bounds, out=c2)
 
 
-def crossover(parent_a: InterventionVector, parent_b: InterventionVector,
-              config: GaConfig, rng: np.random.Generator
-              ) -> tuple[InterventionVector, InterventionVector]:
-    """Recombine two parents; coordinates mix with probability crossover_rate.
-
-    The "sbx" operator is simulated binary crossover with distribution index
-    sbx_eta (children symmetric about the parent mean); "uniform" swaps each
-    selected coordinate with probability 0.5.  Children are clamped to the
-    parents' bounds.  The rng draw count is fixed, so downstream draws do not
-    depend on which coordinates mixed.
-    """
-    a, b = parent_a.deltas, parent_b.deltas
-    if a.shape != b.shape:
-        raise ValueError("parents must have equal length")
-    children = _crossover_rows(a, b, rng.random((2, a.shape[0])), config)
-    return tuple(InterventionVector(c, *config.bounds) for c in children)
-
-
 def _mutate_into(child: np.ndarray, draws: np.ndarray, config: GaConfig) -> None:
     """Where draws[0] < mutation_rate, set child to draws[1] scaled to [lo, hi]."""
     lo, hi = config.bounds
     np.copyto(child, lo + (hi - lo) * draws[1], where=draws[0] < config.mutation_rate)
 
 
-def mutate(individual: InterventionVector, config: GaConfig,
-           rng: np.random.Generator) -> InterventionVector:
-    """Redraw each coordinate uniformly in [lo, hi] with mutation_rate."""
-    child = individual.deltas.copy()
-    _mutate_into(child, rng.random((2, individual.n)), config)
-    return InterventionVector(child, *config.bounds)
-
-
-def optimize_records(records: UnitRecords, config: GaConfig | None = None,
-                     snapshot_every: int = 0
+def optimize_records(records: UnitRecords, config: GaConfig | None = None
                      ) -> tuple[InterventionVector, GaTrace]:
     """Run the genetic search against precomputed unit records.
 
@@ -251,7 +178,6 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None,
     fits = np.empty(m)
     best_hist = np.empty(cfg.generations)
     mean_hist = np.empty(cfg.generations)
-    snapshots = []
     for gen in range(cfg.generations):
         for i, row in enumerate(population):
             fits[i] = _row_fitness(row, p, m1, m0)
@@ -261,9 +187,6 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None,
         order = np.argsort(-fits, kind="stable")
         best_hist[gen] = fits[order[0]]
         mean_hist[gen] = fits.mean()
-        if snapshot_every and gen % snapshot_every == 0:
-            snapshots.append(
-                (gen, InterventionVector(population[order[0]].copy(), lo, hi)))
         if gen == cfg.generations - 1:
             break
         bred[:elites] = population[order[:elites]]
@@ -282,25 +205,5 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None,
                     _mutate_into(row, child_draws, cfg)
         population, bred = bred, population
     best = InterventionVector(population[order[0]].copy(), lo, hi)
-    return best, GaTrace(best_hist, mean_hist, snapshot_every, tuple(snapshots))
+    return best, GaTrace(best_hist, mean_hist)
 
-
-def optimize(data: ObservationalDataset, config: GaConfig | None = None,
-             nuisance: NuisanceSpec | None = None, k: int = 5, seed: int = 0,
-             snapshot_every: int = 0) -> tuple[InterventionVector, GaTrace]:
-    """Cross-fit nuisances once, then genetically search per-unit deltas.
-
-    Args:
-        data: observational sample; one delta is optimized per unit.
-        config: GaConfig (defaults: population 50, 100 generations, SBX).
-        nuisance: propensity/outcome settings for the one-time cross-fit.
-        k: cross-fitting folds.
-        seed: fold-assignment seed (the GA itself draws from config.seed).
-        snapshot_every: record the best vector every this many generations
-            (0 disables snapshots).
-
-    Returns:
-        (best vector, trace).
-    """
-    records, _ = cross_fit_records(data, k, seed, nuisance or NuisanceSpec())
-    return optimize_records(records, config, snapshot_every)

@@ -10,9 +10,7 @@ for.  Both model families serialize to JSON with an explicit version field.
 from __future__ import annotations
 
 import json
-import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,9 +100,8 @@ class BasisExpansion:
         return np.hstack([np.ones((n, 1)), np.exp(-sq / (2.0 * self.scale ** 2))])
 
 
-def make_rbf_basis(x: np.ndarray, n_centers: int, seed: int,
-                   n_iter: int = 10) -> BasisExpansion:
-    """Build an RBF basis with k-means centers from a covariate subsample."""
+def make_rbf_basis(x: np.ndarray, n_centers: int, seed: int) -> BasisExpansion:
+    """Build an RBF basis with k-means centers (10 steps) from a covariate subsample."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n_centers < 1 or n_centers > n:
@@ -112,7 +109,7 @@ def make_rbf_basis(x: np.ndarray, n_centers: int, seed: int,
     rng = np.random.default_rng(seed)
     sample = x[rng.choice(n, size=min(n, 512), replace=False)]
     centers = sample[rng.choice(sample.shape[0], size=n_centers, replace=False)].copy()
-    for _ in range(n_iter):
+    for _ in range(10):
         dist = ((sample[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         label = np.argmin(dist, axis=1)
         for r in range(n_centers):
@@ -471,11 +468,10 @@ def model_from_dict(payload: dict):
         )
     if kind == "outcome":
         cfg = OutcomeConfig(**payload["config"])
-        if cfg.joint:
-            sub = payload["joint_model"]
-            cls = GradientBoostedRegressor if cfg.kind == "boosted_trees" else RidgeModel
-            return OutcomeModel(config=cfg, joint_model=cls.from_dict(sub))
         cls = GradientBoostedRegressor if cfg.kind == "boosted_trees" else RidgeModel
+        if cfg.joint:
+            return OutcomeModel(config=cfg,
+                                joint_model=cls.from_dict(payload["joint_model"]))
         return OutcomeModel(
             config=cfg,
             arm_models={int(a): cls.from_dict(m)

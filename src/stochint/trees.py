@@ -58,18 +58,17 @@ class RegressionTree:
 class PresortedColumns:
     """The columns of one covariate matrix in sorted order, shared by many trees.
 
-    ``order`` is ``argsort(x, axis=0, kind="stable").T``, computed here unless
-    given.  ``tied`` lists the features whose sorted values are not strictly
-    increasing.  A node's rows keep that order, so only these features can hold
-    a tie inside a node and need the split search's tie mask.  The rest holds
-    the split search's scratch space, and ``leaf``, into which ``fit_tree``
-    writes each training row's leaf id.
+    ``order`` is ``argsort(x, axis=0, kind="stable").T``.  ``tied`` lists the
+    features whose sorted values are not strictly increasing.  A node's rows
+    keep that order, so only these features can hold a tie inside a node and
+    need the split search's tie mask.  The rest holds the split search's
+    scratch space, and ``leaf``, into which ``fit_tree`` writes each training
+    row's leaf id.
     """
 
-    def __init__(self, x: np.ndarray, order: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray):
         n, d = x.shape
-        self.order = order if order is not None \
-            else np.argsort(x, axis=0, kind="stable").T
+        self.order = np.argsort(x, axis=0, kind="stable").T
         xs = x[self.order, np.arange(d)[:, None]]
         self.tied = np.flatnonzero(~(xs[:, 1:] > xs[:, :-1]).all(axis=1))
         self.leaf = np.zeros(n, dtype=np.int64)
@@ -135,19 +134,17 @@ def _node_value(ys: np.ndarray) -> float:
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
-             presorted: np.ndarray | PresortedColumns | None = None) -> RegressionTree:
+             presorted: PresortedColumns | None = None) -> RegressionTree:
     """Grow a depth-limited least-squares tree with deterministic splits.
 
-    presorted may carry argsort(x, axis=0, kind="stable").T, or a
-    PresortedColumns built on x, to avoid re-sorting when many trees are
-    grown on the same covariates.  A PresortedColumns also keeps its scratch
-    space across calls, and after the call its ``leaf`` holds each training
-    row's leaf id, so ``tree.value[leaf]`` equals ``tree.predict(x)``.
+    presorted may carry a PresortedColumns built on x, to avoid re-sorting
+    and keep scratch space when many trees are grown on the same covariates.
+    After the call its ``leaf`` holds each training row's leaf id, so
+    ``tree.value[leaf]`` equals ``tree.predict(x)``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    cols = presorted if isinstance(presorted, PresortedColumns) \
-        else PresortedColumns(x, presorted)
+    cols = presorted if presorted is not None else PresortedColumns(x)
 
     ys = y[cols.order]
     feature = [-1]

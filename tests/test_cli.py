@@ -333,6 +333,41 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+@pytest.mark.parametrize("command, key, value, wanted", [
+    ("estimate", "joint_outcome", "false", "true or false"),
+    ("estimate", "joint_outcome", 0, "true or false"),
+    ("estimate", "folds", 2.9, "an integer"),
+    ("estimate", "folds", True, "an integer"),
+    ("estimate", "delta", "2", "a number"),
+    ("estimate", "clip", False, "a number"),
+    ("simulate", "seed", 1.0, "an integer"),
+    ("optimize", "sbx_eta", None, "a number"),
+])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, value,
+                                             wanted):
+    data = [] if command == "simulate" else ["--data", simulate_small(tmp_path / "sim")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    rc = run_cli(command, "--config", cfg_path, "--out", out, *data)
+    assert rc == 1
+    assert f"config key {key} must be {wanted}" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_config_number_accepts_json_integer(tmp_path):
+    data_path = simulate_small(tmp_path / "sim")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"delta": 2, "folds": 3, "joint_outcome": True}))
+    out = tmp_path / "est"
+    rc = run_cli("estimate", "--config", cfg_path, "--data", data_path, "--out", out,
+                 *FAST)
+    assert rc == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert (echoed["delta"], echoed["folds"], echoed["joint_outcome"]) == (2, 3, True)
+    assert json.loads((out / "report.json").read_text())["k"] == 3
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{not json")

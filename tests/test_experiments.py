@@ -219,12 +219,10 @@ def test_non_finite_estimate_names_its_replication(monkeypatch):
 def test_run_optimization_outputs():
     data = make_dataset("op", 80, 11, seed=1, dgp=None)
     ga = GaConfig(population_size=16, generations=20, seed=2)
-    run = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0,
-                           snapshot_every=5)
+    run = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0)
     assert run.best.n == 80
     assert run.best.deltas.min() >= 0.0 and run.best.deltas.max() <= 10.0
     assert run.trace.generations == 20
-    assert [g for g, _ in run.trace.snapshots] == [0, 5, 10, 15]
     # the searched policy beats leaving every propensity unchanged
     assert run.expected_best > run.expected_status_quo
     assert abs(run.fitness_best - 80 * run.expected_best) <= 1e-8 * abs(run.fitness_best)

@@ -10,17 +10,19 @@ from stochint.effects import (
     OutcomeSpec,
     PropensitySpec,
     UnitRecords,
+    _dr_terms,
+    expected_response_from_records,
 )
+from stochint.experiments import run_optimization
 from stochint.genetic import (
     GaConfig,
     InterventionVector,
-    crossover,
-    fitness,
-    initialize_population,
-    mutate,
-    optimize,
+    _crossover_rows,
+    _initial_rows,
+    _mutate_into,
+    _row_fitness,
+    _tournament,
     optimize_records,
-    select_parents,
 )
 from stochint.nuisance import OutcomeConfig
 
@@ -29,6 +31,17 @@ from conftest import oracle_records
 
 def vec(values, lo=0.0, hi=10.0):
     return InterventionVector(np.asarray(values, dtype=float), lo, hi)
+
+
+# the search's row operators, each fed the 2 n doubles the search draws for it
+def cross_rows(a, b, cfg, rng):
+    return _crossover_rows(a, b, rng.random((2, a.shape[0])), cfg)
+
+
+def mutated_copy(child, cfg, rng):
+    out = child.copy()
+    _mutate_into(out, rng.random((2, out.shape[0])), cfg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +113,8 @@ def test_fitness_hand_computed_value():
     records = handmade_records()
     # m1 = (3, 0.5), m0 = (0.2, 1.0); at delta = 1 both q equal 0.5
     # phi = (0.5*3 + 0.5*0.2, 0.5*0.5 + 0.5*1.0) = (1.6, 0.75)
-    got = fitness(vec([1.0, 1.0]), records)
+    got = _row_fitness(np.array([1.0, 1.0]), *_dr_terms(records))
     assert abs(got - 2.35) <= 1e-12
-    # raw arrays are accepted too
-    assert fitness(np.array([1.0, 1.0]), records) == got
-
-
-def test_fitness_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        fitness(vec([1.0, 1.0, 1.0]), handmade_records())
-
-
-def test_fitness_rejects_non_finite_value():
-    records = UnitRecords(
-        unit_index=np.arange(1),
-        treatments=np.array([1]),
-        outcomes=np.array([1e308]),
-        mu0=np.array([0.0]),
-        mu1=np.array([-1e308]),
-        p_hat=np.array([0.5]),
-    )
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        fitness(vec([1.0]), records)
 
 
 def test_optimize_records_error_names_individual():
@@ -133,7 +126,8 @@ def test_optimize_records_error_names_individual():
         mu1=np.array([-1e308]),
         p_hat=np.array([0.5]),
     )
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="individual 0"):
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="individual 0: non-finite"):
         optimize_records(records, GaConfig(population_size=4, generations=1))
 
 
@@ -142,41 +136,37 @@ def test_optimize_records_error_names_individual():
 # ---------------------------------------------------------------------------
 
 
+def initial_rows(n, cfg):
+    return _initial_rows(n, cfg, np.random.default_rng(cfg.seed))
+
+
 def test_initialize_population_shape_bounds_determinism():
     cfg = GaConfig(population_size=12, seed=3)
-    pop_a = initialize_population(25, cfg)
-    pop_b = initialize_population(25, cfg)
-    assert len(pop_a) == 12
-    for ind_a, ind_b in zip(pop_a, pop_b):
-        assert ind_a.n == 25
-        assert ind_a.deltas.min() >= 0.0 and ind_a.deltas.max() <= 10.0
-        assert np.array_equal(ind_a.deltas, ind_b.deltas)
-    pop_c = initialize_population(25, GaConfig(population_size=12, seed=4))
-    assert not np.array_equal(pop_a[0].deltas, pop_c[0].deltas)
+    pop_a = initial_rows(25, cfg)
+    pop_b = initial_rows(25, cfg)
+    assert pop_a.shape == (12, 25)
+    assert pop_a.min() >= 0.0 and pop_a.max() <= 10.0
+    assert np.array_equal(pop_a, pop_b)
+    pop_c = initial_rows(25, GaConfig(population_size=12, seed=4))
+    assert not np.array_equal(pop_a[0], pop_c[0])
     with pytest.raises(ValueError):
-        initialize_population(0, cfg)
+        initial_rows(0, cfg)
 
 
 def test_initialize_population_clamps_at_zero():
     # mean 1, std 1 puts a sizable mass below zero; clamping must hold
     cfg = GaConfig(population_size=50, seed=0)
-    pop = initialize_population(40, cfg)
-    stacked = np.stack([ind.deltas for ind in pop])
+    stacked = initial_rows(40, cfg)
     assert stacked.min() == 0.0
     assert stacked.max() <= 10.0
 
 
 def test_tournament_prefers_high_fitness():
     rng = np.random.default_rng(5)
-    cfg = GaConfig(population_size=10, tournament_size=3)
-    population = [vec(np.full(3, float(i))) for i in range(10)]
     fits = np.arange(10, dtype=float)  # individual 9 dominates
-    parents = select_parents(population, fits, cfg, rng)
-    assert len(parents) == 10
-    picked = np.array([p.deltas[0] for p in parents])
+    picked = np.array(_tournament(fits, 3, rng))
+    assert len(picked) == 10
     assert picked.mean() > 6.0  # order statistics of best-of-3 from 0..9
-    with pytest.raises(ValueError, match="one fitness"):
-        select_parents(population, fits[:4], cfg, rng)
 
 
 def test_sbx_children_preserve_parent_sum():
@@ -184,89 +174,71 @@ def test_sbx_children_preserve_parent_sum():
     rng = np.random.default_rng(6)
     parent_rng = np.random.default_rng(7)
     for _ in range(200):
-        a = vec(parent_rng.uniform(3.0, 7.0, 8))
-        b = vec(parent_rng.uniform(3.0, 7.0, 8))
-        c1, c2 = crossover(a, b, cfg, rng)
-        assert np.allclose(c1.deltas + c2.deltas, a.deltas + b.deltas, atol=1e-9)
+        a = parent_rng.uniform(3.0, 7.0, 8)
+        b = parent_rng.uniform(3.0, 7.0, 8)
+        c1, c2 = cross_rows(a, b, cfg, rng)
+        assert np.allclose(c1 + c2, a + b, atol=1e-9)
 
 
 def test_sbx_identical_parents_produce_identical_children():
     # identical up to floating-point rounding in the symmetric blend
     cfg = GaConfig(crossover_rate=1.0)
     rng = np.random.default_rng(8)
-    a = vec(np.full(6, 4.2))
-    c1, c2 = crossover(a, a, cfg, rng)
-    assert np.allclose(c1.deltas, a.deltas, rtol=0.0, atol=1e-12)
-    assert np.allclose(c2.deltas, a.deltas, rtol=0.0, atol=1e-12)
+    a = np.full(6, 4.2)
+    c1, c2 = cross_rows(a, a, cfg, rng)
+    assert np.allclose(c1, a, rtol=0.0, atol=1e-12)
+    assert np.allclose(c2, a, rtol=0.0, atol=1e-12)
 
 
 def test_crossover_rate_zero_copies_parents():
     cfg = GaConfig(crossover_rate=0.0)
     rng = np.random.default_rng(9)
-    a = vec([1.0, 2.0, 3.0])
-    b = vec([4.0, 5.0, 6.0])
-    c1, c2 = crossover(a, b, cfg, rng)
-    assert np.array_equal(c1.deltas, a.deltas)
-    assert np.array_equal(c2.deltas, b.deltas)
+    a = np.array([1.0, 2.0, 3.0])
+    b = np.array([4.0, 5.0, 6.0])
+    c1, c2 = cross_rows(a, b, cfg, rng)
+    assert np.array_equal(c1, a)
+    assert np.array_equal(c2, b)
 
 
 def test_uniform_crossover_swaps_coordinates():
     cfg = GaConfig(crossover_rate=1.0, crossover_operator="uniform")
     rng = np.random.default_rng(10)
-    a = vec(np.arange(1.0, 9.0))
-    b = vec(np.arange(1.0, 9.0) + 0.5)
-    c1, c2 = crossover(a, b, cfg, rng)
+    a = np.arange(1.0, 9.0)
+    b = np.arange(1.0, 9.0) + 0.5
+    c1, c2 = cross_rows(a, b, cfg, rng)
     for i in range(8):
-        pair = sorted([c1.deltas[i], c2.deltas[i]])
-        assert pair == sorted([a.deltas[i], b.deltas[i]])
+        assert sorted([c1[i], c2[i]]) == sorted([a[i], b[i]])
     # with 8 coordinates at swap probability one half, both patterns appear
-    assert not np.array_equal(c1.deltas, a.deltas)
-    assert not np.array_equal(c1.deltas, b.deltas)
-
-
-def test_crossover_draw_count_is_rate_independent():
-    # downstream randomness must not depend on which coordinates mixed
-    a = vec(np.full(5, 2.0))
-    b = vec(np.full(5, 8.0))
-    after = []
-    for rate in (0.0, 1.0):
-        rng = np.random.default_rng(11)
-        crossover(a, b, GaConfig(crossover_rate=rate), rng)
-        after.append(rng.random())
-    assert after[0] == after[1]
+    assert not np.array_equal(c1, a)
+    assert not np.array_equal(c1, b)
 
 
 def test_crossover_children_respect_bounds():
     cfg = GaConfig(crossover_rate=1.0, sbx_eta=1.0)
     rng = np.random.default_rng(12)
-    a = vec(np.full(30, 0.2))
-    b = vec(np.full(30, 9.8))
+    a = np.full(30, 0.2)
+    b = np.full(30, 9.8)
     for _ in range(50):
-        c1, c2 = crossover(a, b, cfg, rng)
+        c1, c2 = cross_rows(a, b, cfg, rng)
         for c in (c1, c2):
-            assert c.deltas.min() >= 0.0 and c.deltas.max() <= 10.0
-
-
-def test_crossover_length_mismatch():
-    with pytest.raises(ValueError, match="equal length"):
-        crossover(vec([1.0]), vec([1.0, 2.0]), GaConfig(), np.random.default_rng(0))
+            assert c.min() >= 0.0 and c.max() <= 10.0
 
 
 def test_mutate_rate_zero_is_identity():
     rng = np.random.default_rng(13)
-    a = vec([1.0, 2.0, 3.0])
-    out = mutate(a, GaConfig(mutation_rate=0.0), rng)
-    assert np.array_equal(out.deltas, a.deltas)
+    a = np.array([1.0, 2.0, 3.0])
+    out = mutated_copy(a, GaConfig(mutation_rate=0.0), rng)
+    assert np.array_equal(out, a)
 
 
 def test_mutate_rate_one_redraws_uniformly():
     # Kolmogorov-Smirnov against uniform(0, 10) at alpha = 0.01
     n = 10000
     rng = np.random.default_rng(14)
-    a = vec(np.full(n, 5.0))
-    out = mutate(a, GaConfig(mutation_rate=1.0), rng)
-    assert not np.array_equal(out.deltas, a.deltas)
-    sample = np.sort(out.deltas) / 10.0
+    a = np.full(n, 5.0)
+    out = mutated_copy(a, GaConfig(mutation_rate=1.0), rng)
+    assert not np.array_equal(out, a)
+    sample = np.sort(out) / 10.0
     grid = np.arange(1, n + 1) / n
     d_stat = max(
         np.max(grid - sample),
@@ -276,11 +248,11 @@ def test_mutate_rate_one_redraws_uniformly():
 
 
 def test_mutate_respects_bounds_and_determinism():
-    a = vec(np.linspace(0.0, 10.0, 50))
-    out1 = mutate(a, GaConfig(mutation_rate=0.5), np.random.default_rng(15))
-    out2 = mutate(a, GaConfig(mutation_rate=0.5), np.random.default_rng(15))
-    assert np.array_equal(out1.deltas, out2.deltas)
-    assert out1.deltas.min() >= 0.0 and out1.deltas.max() <= 10.0
+    a = np.linspace(0.0, 10.0, 50)
+    out1 = mutated_copy(a, GaConfig(mutation_rate=0.5), np.random.default_rng(15))
+    out2 = mutated_copy(a, GaConfig(mutation_rate=0.5), np.random.default_rng(15))
+    assert np.array_equal(out1, out2)
+    assert out1.min() >= 0.0 and out1.max() <= 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +265,9 @@ def test_optimizer_pushes_monotone_records_to_upper_bound():
     cfg = GaConfig(population_size=20, generations=50, seed=1)
     best, trace = optimize_records(records, cfg)
     assert best.deltas.mean() >= 8.5
-    assert fitness(best, records) >= fitness(np.ones(10), records)
+    searched, status_quo = expected_response_from_records(
+        records, np.stack([best.deltas, np.ones(10)]))
+    assert searched >= status_quo
 
 
 def test_elitism_makes_best_fitness_non_decreasing():
@@ -313,15 +287,6 @@ def test_optimizer_is_deterministic():
     assert np.array_equal(best_a.deltas, best_b.deltas)
     assert np.array_equal(trace_a.best_fitness, trace_b.best_fitness)
     assert np.array_equal(trace_a.mean_fitness, trace_b.mean_fitness)
-
-
-def test_snapshot_cadence():
-    records = oracle_records(8, seed=19)
-    cfg = GaConfig(population_size=6, generations=25, seed=4)
-    _, trace = optimize_records(records, cfg, snapshot_every=10)
-    assert [gen for gen, _ in trace.snapshots] == [0, 10, 20]
-    _, trace_off = optimize_records(records, cfg)
-    assert trace_off.snapshots == ()
 
 
 def test_optimize_fits_nuisances_once_per_fold(monkeypatch):
@@ -348,7 +313,7 @@ def test_optimize_fits_nuisances_once_per_fold(monkeypatch):
         outcome=OutcomeSpec(config=OutcomeConfig(kind="ridge_linear")),
     )
     cfg = GaConfig(population_size=6, generations=8, seed=5)
-    best, trace = optimize(data, cfg, nuisance=spec, k=3, seed=0)
-    assert best.n == 60
-    assert trace.generations == 8
+    run = run_optimization(data, cfg, nuisance=spec, k=3, seed=0)
+    assert run.best.n == 60
+    assert run.trace.generations == 8
     assert calls == {"outcome": 3, "propensity": 3}

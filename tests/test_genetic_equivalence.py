@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from stochint.effects import influence, m_term, stochastic_propensity
 from stochint.genetic import (
     GaConfig,
-    InterventionVector,
-    crossover,
-    mutate,
+    _crossover_rows,
+    _mutate_into,
     optimize_records,
 )
 
@@ -57,21 +56,19 @@ def reference_mutate(x, cfg, rng):
     return np.where(mask, redraw, x)
 
 
-def reference_search(records, cfg, snapshot_every):
+def reference_search(records, cfg):
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.bounds
     m = cfg.population_size
     draws = rng.normal(cfg.init_mean, cfg.init_std, (m, records.n))
     population = [np.clip(row, lo, hi) for row in draws]
-    best_hist, mean_hist, snapshots = [], [], []
+    best_hist, mean_hist = [], []
     for gen in range(cfg.generations):
         fits = np.array([reference_fitness(ind, records) for ind in population])
         order = np.argsort(-fits, kind="stable")
         best = population[int(order[0])]
         best_hist.append(fits[order[0]])
         mean_hist.append(fits.mean())
-        if snapshot_every and gen % snapshot_every == 0:
-            snapshots.append((gen, best))
         if gen == cfg.generations - 1:
             break
         elites = [population[int(i)] for i in order[:cfg.elitism_count]]
@@ -85,7 +82,7 @@ def reference_search(records, cfg, snapshot_every):
             children.append(reference_mutate(c1, cfg, rng))
             children.append(reference_mutate(c2, cfg, rng))
         population = elites + children[: m - cfg.elitism_count]
-    return best, np.array(best_hist), np.array(mean_hist), snapshots
+    return best, np.array(best_hist), np.array(mean_hist)
 
 
 rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -108,38 +105,34 @@ def search_settings(draw):
         bounds=(lo, lo + draw(st.sampled_from([0.9, 2.0, 10.0]))),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return cfg, draw(st.sampled_from([0, 1, 2])), draw(st.integers(1, 24))
+    return cfg, draw(st.integers(1, 24))
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(setting=search_settings(), records_seed=st.integers(0, 1000))
 def test_array_search_matches_per_individual_reference(setting, records_seed):
-    cfg, snapshot_every, n = setting
+    cfg, n = setting
     records = oracle_records(n, seed=records_seed, gap_lo=-1.0, gap_hi=1.0)
-    best, trace = optimize_records(records, cfg, snapshot_every)
-    ref_best, ref_best_hist, ref_mean_hist, ref_snapshots = reference_search(
-        records, cfg, snapshot_every)
+    best, trace = optimize_records(records, cfg)
+    ref_best, ref_best_hist, ref_mean_hist = reference_search(records, cfg)
     assert np.array_equal(best.deltas, ref_best)
     assert np.array_equal(trace.best_fitness, ref_best_hist)
     assert np.array_equal(trace.mean_fitness, ref_mean_hist)
-    assert [gen for gen, _ in trace.snapshots] == [gen for gen, _ in ref_snapshots]
-    for (_, got), (_, want) in zip(trace.snapshots, ref_snapshots):
-        assert np.array_equal(got.deltas, want)
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(setting=search_settings(), seed=st.integers(0, 2**32 - 1))
 def test_public_operators_match_reference(setting, seed):
-    cfg, _, n = setting
+    # the search's row operators, fed the draws the search makes for one pair
+    cfg, n = setting
     lo, hi = cfg.bounds
-    parents = np.random.default_rng(seed).uniform(lo, hi, (2, n))
-    a, b = (InterventionVector(x, lo, hi) for x in parents)
+    a, b = np.random.default_rng(seed).uniform(lo, hi, (2, n))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    c1, c2 = crossover(a, b, cfg, rng)
-    r1, r2 = reference_crossover(parents[0], parents[1], cfg, ref_rng)
-    assert np.array_equal(c1.deltas, r1) and np.array_equal(c2.deltas, r2)
-    assert np.array_equal(mutate(c1, cfg, rng).deltas,
-                          reference_mutate(r1, cfg, ref_rng))
+    c1, c2 = _crossover_rows(a, b, rng.random((2, n)), cfg)
+    r1, r2 = reference_crossover(a, b, cfg, ref_rng)
+    assert np.array_equal(c1, r1) and np.array_equal(c2, r2)
+    _mutate_into(c1, rng.random((2, n)), cfg)
+    assert np.array_equal(c1, reference_mutate(r1, cfg, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
@@ -150,8 +143,8 @@ def test_long_searches_match_reference_for_each_elitism():
     for elitism in range(4):
         cfg = GaConfig(population_size=10, generations=30, elitism_count=elitism,
                        mutation_rate=0.2, bounds=(0.2, 4.0), seed=elitism)
-        best, trace = optimize_records(records, cfg, snapshot_every=7)
-        ref_best, ref_best_hist, ref_mean_hist, _ = reference_search(records, cfg, 7)
+        best, trace = optimize_records(records, cfg)
+        ref_best, ref_best_hist, ref_mean_hist = reference_search(records, cfg)
         assert np.array_equal(best.deltas, ref_best)
         assert np.array_equal(trace.best_fitness, ref_best_hist)
         assert np.array_equal(trace.mean_fitness, ref_mean_hist)

@@ -189,9 +189,10 @@ def test_fit_tree_matches_reference(problem, max_depth, given_order):
     x, y = problem
     presorted = np.argsort(x, axis=0, kind="stable").T if given_order else None
     want = reference_fit_tree(x, y, max_depth, presorted=presorted)
-    assert_same_tree(fit_tree(x, y, max_depth, presorted=presorted), want)
+    package_presorted = PresortedColumns(x) if given_order else None
+    assert_same_tree(fit_tree(x, y, max_depth, presorted=package_presorted), want)
 
-    cols = PresortedColumns(x, presorted)
+    cols = PresortedColumns(x)
     got = fit_tree(x, y, max_depth, presorted=cols)
     assert_same_tree(got, want)
     assert (got.feature[cols.leaf] == -1).all()

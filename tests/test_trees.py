@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from stochint.trees import GradientBoostedRegressor, RegressionTree, fit_tree
+from stochint.trees import (
+    GradientBoostedRegressor,
+    PresortedColumns,
+    RegressionTree,
+    fit_tree,
+)
 
 
 def tree_depth(tree: RegressionTree) -> int:
@@ -96,7 +101,7 @@ def test_presorted_matches_fresh_sort():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((80, 3))
     y = rng.standard_normal(80)
-    pre = np.argsort(x, axis=0, kind="stable").T
+    pre = PresortedColumns(x)
     a = fit_tree(x, y, max_depth=3)
     b = fit_tree(x, y, max_depth=3, presorted=pre)
     for name in ("feature", "threshold", "left", "right", "value"):

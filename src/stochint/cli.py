@@ -52,101 +52,123 @@ from .experiments import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .genetic import GaConfig
-from .nuisance import OutcomeConfig, SolverConfig, load_model, save_model
+from .genetic import CROSSOVER_OPERATORS, GaConfig
+from .nuisance import (
+    BASIS_KINDS,
+    OUTCOME_KINDS,
+    OutcomeConfig,
+    SolverConfig,
+    load_model,
+    save_model,
+)
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 
 # The sweep holds a few (points, n) arrays at once, so the grid is bounded.
 MAX_GRID_POINTS = 1000
 
-_DGP_DEFAULTS = {
-    "generator": "ihdp",
-    "n": 747,
-    "d": 25,
-    "seed": 0,
-    "noise_scale": None,
-    "treated_fraction_target": None,
-    "propensity_clip": None,
-    "nonlinearity": None,
-    "uplift_fraction": None,
+# Each command's settings, in --help order, as {config key: (default, kind)}.
+# kind is int, float, bool, str or the tuple of allowed strings.  A key's flag
+# is "--" plus the key with "_" as "-", except for the keys in _FLAGS.
+_DGP = {
+    "generator": ("ihdp", GENERATORS),
+    "n": (747, int),
+    "d": (25, int),
+    "seed": (0, int),
+    "noise_scale": (None, float),
+    "treated_fraction_target": (None, float),
+    "propensity_clip": (None, float),
+    "nonlinearity": (None, float),
+    "uplift_fraction": (None, float),
 }
 
 # DgpConfig overrides; left unset (None), the generator's own default holds.
-_DGP_KEYS = tuple(key for key, value in _DGP_DEFAULTS.items() if value is None)
+_DGP_KEYS = tuple(key for key, (default, _) in _DGP.items() if default is None)
 
-_NUISANCE_DEFAULTS = {
-    "outcome_kind": "boosted_trees",
-    "outcome_mode": "fit",
-    "n_trees": 100,
-    "max_depth": 3,
-    "learning_rate": 0.1,
-    "ridge_penalty": 1e-6,
-    "joint_outcome": False,
-    "min_arm_size": 10,
-    "propensity_mode": "fit",
-    "basis": "polynomial2",
-    "rbf_centers": 20,
-    "clip": 0.01,
-    "l2_penalty": 1e-4,
-    "constant_propensity": None,
+_NUISANCE = {
+    "outcome_kind": ("boosted_trees", OUTCOME_KINDS),
+    "outcome_mode": ("fit", ("fit", "oracle")),
+    "n_trees": (100, int),
+    "max_depth": (3, int),
+    "learning_rate": (0.1, float),
+    "ridge_penalty": (1e-6, float),
+    "joint_outcome": (False, bool),
+    "min_arm_size": (10, int),
+    "propensity_mode": ("fit", ("fit", "oracle", "constant")),
+    "basis": ("polynomial2", BASIS_KINDS),
+    "rbf_centers": (20, int),
+    "clip": (0.01, float),
+    "l2_penalty": (1e-4, float),
+    "constant_propensity": (None, float),
 }
 
-_SCHEMA_DEFAULTS = {
-    "treatment_col": "t",
-    "outcome_col": "y",
-    "covariate_cols": None,
-    "mu0_col": None,
-    "mu1_col": None,
-    "propensity_col": None,
+_SCHEMA = {
+    "treatment_col": ("t", str),
+    "outcome_col": ("y", str),
+    "covariate_cols": (None, str),
+    "mu0_col": (None, str),
+    "mu1_col": (None, str),
+    "propensity_col": (None, str),
 }
 
-SIMULATE_DEFAULTS = dict(_DGP_DEFAULTS)
-
-ESTIMATE_DEFAULTS = {
-    "data": None,
-    "delta": 1.0,
-    "delta_grid": None,
-    "folds": 5,
-    "seed": 0,
-    "save_models": None,
-    "load_models": None,
-    **_SCHEMA_DEFAULTS,
-    **_NUISANCE_DEFAULTS,
+SETTINGS = {
+    "simulate": dict(_DGP),
+    "estimate": {
+        "data": (None, str),
+        "delta": (1.0, float),
+        "delta_grid": (None, str),
+        "folds": (5, int),
+        "seed": (0, int),
+        "save_models": (None, str),
+        "load_models": (None, str),
+        **_SCHEMA,
+        **_NUISANCE,
+    },
+    "benchmark": {
+        **_DGP,
+        "methods": ("sie,ols,ipwe", str),
+        "replications": (50, int),
+        "test_fraction": (0.2, float),
+        "folds": (5, int),
+        "replicate": ("dgp", ("dgp", "seed")),
+        "sizes": (None, str),
+        **_NUISANCE,
+    },
+    "optimize": {
+        "data": (None, str),
+        **_DGP,
+        "generator": ("op", GENERATORS),
+        "n": (1000, int),
+        "folds": (5, int),
+        "population": (50, int),
+        "generations": (100, int),
+        "crossover_rate": (0.9, float),
+        "mutation_rate": (0.05, float),
+        "elitism": (2, int),
+        "tournament": (3, int),
+        "crossover_op": ("sbx", CROSSOVER_OPERATORS),
+        "sbx_eta": (15.0, float),
+        "init_mean": (1.0, float),
+        "init_std": (1.0, float),
+        "bounds": ("0,10", str),
+        "ga_seed": (0, int),
+        **_SCHEMA,
+        **_NUISANCE,
+    },
 }
 
-BENCHMARK_DEFAULTS = {
-    **_DGP_DEFAULTS,
-    "methods": "sie,ols,ipwe",
-    "replications": 50,
-    "test_fraction": 0.2,
-    "folds": 5,
-    "replicate": "dgp",
-    "sizes": None,
-    **_NUISANCE_DEFAULTS,
+_FLAGS = {"treated_fraction_target": "--treated-fraction"}
+
+_HELP = {
+    "delta_grid": "lo:hi:step sweep of scalar deltas",
+    "covariate_cols": "comma-separated; default: every other column",
+    "methods": "comma-separated from sie,ols,ipwe",
+    "sizes": "comma-separated sample sizes",
+    "bounds": "lo,hi box for deltas",
 }
 
-OPTIMIZE_DEFAULTS = {
-    "data": None,
-    **_DGP_DEFAULTS,
-    "generator": "op",
-    "n": 1000,
-    "folds": 5,
-    "population": 50,
-    "generations": 100,
-    "crossover_rate": 0.9,
-    "mutation_rate": 0.05,
-    "elitism": 2,
-    "tournament": 3,
-    "crossover_op": "sbx",
-    "sbx_eta": 15.0,
-    "init_mean": 1.0,
-    "init_std": 1.0,
-    "bounds": "0,10",
-    "ga_seed": 0,
-    **_SCHEMA_DEFAULTS,
-    **_NUISANCE_DEFAULTS,
-}
+# what a value of each checked kind must be
+_WANTED = {bool: "true or false", int: "an integer", float: "a number"}
 
 
 class CliError(ValueError):
@@ -177,8 +199,9 @@ class _Outputs:
                 pass
 
 
-def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
-    merged = dict(defaults)
+def _merge_config(args: argparse.Namespace) -> dict:
+    settings = SETTINGS[args.command]
+    merged = {key: default for key, (default, _) in settings.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         path = Path(config_path)
@@ -191,34 +214,39 @@ def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
                 raise CliError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(loaded, dict):
             raise CliError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
+        unknown = sorted(set(loaded) - set(settings))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in loaded.items():
-            _check_config_value(key, value, defaults[key])
+            _check_config_value(key, value, *settings[key])
         merged.update(loaded)
     for key, value in vars(args).items():
-        if key in defaults:
+        if key in settings:
             merged[key] = value
     return merged
 
 
-def _check_config_value(key: str, value, default) -> None:
-    """Refuse a config-file value whose JSON type does not fit its default's.
+def _check_config_value(key: str, value, default, kind) -> None:
+    """Refuse a config-file value whose JSON type does not fit its kind.
 
-    Flags need no check: argparse already converts them.
+    null stands for a default of None.  str and choice values are checked
+    where they are used.  Flags need no check: argparse already converts them.
     """
-    if isinstance(default, bool):
-        wanted, ok = "true or false", isinstance(value, bool)
-    elif isinstance(default, int):
-        wanted, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif isinstance(default, float):
-        wanted = "a number"
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
+    if kind not in _WANTED or (value is None and default is None):
         return
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not ok:
-        raise CliError(f"config key {key} must be {wanted}, not {json.dumps(value)}")
+        raise CliError(f"config key {key} must be {_WANTED[kind]}, "
+                       f"not {json.dumps(value)}")
+
+
+def _flag(key: str) -> str:
+    return _FLAGS.get(key, "--" + key.replace("_", "-"))
 
 
 def _resolve_out(args: argparse.Namespace, command: str) -> Path:
@@ -313,8 +341,13 @@ def _parse_grid(spec) -> np.ndarray:
     raise CliError(f"--delta-grid {spec}: more than {MAX_GRID_POINTS} points")
 
 
-def _parse_tuple(spec, caster=float):
-    return tuple(caster(part) for part in str(spec).split(",") if part)
+def _parse_tuple(merged: dict, key: str, caster) -> tuple:
+    spec = merged[key]
+    try:
+        return tuple(caster(part) for part in str(spec).split(",") if part)
+    except ValueError:
+        raise CliError(f"{_flag(key)} {spec}: every part must be "
+                       f"{_WANTED[caster]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +356,7 @@ def _parse_tuple(spec, caster=float):
 
 
 def cmd_simulate(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(SIMULATE_DEFAULTS, args)
+    merged = _merge_config(args)
     generator = merged["generator"]
     dgp = _dgp_from(merged, generator)
     data = make_dataset(generator, int(merged["n"]), int(merged["d"]),
@@ -338,7 +371,7 @@ def cmd_simulate(args: argparse.Namespace, outputs: _Outputs) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(ESTIMATE_DEFAULTS, args)
+    merged = _merge_config(args)
     if not merged["data"]:
         raise CliError("estimate requires --data")
     schema = _schema_from(merged, merged["data"])
@@ -402,17 +435,15 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
 
 
 def cmd_benchmark(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(BENCHMARK_DEFAULTS, args)
+    merged = _merge_config(args)
     generator = merged["generator"]
-    sizes = None
-    if merged["sizes"]:
-        sizes = _parse_tuple(merged["sizes"], int)
+    sizes = _parse_tuple(merged, "sizes", int) if merged["sizes"] else None
     cfg = BenchmarkConfig(
         generator=generator,
         n=int(merged["n"]),
         d=int(merged["d"]),
         dgp=_dgp_from(merged, generator),
-        methods=_parse_tuple(merged["methods"], str),
+        methods=_parse_tuple(merged, "methods", str),
         replications=int(merged["replications"]),
         test_fraction=float(merged["test_fraction"]),
         folds=int(merged["folds"]),
@@ -434,7 +465,7 @@ def cmd_benchmark(args: argparse.Namespace, outputs: _Outputs) -> None:
 
 
 def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(OPTIMIZE_DEFAULTS, args)
+    merged = _merge_config(args)
     if merged["data"]:
         schema = _schema_from(merged, merged["data"])
         data = load_csv(merged["data"], schema)
@@ -442,7 +473,7 @@ def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
         generator = merged["generator"]
         data = make_dataset(generator, int(merged["n"]), int(merged["d"]),
                             int(merged["seed"]), _dgp_from(merged, generator))
-    bounds = _parse_tuple(merged["bounds"], float)
+    bounds = _parse_tuple(merged, "bounds", float)
     if len(bounds) != 2:
         raise CliError("--bounds expects lo,hi")
     ga = GaConfig(
@@ -485,125 +516,32 @@ def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--out", help=f"output directory (default: "
-                                   f"${OUTPUT_ROOT_ENV}/<command> or runs/<command>)")
-
-
-def _add_option(sub: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    sub.add_argument(name, default=argparse.SUPPRESS, **kwargs)
-
-
-def _add_dgp_options(sub: argparse.ArgumentParser) -> None:
-    _add_option(sub, "--generator", choices=GENERATORS)
-    _add_option(sub, "--n", type=int)
-    _add_option(sub, "--d", type=int)
-    _add_option(sub, "--seed", type=int)
-    _add_option(sub, "--noise-scale", dest="noise_scale", type=float)
-    _add_option(sub, "--treated-fraction", dest="treated_fraction_target",
-                type=float)
-    _add_option(sub, "--propensity-clip", dest="propensity_clip", type=float)
-    _add_option(sub, "--nonlinearity", type=float)
-    _add_option(sub, "--uplift-fraction", dest="uplift_fraction", type=float)
-
-
-def _add_nuisance_options(sub: argparse.ArgumentParser) -> None:
-    _add_option(sub, "--outcome-kind", dest="outcome_kind",
-                choices=("boosted_trees", "ridge_linear"))
-    _add_option(sub, "--outcome-mode", dest="outcome_mode",
-                choices=("fit", "oracle"))
-    _add_option(sub, "--n-trees", dest="n_trees", type=int)
-    _add_option(sub, "--max-depth", dest="max_depth", type=int)
-    _add_option(sub, "--learning-rate", dest="learning_rate", type=float)
-    _add_option(sub, "--ridge-penalty", dest="ridge_penalty", type=float)
-    _add_option(sub, "--joint-outcome", dest="joint_outcome",
-                action="store_true")
-    _add_option(sub, "--min-arm-size", dest="min_arm_size", type=int)
-    _add_option(sub, "--propensity-mode", dest="propensity_mode",
-                choices=("fit", "oracle", "constant"))
-    _add_option(sub, "--basis", choices=("raw", "polynomial2", "rbf"))
-    _add_option(sub, "--rbf-centers", dest="rbf_centers", type=int)
-    _add_option(sub, "--clip", type=float)
-    _add_option(sub, "--l2-penalty", dest="l2_penalty", type=float)
-    _add_option(sub, "--constant-propensity", dest="constant_propensity",
-                type=float)
-
-
-def _add_schema_options(sub: argparse.ArgumentParser) -> None:
-    _add_option(sub, "--treatment-col", dest="treatment_col")
-    _add_option(sub, "--outcome-col", dest="outcome_col")
-    _add_option(sub, "--covariate-cols", dest="covariate_cols",
-                help="comma-separated; default: every other column")
-    _add_option(sub, "--mu0-col", dest="mu0_col")
-    _add_option(sub, "--mu1-col", dest="mu1_col")
-    _add_option(sub, "--propensity-col", dest="propensity_col")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochint",
         description="Stochastic-intervention effect estimation and search.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sim = subparsers.add_parser("simulate",
-                                help="generate a synthetic dataset with truth")
-    _add_common(sim)
-    _add_dgp_options(sim)
-    sim.set_defaults(func=cmd_simulate)
-
-    est = subparsers.add_parser("estimate",
-                                help="cross-fitted effect estimates from a CSV")
-    _add_common(est)
-    _add_option(est, "--data")
-    _add_option(est, "--delta", type=float)
-    _add_option(est, "--delta-grid", dest="delta_grid",
-                help="lo:hi:step sweep of scalar deltas")
-    _add_option(est, "--folds", type=int)
-    _add_option(est, "--seed", type=int)
-    _add_option(est, "--save-models", dest="save_models")
-    _add_option(est, "--load-models", dest="load_models")
-    _add_schema_options(est)
-    _add_nuisance_options(est)
-    est.set_defaults(func=cmd_estimate)
-
-    ben = subparsers.add_parser("benchmark",
-                                help="replicated estimation-error benchmark")
-    _add_common(ben)
-    _add_dgp_options(ben)
-    _add_option(ben, "--methods", help="comma-separated from sie,ols,ipwe")
-    _add_option(ben, "--replications", type=int)
-    _add_option(ben, "--test-fraction", dest="test_fraction", type=float)
-    _add_option(ben, "--folds", type=int)
-    _add_option(ben, "--replicate", choices=("dgp", "seed"))
-    _add_option(ben, "--sizes", help="comma-separated sample sizes")
-    _add_nuisance_options(ben)
-    ben.set_defaults(func=cmd_benchmark)
-
-    opt = subparsers.add_parser("optimize",
-                                help="genetic search for per-unit deltas")
-    _add_common(opt)
-    _add_option(opt, "--data")
-    _add_dgp_options(opt)
-    _add_option(opt, "--folds", type=int)
-    _add_option(opt, "--population", type=int)
-    _add_option(opt, "--generations", type=int)
-    _add_option(opt, "--crossover-rate", dest="crossover_rate", type=float)
-    _add_option(opt, "--mutation-rate", dest="mutation_rate", type=float)
-    _add_option(opt, "--elitism", type=int)
-    _add_option(opt, "--tournament", type=int)
-    _add_option(opt, "--crossover-op", dest="crossover_op",
-                choices=("sbx", "uniform"))
-    _add_option(opt, "--sbx-eta", dest="sbx_eta", type=float)
-    _add_option(opt, "--init-mean", dest="init_mean", type=float)
-    _add_option(opt, "--init-std", dest="init_std", type=float)
-    _add_option(opt, "--bounds", help="lo,hi box for deltas")
-    _add_option(opt, "--ga-seed", dest="ga_seed", type=int)
-    _add_schema_options(opt)
-    _add_nuisance_options(opt)
-    opt.set_defaults(func=cmd_optimize)
-
+    for command, summary, func in (
+        ("simulate", "generate a synthetic dataset with truth", cmd_simulate),
+        ("estimate", "cross-fitted effect estimates from a CSV", cmd_estimate),
+        ("benchmark", "replicated estimation-error benchmark", cmd_benchmark),
+        ("optimize", "genetic search for per-unit deltas", cmd_optimize),
+    ):
+        sub = subparsers.add_parser(command, help=summary)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        sub.add_argument("--out", help=f"output directory (default: ${OUTPUT_ROOT_ENV}"
+                                       f"/<command> or runs/<command>)")
+        for key, (_, kind) in SETTINGS[command].items():
+            if kind is bool:
+                spec = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            else:
+                spec = {"type": kind}
+            sub.add_argument(_flag(key), dest=key, default=argparse.SUPPRESS,
+                             help=_HELP.get(key), **spec)
+        sub.set_defaults(func=func)
     return parser
 
 

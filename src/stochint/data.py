@@ -278,33 +278,38 @@ def write_csv(data: ObservationalDataset, path: str | Path,
         if data.truth is None or data.truth.true_propensity is None:
             raise DatasetError("schema requests a propensity column but none is available")
         header.append(schema.true_propensity)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(data.n_units):
-            row = [str(int(data.treatments[i])), str(float(data.outcomes[i]))]
-            row += [str(float(v)) for v in data.covariates[i]]
-            if schema.mu0 is not None:
-                row += [str(float(data.truth.mu0[i])), str(float(data.truth.mu1[i]))]
-            if schema.true_propensity is not None:
-                row.append(str(float(data.truth.true_propensity[i])))
-            writer.writerow(row)
+    columns = [data.treatments.tolist(), data.outcomes.tolist(),
+               *data.covariates.T.tolist()]
+    if schema.mu0 is not None:
+        columns += [data.truth.mu0.tolist(), data.truth.mu1.tolist()]
+    if schema.true_propensity is not None:
+        columns.append(data.truth.true_propensity.tolist())
+    write_rows(path, header, zip(*columns))
 
 
 def write_truth_csv(data: ObservationalDataset, path: str | Path) -> None:
     """Write the ground-truth side-file (unit_index, mu0, mu1, true_propensity)."""
     if data.truth is None:
         raise DatasetError("dataset carries no ground truth")
-    has_p = data.truth.true_propensity is not None
+    header = ["unit_index", "mu0", "mu1"]
+    columns = [range(data.n_units), data.truth.mu0.tolist(), data.truth.mu1.tolist()]
+    if data.truth.true_propensity is not None:
+        header.append("true_propensity")
+        columns.append(data.truth.true_propensity.tolist())
+    write_rows(path, header, zip(*columns))
+
+
+def write_rows(path: str | Path, header: list[str], rows) -> None:
+    """Write a header line and then rows as CSV; every CSV output goes here.
+
+    Values are written by str(), so a Python float gets its shortest
+    round-trip form.  Pass Python numbers (e.g. from .tolist()): the str of
+    a numpy scalar need not match.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        header = ["unit_index", "mu0", "mu1"] + (["true_propensity"] if has_p else [])
         writer.writerow(header)
-        for i in range(data.n_units):
-            row = [str(i), str(float(data.truth.mu0[i])), str(float(data.truth.mu1[i]))]
-            if has_p:
-                row.append(str(float(data.truth.true_propensity[i])))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ saw it.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import FoldAssignment, ObservationalDataset, split_folds
+from .data import FoldAssignment, ObservationalDataset, split_folds, write_rows
 from .nuisance import (
     BASIS_KINDS,
     FitError,
@@ -414,18 +413,10 @@ class EstimateReport:
 
 def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
     """Write the per-unit influence table as a CSV side-file."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["unit_index", "q", "m1", "m0", "phi", "tau_plugin"])
-        for i in range(table.unit_index.shape[0]):
-            writer.writerow([
-                str(int(table.unit_index[i])),
-                str(float(table.q[i])),
-                str(float(table.m1[i])),
-                str(float(table.m0[i])),
-                str(float(table.phi[i])),
-                str(float(table.tau_plugin[i])),
-            ])
+    columns = (table.unit_index, table.q, table.m1, table.m0, table.phi,
+               table.tau_plugin)
+    write_rows(path, ["unit_index", "q", "m1", "m0", "phi", "tau_plugin"],
+               zip(*(column.tolist() for column in columns)))
 
 
 def _dr_terms(records: UnitRecords):

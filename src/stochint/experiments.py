@@ -7,7 +7,6 @@ reproduces each output byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -16,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    OP_DEFAULTS,
     DatasetError,
     DgpConfig,
     ObservationalDataset,
     generate_ihdp_like,
     generate_op_like,
     train_test_split,
+    write_rows,
 )
 from .effects import (
     NuisanceSpec,
@@ -48,7 +47,7 @@ def make_dataset(generator: str, n: int, d: int, seed: int,
     if generator == "ihdp":
         return generate_ihdp_like(n, d, seed, dgp)
     if generator == "op":
-        return generate_op_like(n, seed, dgp or OP_DEFAULTS)
+        return generate_op_like(n, seed, dgp)
     raise DatasetError(f"unknown generator {generator!r}; choose from {GENERATORS}")
 
 
@@ -284,29 +283,13 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str | Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return str(float(value))
-    return str(value)
-
-
 def write_epsilon_table(result: BenchmarkResult, path: str | Path,
                         size: int | None = None) -> None:
     """Aggregated error table: method, split, mean_epsilon, std_epsilon."""
     size = size if size is not None else result.sizes[0]
     rows = [(a["method"], a["split"], a["mean_epsilon"], a["std_epsilon"])
             for a in result.aggregate(size)]
-    _write_rows(path, ["method", "split", "mean_epsilon", "std_epsilon"], rows)
+    write_rows(path, ["method", "split", "mean_epsilon", "std_epsilon"], rows)
 
 
 def write_epsilon_by_size(result: BenchmarkResult, path: str | Path) -> None:
@@ -316,36 +299,36 @@ def write_epsilon_by_size(result: BenchmarkResult, path: str | Path) -> None:
         for a in result.aggregate(size):
             rows.append((size, a["method"], a["split"],
                          a["mean_epsilon"], a["std_epsilon"]))
-    _write_rows(path, ["size", "method", "split", "mean_epsilon", "std_epsilon"],
-                rows)
+    write_rows(path, ["size", "method", "split", "mean_epsilon", "std_epsilon"],
+               rows)
 
 
 def write_replications(result: BenchmarkResult, path: str | Path) -> None:
     """Raw per-replication error rows."""
     rows = [(r.size, r.replication, r.method, r.split,
              r.estimate, r.truth, r.epsilon) for r in result.rows]
-    _write_rows(path, ["size", "replication", "method", "split",
-                       "estimate", "truth", "epsilon"], rows)
+    write_rows(path, ["size", "replication", "method", "split",
+                      "estimate", "truth", "epsilon"], rows)
 
 
 def write_sweep_csv(deltas, psi_values, path: str | Path) -> None:
     """Delta-grid sweep table: delta, psi_hat."""
-    rows = list(zip((float(d) for d in deltas),
-                    (float(p) for p in psi_values)))
-    _write_rows(path, ["delta", "psi_hat"], rows)
+    rows = zip(np.asarray(deltas, dtype=float).tolist(),
+               np.asarray(psi_values, dtype=float).tolist())
+    write_rows(path, ["delta", "psi_hat"], rows)
 
 
 def write_best_delta_csv(vector: InterventionVector, path: str | Path) -> None:
     """Best per-unit deltas: unit_index, delta."""
-    rows = [(i, float(v)) for i, v in enumerate(vector.deltas)]
-    _write_rows(path, ["unit_index", "delta"], rows)
+    rows = enumerate(vector.deltas.tolist())
+    write_rows(path, ["unit_index", "delta"], rows)
 
 
 def write_trace_csv(trace: GaTrace, path: str | Path) -> None:
     """Fitness history: generation, best_fitness, mean_fitness."""
-    rows = [(g, float(trace.best_fitness[g]), float(trace.mean_fitness[g]))
-            for g in range(trace.generations)]
-    _write_rows(path, ["generation", "best_fitness", "mean_fitness"], rows)
+    rows = zip(range(trace.generations), trace.best_fitness.tolist(),
+               trace.mean_fitness.tolist())
+    write_rows(path, ["generation", "best_fitness", "mean_fitness"], rows)
 
 
 def write_json(payload: dict, path: str | Path) -> None:

@@ -10,7 +10,7 @@ for.  Both model families serialize to JSON with an explicit version field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -432,15 +432,7 @@ def model_to_dict(model) -> dict:
         payload = {
             "version": SERIALIZATION_VERSION,
             "model_type": "outcome",
-            "config": {
-                "kind": cfg.kind,
-                "n_trees": cfg.n_trees,
-                "max_depth": cfg.max_depth,
-                "learning_rate": cfg.learning_rate,
-                "ridge_penalty": cfg.ridge_penalty,
-                "joint": cfg.joint,
-                "min_arm_size": cfg.min_arm_size,
-            },
+            "config": asdict(cfg),
         }
         if cfg.joint:
             payload["joint_model"] = model.joint_model.to_dict()

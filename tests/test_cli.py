@@ -12,7 +12,17 @@ import pytest
 import stochint
 import stochint.experiments
 import stochint.parallel
-from stochint.cli import MAX_GRID_POINTS, OUTPUT_ROOT_ENV, _parse_grid, main
+from stochint.cli import (
+    MAX_GRID_POINTS,
+    OUTPUT_ROOT_ENV,
+    SETTINGS,
+    _echo_config,
+    _merge_config,
+    _Outputs,
+    _parse_grid,
+    build_parser,
+    main,
+)
 from stochint.data import (
     DgpConfig,
     default_schema,
@@ -342,6 +352,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("estimate", "clip", False, "a number"),
     ("simulate", "seed", 1.0, "an integer"),
     ("optimize", "sbx_eta", None, "a number"),
+    ("simulate", "noise_scale", "big", "a number"),
+    ("estimate", "constant_propensity", "0.5", "a number"),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, value,
                                              wanted):
@@ -353,6 +365,36 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, val
     assert rc == 1
     assert f"config key {key} must be {wanted}" in capsys.readouterr().err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_config_null_means_unset(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"noise_scale": None}))
+    assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "a",
+                   "--n", "60", "--d", "2") == 0
+    assert run_cli("simulate", "--out", tmp_path / "b", "--n", "60", "--d", "2") == 0
+    for name in ("dataset.csv", "config.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_parser_declares_the_settings_table(tmp_path, command):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    sub = commands.choices[command]
+    dests = [a.dest for a in sub._actions if a.dest not in ("help", "config", "out")]
+    assert dests == list(SETTINGS[command])
+    # every number passed as a flag is echoed with its declared type
+    numbers = {key: kind for key, (_, kind) in SETTINGS[command].items()
+               if kind in (int, float)}
+    argv = [command]
+    for action in sub._actions:
+        if action.dest in numbers:
+            argv += [action.option_strings[0], "2"]
+    _echo_config(_merge_config(parser.parse_args(argv)), command, _Outputs(tmp_path))
+    echoed = json.loads((tmp_path / "config.json").read_text())
+    assert {key: type(echoed[key]) for key in numbers} == numbers
+    assert all(echoed[key] == 2 for key in numbers)
 
 
 def test_config_number_accepts_json_integer(tmp_path):
@@ -500,6 +542,25 @@ def test_optimize_from_csv_data(tmp_path):
     assert rc == 0
     best_lines = (out / "best_delta.csv").read_text().strip().splitlines()
     assert len(best_lines) == 61
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["optimize", "--bounds", "a,b"], None, "--bounds a,b: every part must be a number"),
+    (["benchmark", "--sizes", "50,x"], None,
+     "--sizes 50,x: every part must be an integer"),
+    (["benchmark"], {"sizes": [100, 200]},
+     "--sizes [100, 200]: every part must be an integer"),
+], ids=["bounds", "sizes", "sizes-config-list"])
+def test_list_option_error_names_its_flag(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", cfg_path]
+    out = tmp_path / "run"
+    rc = run_cli(*argv, "--out", out, "--n", "60", *FAST)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_optimize_bad_bounds_fails_cleanly(tmp_path, capsys):

@@ -25,8 +25,6 @@ from .effects import (
     OutcomeSpec,
     PropensitySpec,
     UnitRecords,
-    baseline_ipwe,
-    baseline_ols,
     cross_fit_records,
     epsilon_ate,
     estimate_ate_difference,
@@ -36,7 +34,6 @@ from .effects import (
     m_term,
     report_from_records,
     stochastic_propensity,
-    sweep_expected_outcome,
     write_influence_csv,
 )
 from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records

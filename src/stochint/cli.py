@@ -33,6 +33,7 @@ from .effects import (
     NuisanceSpec,
     OutcomeSpec,
     PropensitySpec,
+    _check_delta,
     cross_fit_records,
     expected_response_from_records,
     report_from_records,
@@ -167,8 +168,10 @@ _HELP = {
     "bounds": "lo,hi box for deltas",
 }
 
-# what a value of each checked kind must be
-_WANTED = {bool: "true or false", int: "an integer", float: "a number"}
+# the JSON types a config value of each kind may have, and how to say so;
+# Python's bool is an int, so only the bool kind accepts true and false
+_WANTED = {bool: (bool, "true or false"), int: (int, "an integer"),
+           float: ((int, float), "a number"), str: (str, "a string")}
 
 
 class CliError(ValueError):
@@ -229,20 +232,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _check_config_value(key: str, value, default, kind) -> None:
     """Refuse a config-file value whose JSON type does not fit its kind.
 
-    null stands for a default of None.  str and choice values are checked
-    where they are used.  Flags need no check: argparse already converts them.
+    null stands for a default of None.  A choice must be a string here; its
+    value is checked where it is used.  Flags need no check: argparse already
+    converts them.
     """
-    if kind not in _WANTED or (value is None and default is None):
+    if value is None and default is None:
         return
-    if kind is bool:
-        ok = isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok:
-        raise CliError(f"config key {key} must be {_WANTED[kind]}, "
-                       f"not {json.dumps(value)}")
+    if isinstance(kind, tuple):
+        kind = str
+    types, wanted = _WANTED[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        raise CliError(f"config key {key} must be {wanted}, not {json.dumps(value)}")
 
 
 def _flag(key: str) -> str:
@@ -321,6 +321,15 @@ def _echo_config(merged: dict, command: str, outputs: _Outputs) -> None:
     write_json(payload, outputs.path("config.json"))
 
 
+def _checked_delta(flag: str, spec, delta):
+    """delta, refused as the estimator would refuse it, naming the flag."""
+    try:
+        _check_delta(delta)
+    except ValueError as err:
+        raise CliError(f"{flag} {spec}: {err}") from None
+    return delta
+
+
 def _parse_grid(spec) -> np.ndarray:
     parts = str(spec).split(":")
     if len(parts) != 3:
@@ -337,7 +346,7 @@ def _parse_grid(spec) -> np.ndarray:
     if (hi - lo) / step < MAX_GRID_POINTS:
         grid = np.arange(lo, hi + 0.5 * step, step)
         if grid.size <= MAX_GRID_POINTS:
-            return grid
+            return _checked_delta("--delta-grid", spec, grid)
     raise CliError(f"--delta-grid {spec}: more than {MAX_GRID_POINTS} points")
 
 
@@ -347,7 +356,7 @@ def _parse_tuple(merged: dict, key: str, caster) -> tuple:
         return tuple(caster(part) for part in str(spec).split(",") if part)
     except ValueError:
         raise CliError(f"{_flag(key)} {spec}: every part must be "
-                       f"{_WANTED[caster]}") from None
+                       f"{_WANTED[caster][1]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +389,7 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     k = int(merged["folds"])
     seed = int(merged["seed"])
     # what can fail without a fit fails before it
+    delta = _checked_delta("--delta", merged["delta"], float(merged["delta"]))
     grid = _parse_grid(merged["delta_grid"]) if merged["delta_grid"] else None
     save_dir, load_dir = merged["save_models"], merged["load_models"]
     if save_dir and load_dir and Path(save_dir).resolve() == Path(load_dir).resolve():
@@ -422,7 +432,7 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
             save_model(o_model, outputs.add(model_dir / f"fold{fold}.outcome.json"))
         write_json(folds, outputs.add(model_dir / "folds.json"))
 
-    report = report_from_records(records, float(merged["delta"]), k, seed,
+    report = report_from_records(records, delta, k, seed,
                                  per_fold=diagnostics)
     _echo_config(merged, "estimate", outputs)
     write_json(report.to_dict(), outputs.path("report.json"))

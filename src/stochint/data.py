@@ -205,58 +205,47 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
-        positions: dict[str, int] = {}
-        for name in schema.all_columns():
+        names = schema.all_columns()
+        positions = []
+        for name in names:
             hits = [i for i, col in enumerate(header) if col == name]
             if not hits:
                 raise DatasetError(f"{path}: missing column '{name}'")
             if len(hits) > 1:
                 raise DatasetError(f"{path}: duplicated column '{name}'")
-            positions[name] = hits[0]
+            positions.append(hits[0])
 
-        treatments: list[int] = []
-        outcomes: list[float] = []
-        covariates: list[list[float]] = []
-        mu0: list[float] = []
-        mu1: list[float] = []
-        prop: list[float] = []
+        # one row of bound values per data row, in all_columns() order: the
+        # treatment cell comes first and is checked before the others parse
+        others = list(zip(positions, names))[1:]
+        rows: list[list[float]] = []
         for row_number, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DatasetError(
                     f"row {row_number}: expected {len(header)} fields, got {len(row)}"
                 )
-            t_val = _parse_cell(row[positions[schema.treatment]], row_number, schema.treatment)
+            t_val = _parse_cell(row[positions[0]], row_number, schema.treatment)
             if t_val not in (0.0, 1.0):
                 raise DatasetError(
                     f"row {row_number}, column '{schema.treatment}': "
                     f"treatment must be 0 or 1, got {t_val!r}"
                 )
-            treatments.append(int(t_val))
-            outcomes.append(_parse_cell(row[positions[schema.outcome]], row_number, schema.outcome))
-            covariates.append(
-                [_parse_cell(row[positions[c]], row_number, c) for c in schema.covariates]
-            )
-            if schema.mu0 is not None:
-                mu0.append(_parse_cell(row[positions[schema.mu0]], row_number, schema.mu0))
-                mu1.append(_parse_cell(row[positions[schema.mu1]], row_number, schema.mu1))
-            if schema.true_propensity is not None:
-                prop.append(
-                    _parse_cell(row[positions[schema.true_propensity]], row_number,
-                                schema.true_propensity)
-                )
-    if not covariates:
+            rows.append([t_val] + [_parse_cell(row[i], row_number, name)
+                                   for i, name in others])
+    if not rows:
         raise DatasetError(f"{path}: no data rows")
+    column = dict(zip(names, np.array(rows).T))
     truth = None
     if schema.mu0 is not None:
         truth = GroundTruth(
-            mu0=np.array(mu0),
-            mu1=np.array(mu1),
-            true_propensity=np.array(prop) if prop else None,
+            mu0=column[schema.mu0],
+            mu1=column[schema.mu1],
+            true_propensity=column.get(schema.true_propensity),
         )
     return ObservationalDataset(
-        covariates=np.array(covariates),
-        treatments=np.array(treatments, dtype=np.int64),
-        outcomes=np.array(outcomes),
+        covariates=np.column_stack([column[c] for c in schema.covariates]),
+        treatments=column[schema.treatment].astype(np.int64),
+        outcomes=column[schema.outcome],
         truth=truth,
     )
 
@@ -271,20 +260,16 @@ def write_csv(data: ObservationalDataset, path: str | Path,
         raise DatasetError("schema covariate count does not match dataset")
     if schema.mu0 is not None and data.truth is None:
         raise DatasetError("schema requests truth columns but dataset has no truth")
-    header = [schema.treatment, schema.outcome, *schema.covariates]
-    if schema.mu0 is not None:
-        header += [schema.mu0, schema.mu1]
-    if schema.true_propensity is not None:
-        if data.truth is None or data.truth.true_propensity is None:
-            raise DatasetError("schema requests a propensity column but none is available")
-        header.append(schema.true_propensity)
+    if schema.true_propensity is not None and (
+            data.truth is None or data.truth.true_propensity is None):
+        raise DatasetError("schema requests a propensity column but none is available")
     columns = [data.treatments.tolist(), data.outcomes.tolist(),
                *data.covariates.T.tolist()]
     if schema.mu0 is not None:
         columns += [data.truth.mu0.tolist(), data.truth.mu1.tolist()]
     if schema.true_propensity is not None:
         columns.append(data.truth.true_propensity.tolist())
-    write_rows(path, header, zip(*columns))
+    write_rows(path, schema.all_columns(), zip(*columns))
 
 
 def write_truth_csv(data: ObservationalDataset, path: str | Path) -> None:
@@ -360,17 +345,22 @@ def sigmoid(z):
     return out
 
 
-def _calibrate_intercept(z: np.ndarray, target: float, clip: float) -> float:
-    """Bisect the assignment intercept so mean clipped probability hits target."""
-    lo, hi = -30.0, 30.0
+def _bisect(below, lo: float, hi: float) -> float:
+    """Point of [lo, hi] where below(x) turns false, after 80 halvings."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        p = np.clip(sigmoid(mid + z), clip, 1.0 - clip)
-        if p.mean() < target:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _calibrate_intercept(z: np.ndarray, target: float, clip: float) -> float:
+    """Bisect the assignment intercept so mean clipped probability hits target."""
+    return _bisect(
+        lambda a: np.clip(sigmoid(a + z), clip, 1.0 - clip).mean() < target,
+        -30.0, 30.0)
 
 
 def _draw_treatments(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
@@ -450,14 +440,8 @@ def generate_ihdp_like(n: int, d: int, seed: int,
 
 def _norm_quantile(q: float) -> float:
     """Standard normal quantile via bisection on the erf-based cdf."""
-    lo, hi = -8.0, 8.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) < q,
+                   -8.0, 8.0)
 
 
 OP_DEFAULTS = DgpConfig(

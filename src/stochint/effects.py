@@ -16,12 +16,12 @@ saw it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import FoldAssignment, ObservationalDataset, split_folds, write_rows
+from .data import ObservationalDataset, split_folds, write_rows
 from .nuisance import (
     BASIS_KINDS,
     FitError,
@@ -214,17 +214,6 @@ def propensity_predictions(spec: PropensitySpec, train: ObservationalDataset,
     return [model.predict(ev.covariates) for ev in eval_sets], model
 
 
-def _outcome_for(model, eval_data: ObservationalDataset):
-    """Held-out (mu0, mu1, the model's training RMSE): the model's
-    predictions, or oracle truth without one."""
-    if model is None:
-        if eval_data.truth is None:
-            raise ValueError("oracle outcome requested but ground truth is absent")
-        return eval_data.truth.mu0, eval_data.truth.mu1, None
-    x = eval_data.covariates
-    return model.predict(x, 0), model.predict(x, 1), _train_rmse(model)
-
-
 def _train_rmse(model) -> float | None:
     """Mean final-round training RMSE of a boosted model; None if not recorded.
 
@@ -236,32 +225,12 @@ def _train_rmse(model) -> float | None:
     return float(np.mean([arr[-1] for arr in path.values()]))
 
 
-def _fit_outcomes(data: ObservationalDataset, folds: FoldAssignment,
-                  config: OutcomeConfig, keep_models: bool) -> list:
-    """Fit the outcome model of every fold and predict its held-out units.
-
-    Returns one (model, mu0, mu1, training RMSE) tuple per fold, in fold
-    order; model is None unless keep_models.  Boosted fits run in worker
-    processes, one per usable CPU and at most one per fold; ridge fits take
-    milliseconds and stay in this process.  Each result is placed by its
-    fold index, so none depends on the worker count.  A worker predicts the
-    held-out units itself and sends the model back only when it is kept:
-    unpickling the 100-tree models here left about 2 MiB more resident.
-
-    Raises:
-        FitError: the first failing fold in fold order, named in the message.
-    """
-    def fit(fold):
-        try:
-            model = fit_outcome(data.subset(folds.complement(fold)), config)
-        except FitError as err:
-            raise FitError(f"fold {fold}: {err}") from None
-        held_out = _outcome_for(model, data.subset(folds.indices(fold)))
-        return (model if keep_models else None, *held_out)
-
-    if config.kind != "boosted_trees":
-        return [fit(fold) for fold in range(folds.k)]
-    return forked_map(fit, range(folds.k))
+def _in_fold(fold: int, fit, *args, **kwargs):
+    """fit(*args, **kwargs), with the fold named in a FitError's message."""
+    try:
+        return fit(*args, **kwargs)
+    except FitError as err:
+        raise FitError(f"fold {fold}: {err}") from None
 
 
 def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
@@ -274,8 +243,13 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
 
     Folds come from split_folds(n, k, seed); each fold is predicted by models
     fit on its complement only, so no unit's outcome influences its own
-    predictions.  Every fold's propensity is fit here, in fold order; then
-    the k outcome models are fit at once (see _fit_outcomes).
+    predictions.  Every fold's propensity is fit here, in fold order, before
+    any outcome work.  Boosted outcome fits then run in worker processes, one
+    per usable CPU and at most one per fold; other outcome models take
+    milliseconds and stay in this process.  Each result is placed by its
+    fold index, so none depends on the worker count.  A worker predicts the
+    held-out units itself and sends the model back only when it is kept:
+    unpickling the 100-tree models here left about 2 MiB more resident.
 
     Args:
         collect_models: if a list is passed, one (propensity_model,
@@ -291,7 +265,7 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
 
     Raises:
         FitError: a fold's training complement lacks an arm or is otherwise
-            unfittable; the message names the fold.
+            unfittable; the message names the first failing fold.
         ValueError: fold_models does not hold k pairs.
     """
     if fold_models is not None and len(fold_models) != k:
@@ -301,41 +275,55 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     folds = split_folds(n, k, seed)
 
     # subsets are built where they are used, so none outlives its fit
-    if fold_models is None:
-        p_models = [None] * k
-        p_folds = [None] * k
-        if need_propensity:
-            for fold in range(k):
-                try:
-                    (p_folds[fold],), p_models[fold] = propensity_predictions(
-                        spec.propensity, data.subset(folds.complement(fold)),
-                        data.subset(folds.indices(fold)),
-                        seed=1000003 * seed + fold,
-                    )
-                except FitError as err:
-                    raise FitError(f"fold {fold}: {err}") from None
-        o_models = [None] * k
+    def propensity(fold):
+        """(held-out p_hat or None, propensity model or None)."""
+        if fold_models is not None:
+            model = fold_models[fold][0]
+            return model.predict(data.covariates[folds.indices(fold)]), model
+        if not need_propensity:
+            return None, None
+        (p_fold,), model = _in_fold(
+            fold, propensity_predictions, spec.propensity,
+            data.subset(folds.complement(fold)), data.subset(folds.indices(fold)),
+            seed=1000003 * seed + fold)
+        return p_fold, model
+
+    def outcome(fold):
+        """(model if kept else None, held-out mu0, mu1, training RMSE): the
+        model's predictions, or oracle truth without a model."""
+        if fold_models is not None:
+            model = fold_models[fold][1]
+        elif spec.outcome.mode == "fit":
+            model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
+                             spec.outcome.config)
+        else:
+            model = None
+        eval_data = data.subset(folds.indices(fold))
+        if model is None:
+            if eval_data.truth is None:
+                raise ValueError("oracle outcome requested but ground truth is absent")
+            return None, eval_data.truth.mu0, eval_data.truth.mu1, None
+        x = eval_data.covariates
+        return (model if collect_models is not None else None,
+                model.predict(x, 0), model.predict(x, 1), _train_rmse(model))
+
+    # the propensity's bits depend on the BLAS thread count, so it is never forked
+    propensities = [propensity(fold) for fold in range(k)]
+    if (fold_models is None and spec.outcome.mode == "fit"
+            and spec.outcome.config.kind == "boosted_trees"):
+        outcomes = forked_map(outcome, range(k))
     else:
-        p_models = [p_model for p_model, _ in fold_models]
-        o_models = [o_model for _, o_model in fold_models]
-        p_folds = [p_model.predict(data.covariates[folds.indices(fold)])
-                   for fold, p_model in enumerate(p_models)]
-    if fold_models is None and spec.outcome.mode == "fit":
-        outcomes = _fit_outcomes(data, folds, spec.outcome.config,
-                                 keep_models=collect_models is not None)
-    else:
-        outcomes = [(model, *_outcome_for(model, data.subset(folds.indices(fold))))
-                    for fold, model in enumerate(o_models)]
+        outcomes = [outcome(fold) for fold in range(k)]
     p_hat = np.empty(n) if need_propensity else None
     mu0 = np.empty(n)
     mu1 = np.empty(n)
     diagnostics = []
-    for fold, (p_model, (o_model, mu0_fold, mu1_fold, rmse)) in enumerate(
-            zip(p_models, outcomes)):
+    for fold, ((p_fold, p_model), (o_model, mu0_fold, mu1_fold, rmse)) in enumerate(
+            zip(propensities, outcomes)):
         eval_idx = folds.indices(fold)
         train_t = data.treatments[folds.complement(fold)]
         if need_propensity:
-            p_hat[eval_idx] = p_folds[fold]
+            p_hat[eval_idx] = p_fold
         mu0[eval_idx], mu1[eval_idx] = mu0_fold, mu1_fold
         if collect_models is not None:
             collect_models.append((p_model, o_model))
@@ -398,17 +386,10 @@ class EstimateReport:
 
     def to_dict(self) -> dict:
         """JSON-ready summary; the per-unit table is written separately."""
-        return {
-            "tau_ate_alg1": self.tau_ate_alg1,
-            "tau_sie": self.tau_sie,
-            "psi_hat": self.psi_hat,
-            "delta": self.delta,
-            "k": self.k,
-            "seed": self.seed,
-            "n_units": self.n_units,
-            "mean_outcome": self.mean_outcome,
-            "per_fold": [asdict(d) for d in self.per_fold],
-        }
+        summary = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "influence"}
+        summary["per_fold"] = [asdict(d) for d in self.per_fold]
+        return summary
 
 
 def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
@@ -512,17 +493,6 @@ def expected_response_from_records(records: UnitRecords, deltas):
     return float(means) if d.ndim == 1 else means
 
 
-def sweep_expected_outcome(data: ObservationalDataset, deltas, k: int = 5,
-                           seed: int = 0,
-                           nuisance: NuisanceSpec | None = None) -> np.ndarray:
-    """psi_hat over a grid of scalar deltas, fitting nuisances only once."""
-    records, _ = cross_fit_records(data, k, seed, nuisance)
-    grid = np.asarray(deltas, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("delta grid must be 1-d")
-    return expected_response_from_records(records, grid[:, None])
-
-
 # ---------------------------------------------------------------------------
 # baselines and metrics
 # ---------------------------------------------------------------------------
@@ -570,27 +540,12 @@ def fit_per_arm_linear(data: ObservationalDataset) -> PerArmLinearModel:
                              coef1=_ls_fit(x[t == 1], y[t == 1]))
 
 
-def baseline_ols(data: ObservationalDataset) -> float:
-    """Average treated-minus-control contrast of per-arm linear fits."""
-    model = fit_per_arm_linear(data)
-    return float(np.mean(model.contrast(data.covariates)))
-
-
 def ipwe_from_propensity(treatments, outcomes, p_hat) -> float:
     """Horvitz-Thompson contrast with the given (clipped) probabilities."""
     t = np.asarray(treatments, dtype=float)
     y = np.asarray(outcomes, dtype=float)
     p = _check_p_hat(p_hat)
     return float(np.mean(t * y / p) - np.mean((1.0 - t) * y / (1.0 - p)))
-
-
-def baseline_ipwe(data: ObservationalDataset,
-                  nuisance: NuisanceSpec | None = None,
-                  seed: int = 0) -> float:
-    """Inverse-probability-weighted contrast with an in-sample propensity fit."""
-    spec = (nuisance or NuisanceSpec()).propensity
-    (p_hat,), _ = propensity_predictions(spec, data, data, seed=seed)
-    return ipwe_from_propensity(data.treatments, data.outcomes, p_hat)
 
 
 def epsilon_ate(estimate: float, truth: float) -> float:

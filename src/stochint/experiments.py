@@ -283,12 +283,10 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def write_epsilon_table(result: BenchmarkResult, path: str | Path,
-                        size: int | None = None) -> None:
-    """Aggregated error table: method, split, mean_epsilon, std_epsilon."""
-    size = size if size is not None else result.sizes[0]
+def write_epsilon_table(result: BenchmarkResult, path: str | Path) -> None:
+    """Error table at the first size: method, split, mean_epsilon, std_epsilon."""
     rows = [(a["method"], a["split"], a["mean_epsilon"], a["std_epsilon"])
-            for a in result.aggregate(size)]
+            for a in result.aggregate(result.sizes[0])]
     write_rows(path, ["method", "split", "mean_epsilon", "std_epsilon"], rows)
 
 

@@ -16,9 +16,11 @@ from stochint.effects import (
     NuisanceSpec,
     OutcomeSpec,
     PropensitySpec,
+    cross_fit_records,
     estimate_ate_difference,
     estimate_sie,
     epsilon_ate,
+    expected_response_from_records,
     stochastic_propensity,
 )
 from stochint.experiments import BenchmarkConfig, run_benchmark, run_optimization
@@ -177,11 +179,10 @@ def test_criterion_5_data_size_trend():
 
 def test_criterion_6_delta_sweep_shape():
     t0 = time.time()
-    from stochint.effects import sweep_expected_outcome
-
     data = generate_op_like(2000, seed=7)
     grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 10.0])
-    psis = sweep_expected_outcome(data, grid, k=5, seed=0)
+    records, _ = cross_fit_records(data, 5, 0)
+    psis = expected_response_from_records(records, grid[:, None])
     non_decreasing = bool((np.diff(psis[:6]) >= 0).all())
     saturation = abs(psis[6] - psis[7]) / abs(psis[7] - psis[0])
     ok = non_decreasing and saturation < 0.05

@@ -245,18 +245,32 @@ def _fail_if_fitted(*args, **kwargs):
     ("0:5:1e-300", f"more than {MAX_GRID_POINTS} points"),
     (f"0:{MAX_GRID_POINTS}:1", f"more than {MAX_GRID_POINTS} points"),
     (f"0:{MAX_GRID_POINTS - 0.4}:1", f"more than {MAX_GRID_POINTS} points"),
+    ("-1:1:0.5", "delta must be finite and >= 0"),
 ], ids=["hi-below-lo", "nan", "inf", "non-numeric", "huge-hi", "tiny-step",
-        "just-over-cap", "rounds-over-cap"])
+        "just-over-cap", "rounds-over-cap", "negative-lo"])
 def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
                                                   grid, message):
     data_path = simulate_small(tmp_path / "sim")
     monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
     out, models = tmp_path / "est", tmp_path / "models"
     rc = run_cli("estimate", "--data", data_path, "--out", out,
-                 "--save-models", models, "--delta-grid", grid, *FAST)
+                 "--save-models", models, f"--delta-grid={grid}", *FAST)
     assert rc == 1
     err = capsys.readouterr().err
     assert "--delta-grid" in err and message in err
+    assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+
+
+@pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
+def test_estimate_bad_delta_fails_before_fit(tmp_path, capsys, monkeypatch, delta):
+    data_path = simulate_small(tmp_path / "sim")
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
+    out, models = tmp_path / "est", tmp_path / "models"
+    rc = run_cli("estimate", "--data", data_path, "--out", out,
+                 "--save-models", models, "--delta", delta, *FAST)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--delta " in err and "delta must be finite and >= 0" in err
     assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
 
 
@@ -271,7 +285,7 @@ def test_estimate_delta_grid_from_config_needs_a_spec(tmp_path, capsys):
     rc = run_cli("estimate", "--data", data_path, "--config", cfg_path,
                  "--out", tmp_path / "est", *FAST)
     assert rc == 1
-    assert "--delta-grid expects lo:hi:step" in capsys.readouterr().err
+    assert "config key delta_grid must be a string, not 0.5" in capsys.readouterr().err
 
 
 def test_estimate_save_models_rejects_oracle_before_fit(tmp_path, capsys, monkeypatch):
@@ -288,16 +302,26 @@ def test_estimate_save_models_rejects_oracle_before_fit(tmp_path, capsys, monkey
     assert not (tmp_path / "m").exists()
 
 
-def test_estimate_failed_run_removes_saved_models(tmp_path, capsys):
-    # the fit succeeds and the models are written; the negative delta then
-    # fails the report, and the run removes every file it wrote
+def test_estimate_failed_run_removes_saved_models(tmp_path, capsys, monkeypatch):
+    # the fit succeeds and the models are written; a negative delta then
+    # fails the report, and the run removes every file it wrote.  The CLI
+    # refuses a negative --delta before fitting, so the report gets it here.
     data_path = simulate_small(tmp_path / "sim")
     out, models = tmp_path / "est", tmp_path / "models"
+    real_report = stochint.cli.report_from_records
+    written = []
+
+    def report_with_negative_delta(records, delta, *args, **kwargs):
+        written.extend(p.name for p in models.iterdir())
+        return real_report(records, -1.0, *args, **kwargs)
+
+    monkeypatch.setattr("stochint.cli.report_from_records", report_with_negative_delta)
     rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
-                 "--delta", "-1", "--save-models", models, *FAST)
+                 "--save-models", models, *FAST)
     assert rc == 1
     assert "delta must be finite" in capsys.readouterr().err
     assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+    assert "folds.json" in written and len(written) == 7
 
 
 def test_estimate_save_models_into_load_dir_refused(tmp_path, capsys):
@@ -313,6 +337,23 @@ def test_estimate_save_models_into_load_dir_refused(tmp_path, capsys):
     assert rc == 1
     assert "--save-models must differ" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in models.iterdir()} == saved
+
+
+def test_estimate_load_then_save_models_copies_them(tmp_path):
+    data_path = simulate_small(tmp_path / "sim")
+    models_a, models_b = tmp_path / "a_models", tmp_path / "b_models"
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
+                 "--folds", "2", "--n-trees", "3", "--save-models", models_a)
+    assert rc == 0
+    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
+                 "--folds", "2", "--n-trees", "3", "--load-models", models_a,
+                 "--save-models", models_b)
+    assert rc == 0
+    saved = {p.name: p.read_bytes() for p in models_a.iterdir()}
+    assert sorted(saved) == ["fold0.outcome.json", "fold0.propensity.json",
+                             "fold1.outcome.json", "fold1.propensity.json",
+                             "folds.json"]
+    assert {p.name: p.read_bytes() for p in models_b.iterdir()} == saved
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +395,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("optimize", "sbx_eta", None, "a number"),
     ("simulate", "noise_scale", "big", "a number"),
     ("estimate", "constant_propensity", "0.5", "a number"),
+    ("benchmark", "methods", ["sie", "ols"], "a string"),
+    ("estimate", "covariate_cols", ["x0", "x1"], "a string"),
+    ("estimate", "basis", 5, "a string"),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, value,
                                              wanted):
-    data = [] if command == "simulate" else ["--data", simulate_small(tmp_path / "sim")]
+    data = (["--data", simulate_small(tmp_path / "sim")]
+            if "data" in SETTINGS[command] else [])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({key: value}))
     out = tmp_path / "run"
@@ -549,7 +594,7 @@ def test_optimize_from_csv_data(tmp_path):
     (["benchmark", "--sizes", "50,x"], None,
      "--sizes 50,x: every part must be an integer"),
     (["benchmark"], {"sizes": [100, 200]},
-     "--sizes [100, 200]: every part must be an integer"),
+     "config key sizes must be a string, not [100, 200]"),
 ], ids=["bounds", "sizes", "sizes-config-list"])
 def test_list_option_error_names_its_flag(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -187,6 +187,38 @@ def test_load_csv_rejects_ragged_row(tmp_path):
         load_csv(path, default_schema(1))
 
 
+@pytest.mark.parametrize("treatment, message", [
+    ("2", "row 1, column 't': treatment must be 0 or 1"),
+    ("x", "row 1, column 't': cannot parse 'x'"),
+], ids=["not-binary", "not-a-number"])
+def test_load_csv_reports_the_treatment_before_other_cells(tmp_path, treatment,
+                                                           message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"y,x0,t\noops,0.5,{treatment}\n")
+    with pytest.raises(DatasetError, match=message):
+        load_csv(path, default_schema(1))
+
+
+def test_load_csv_reports_an_earlier_bad_cell_before_a_later_ragged_row(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("t,y,x0\n1,2.0,0.5\n0,2.0,oops\n1,2.0,0.5\n1,2.0\n")
+    with pytest.raises(DatasetError, match="row 2, column 'x0'"):
+        load_csv(path, default_schema(1))
+
+
+def test_load_csv_propensity_without_outcome_means_has_no_truth(tmp_path):
+    data = generate_ihdp_like(40, 2, seed=8)
+    path = tmp_path / "data.csv"
+    write_csv(data, path)
+    schema = ColumnSchema(treatment="t", outcome="y", covariates=("x0", "x1"),
+                          true_propensity="p")
+    loaded = load_csv(path, schema)
+    assert loaded.truth is None
+    assert np.array_equal(loaded.covariates, data.covariates)
+    assert np.array_equal(loaded.treatments, data.treatments)
+    assert np.array_equal(loaded.outcomes, data.outcomes)
+
+
 def test_load_csv_rejects_empty_and_header_only(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

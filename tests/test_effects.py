@@ -19,8 +19,6 @@ from stochint.effects import (
     OutcomeSpec,
     PropensitySpec,
     UnitRecords,
-    baseline_ipwe,
-    baseline_ols,
     cross_fit_records,
     epsilon_ate,
     estimate_ate_difference,
@@ -30,9 +28,9 @@ from stochint.effects import (
     influence,
     ipwe_from_propensity,
     m_term,
+    propensity_predictions,
     report_from_records,
     stochastic_propensity,
-    sweep_expected_outcome,
 )
 from stochint.nuisance import FitError, OutcomeConfig, model_to_dict
 from stochint.trees import GradientBoostedRegressor
@@ -448,17 +446,11 @@ def test_expected_response_length_check():
 def test_sweep_matches_single_estimates():
     data = make_cross_fit_data(n=120, seed=15)
     grid = np.array([0.0, 1.0, 3.0])
-    swept = sweep_expected_outcome(data, grid, k=3, seed=5, nuisance=FAST_NUISANCE)
+    records, _ = cross_fit_records(data, 3, 5, FAST_NUISANCE)
+    swept = expected_response_from_records(records, grid[:, None])
     for i, d in enumerate(grid):
         single = estimate_sie(data, float(d), k=3, seed=5, nuisance=FAST_NUISANCE)
         assert swept[i] == single.psi_hat
-
-
-def test_sweep_rejects_bad_grid():
-    data = make_cross_fit_data()
-    with pytest.raises(ValueError, match="1-d"):
-        sweep_expected_outcome(data, np.ones((2, 2)), k=3, seed=0,
-                               nuisance=FAST_NUISANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,7 @@ def linear_arms_dataset(n=200, seed=16):
 
 def test_ols_recovers_exact_linear_arms():
     data = linear_arms_dataset()
-    est = baseline_ols(data)
+    est = float(np.mean(fit_per_arm_linear(data).contrast(data.covariates)))
     truth = float(np.mean(3.0 + 0.5 * data.covariates[:, 0]))
     assert abs(est - truth) <= 1e-8
 
@@ -489,7 +481,7 @@ def test_ols_warns_on_rank_deficiency():
     y = col + t
     data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        est = baseline_ols(data)
+        est = float(np.mean(fit_per_arm_linear(data).contrast(data.covariates)))
     assert np.isfinite(est)
 
 
@@ -523,7 +515,8 @@ def test_ipwe_rejects_boundary_probabilities():
 def test_baseline_ipwe_constant_mode_matches_formula():
     data = make_cross_fit_data(n=100, seed=20)
     spec = NuisanceSpec(propensity=PropensitySpec(mode="constant", constant=0.45))
-    got = baseline_ipwe(data, nuisance=spec)
+    (p_hat,), _ = propensity_predictions(spec.propensity, data, data, seed=0)
+    got = ipwe_from_propensity(data.treatments, data.outcomes, p_hat)
     t = data.treatments.astype(float)
     y = data.outcomes
     want = float(np.mean(t * y / 0.45) - np.mean((1 - t) * y / 0.55))

@@ -32,9 +32,11 @@ from .effects import (
     expected_response_from_records,
     influence,
     m_term,
+    read_records_csv,
     report_from_records,
     stochastic_propensity,
     write_influence_csv,
+    write_records_csv,
 )
 from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records
 from .nuisance import (
@@ -46,9 +48,7 @@ from .nuisance import (
     SolverConfig,
     fit_outcome,
     fit_propensity,
-    load_model,
     make_basis,
-    save_model,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .data import (
     DgpConfig,
     default_schema,
     load_csv,
+    split_folds,
     write_csv,
     write_truth_csv,
 )
@@ -36,8 +37,11 @@ from .effects import (
     _check_delta,
     cross_fit_records,
     expected_response_from_records,
+    fold_diagnostics,
+    read_records_csv,
     report_from_records,
     write_influence_csv,
+    write_records_csv,
 )
 from .experiments import (
     BenchmarkConfig,
@@ -54,14 +58,7 @@ from .experiments import (
     write_trace_csv,
 )
 from .genetic import CROSSOVER_OPERATORS, GaConfig
-from .nuisance import (
-    BASIS_KINDS,
-    OUTCOME_KINDS,
-    OutcomeConfig,
-    SolverConfig,
-    load_model,
-    save_model,
-)
+from .nuisance import BASIS_KINDS, OUTCOME_KINDS, OutcomeConfig, SolverConfig
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 
@@ -120,8 +117,8 @@ SETTINGS = {
         "delta_grid": (None, str),
         "folds": (5, int),
         "seed": (0, int),
-        "save_models": (None, str),
-        "load_models": (None, str),
+        "save_records": (None, str),
+        "records": (None, str),
         **_SCHEMA,
         **_NUISANCE,
     },
@@ -162,6 +159,8 @@ _FLAGS = {"treated_fraction_target": "--treated-fraction"}
 
 _HELP = {
     "delta_grid": "lo:hi:step sweep of scalar deltas",
+    "save_records": "write the held-out records CSV here",
+    "records": "read held-out records instead of cross-fitting",
     "covariate_cols": "comma-separated; default: every other column",
     "methods": "comma-separated from sie,ols,ipwe",
     "sizes": "comma-separated sample sizes",
@@ -391,49 +390,23 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     # what can fail without a fit fails before it
     delta = _checked_delta("--delta", merged["delta"], float(merged["delta"]))
     grid = _parse_grid(merged["delta_grid"]) if merged["delta_grid"] else None
-    save_dir, load_dir = merged["save_models"], merged["load_models"]
-    if save_dir and load_dir and Path(save_dir).resolve() == Path(load_dir).resolve():
-        raise CliError("--save-models must differ from --load-models: "
-                       "a failed run removes the model files it wrote")
-    fitted = nuisance.propensity.mode == "fit" and nuisance.outcome.mode == "fit"
-    if save_dir and not load_dir and not fitted:
-        raise CliError("--save-models requires fitted (not oracle/constant) nuisances")
+    save_path, records_path = merged["save_records"], merged["records"]
+    if save_path and records_path and Path(save_path).resolve() == Path(records_path).resolve():
+        raise CliError("--save-records must differ from --records: "
+                       "a failed run removes the file it wrote")
+    folds = split_folds(data.n_units, k, seed)
+    if records_path:
+        try:
+            records = read_records_csv(records_path, data, folds)
+        except ValueError as err:
+            raise CliError(f"--records {records_path}: {err}") from None
+        per_fold = fold_diagnostics(folds, data.treatments)
+    else:
+        records, per_fold = cross_fit_records(data, k, seed, nuisance)
+    if save_path:
+        write_records_csv(records, folds, outputs.add(Path(save_path)))
 
-    # Saved models are only held out for the fold assignment they were fit
-    # on, which (n, k, seed) fixes; folds.json records it beside them.
-    folds = {"n": data.n_units, "k": k, "seed": seed}
-    fold_models = None
-    if load_dir:
-        model_dir = Path(load_dir)
-        manifest = model_dir / "folds.json"
-        if not manifest.exists():
-            raise CliError(f"missing {manifest}; saved models need their fold manifest")
-        saved = json.loads(manifest.read_text(encoding="utf-8"))
-        if saved != folds:
-            raise CliError(
-                f"{manifest} records folds {saved} but this run uses {folds}; "
-                f"the models would score units they were trained on"
-            )
-        fold_models = []
-        for fold in range(k):
-            p_path = model_dir / f"fold{fold}.propensity.json"
-            o_path = model_dir / f"fold{fold}.outcome.json"
-            if not p_path.exists() or not o_path.exists():
-                raise CliError(f"missing saved models for fold {fold} in {model_dir}")
-            fold_models.append((load_model(p_path), load_model(o_path)))
-    collected: list | None = [] if save_dir else None
-    records, diagnostics = cross_fit_records(data, k, seed, nuisance,
-                                             collect_models=collected,
-                                             fold_models=fold_models)
-    if collected is not None:
-        model_dir = Path(save_dir)
-        for fold, (p_model, o_model) in enumerate(collected):
-            save_model(p_model, outputs.add(model_dir / f"fold{fold}.propensity.json"))
-            save_model(o_model, outputs.add(model_dir / f"fold{fold}.outcome.json"))
-        write_json(folds, outputs.add(model_dir / "folds.json"))
-
-    report = report_from_records(records, delta, k, seed,
-                                 per_fold=diagnostics)
+    report = report_from_records(records, delta, k, seed, per_fold=per_fold)
     _echo_config(merged, "estimate", outputs)
     write_json(report.to_dict(), outputs.path("report.json"))
     write_influence_csv(report.influence, outputs.path("influence.csv"))

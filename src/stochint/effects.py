@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ObservationalDataset, split_folds, write_rows
+from .data import (
+    ColumnSchema,
+    FoldAssignment,
+    ObservationalDataset,
+    load_csv,
+    split_folds,
+    write_rows,
+)
 from .nuisance import (
     BASIS_KINDS,
     FitError,
@@ -215,14 +222,9 @@ def propensity_predictions(spec: PropensitySpec, train: ObservationalDataset,
 
 
 def _train_rmse(model) -> float | None:
-    """Mean final-round training RMSE of a boosted model; None if not recorded.
-
-    Loaded models carry no training path, since it is not serialized.
-    """
+    """Mean final-round training RMSE of a boosted model; None for ridge."""
     path = model.train_rmse_path
-    if not path or any(arr is None for arr in path.values()):
-        return None
-    return float(np.mean([arr[-1] for arr in path.values()]))
+    return float(np.mean([arr[-1] for arr in path.values()])) if path else None
 
 
 def _in_fold(fold: int, fit, *args, **kwargs):
@@ -233,11 +235,32 @@ def _in_fold(fold: int, fit, *args, **kwargs):
         raise FitError(f"fold {fold}: {err}") from None
 
 
+def fold_diagnostics(folds: FoldAssignment, treatments: np.ndarray,
+                     fits=None) -> tuple[FoldDiagnostics, ...]:
+    """Per-fold sizes from the fold assignment, with each fold's fit diagnostics.
+
+    fits holds one (propensity model or None, outcome training RMSE or None)
+    pair per fold.  Without it, as for records read from a file, the
+    model-only fields are None.
+    """
+    diagnostics = []
+    for fold, (p_model, rmse) in enumerate(fits or [(None, None)] * folds.k):
+        train_t = treatments[folds.complement(fold)]
+        diagnostics.append(FoldDiagnostics(
+            fold=fold,
+            n_eval=folds.indices(fold).shape[0],
+            n_train=train_t.shape[0],
+            n_train_treated=int(train_t.sum()),
+            propensity_iterations=None if p_model is None else p_model.n_iter,
+            propensity_grad_norm=None if p_model is None else p_model.grad_norm,
+            outcome_train_rmse=rmse,
+        ))
+    return tuple(diagnostics)
+
+
 def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
                       nuisance: NuisanceSpec | None = None,
                       need_propensity: bool = True,
-                      collect_models: list | None = None,
-                      fold_models: list | None = None,
                       ) -> tuple[UnitRecords, tuple[FoldDiagnostics, ...]]:
     """Cross-fitted nuisance predictions for every unit.
 
@@ -248,17 +271,9 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     per usable CPU and at most one per fold; other outcome models take
     milliseconds and stay in this process.  Each result is placed by its
     fold index, so none depends on the worker count.  A worker predicts the
-    held-out units itself and sends the model back only when it is kept:
-    unpickling the 100-tree models here left about 2 MiB more resident.
-
-    Args:
-        collect_models: if a list is passed, one (propensity_model,
-            outcome_model) pair per fold is appended to it (None entries for
-            oracle/constant modes).
-        fold_models: previously saved (PropensityModel, OutcomeModel) pairs,
-            one per fold in fold order, fit against the same (n, k, seed)
-            fold assignment.  When given, the loop predicts with them
-            instead of fitting.
+    held-out units itself and sends back only the predictions and the
+    training RMSE: unpickling the 100-tree models here left about 2 MiB more
+    resident.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -266,10 +281,7 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     Raises:
         FitError: a fold's training complement lacks an arm or is otherwise
             unfittable; the message names the first failing fold.
-        ValueError: fold_models does not hold k pairs.
     """
-    if fold_models is not None and len(fold_models) != k:
-        raise ValueError(f"expected {k} fold model pairs, got {len(fold_models)}")
     spec = nuisance or NuisanceSpec()
     n = data.n_units
     folds = split_folds(n, k, seed)
@@ -277,9 +289,6 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     # subsets are built where they are used, so none outlives its fit
     def propensity(fold):
         """(held-out p_hat or None, propensity model or None)."""
-        if fold_models is not None:
-            model = fold_models[fold][0]
-            return model.predict(data.covariates[folds.indices(fold)]), model
         if not need_propensity:
             return None, None
         (p_fold,), model = _in_fold(
@@ -289,53 +298,33 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         return p_fold, model
 
     def outcome(fold):
-        """(model if kept else None, held-out mu0, mu1, training RMSE): the
-        model's predictions, or oracle truth without a model."""
-        if fold_models is not None:
-            model = fold_models[fold][1]
-        elif spec.outcome.mode == "fit":
-            model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
-                             spec.outcome.config)
-        else:
-            model = None
-        eval_data = data.subset(folds.indices(fold))
-        if model is None:
-            if eval_data.truth is None:
+        """(held-out mu0, mu1, training RMSE): a fitted model's predictions,
+        or oracle truth without a model."""
+        if spec.outcome.mode == "oracle":
+            if data.truth is None:
                 raise ValueError("oracle outcome requested but ground truth is absent")
-            return None, eval_data.truth.mu0, eval_data.truth.mu1, None
-        x = eval_data.covariates
-        return (model if collect_models is not None else None,
-                model.predict(x, 0), model.predict(x, 1), _train_rmse(model))
+            eval_idx = folds.indices(fold)
+            return data.truth.mu0[eval_idx], data.truth.mu1[eval_idx], None
+        model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
+                         spec.outcome.config)
+        x = data.covariates[folds.indices(fold)]
+        return model.predict(x, 0), model.predict(x, 1), _train_rmse(model)
 
     # the propensity's bits depend on the BLAS thread count, so it is never forked
     propensities = [propensity(fold) for fold in range(k)]
-    if (fold_models is None and spec.outcome.mode == "fit"
-            and spec.outcome.config.kind == "boosted_trees"):
+    if spec.outcome.mode == "fit" and spec.outcome.config.kind == "boosted_trees":
         outcomes = forked_map(outcome, range(k))
     else:
         outcomes = [outcome(fold) for fold in range(k)]
     p_hat = np.empty(n) if need_propensity else None
     mu0 = np.empty(n)
     mu1 = np.empty(n)
-    diagnostics = []
-    for fold, ((p_fold, p_model), (o_model, mu0_fold, mu1_fold, rmse)) in enumerate(
+    for fold, ((p_fold, _), (mu0_fold, mu1_fold, _)) in enumerate(
             zip(propensities, outcomes)):
         eval_idx = folds.indices(fold)
-        train_t = data.treatments[folds.complement(fold)]
         if need_propensity:
             p_hat[eval_idx] = p_fold
         mu0[eval_idx], mu1[eval_idx] = mu0_fold, mu1_fold
-        if collect_models is not None:
-            collect_models.append((p_model, o_model))
-        diagnostics.append(FoldDiagnostics(
-            fold=fold,
-            n_eval=eval_idx.shape[0],
-            n_train=train_t.shape[0],
-            n_train_treated=int(train_t.sum()),
-            propensity_iterations=None if p_model is None else p_model.n_iter,
-            propensity_grad_norm=None if p_model is None else p_model.grad_norm,
-            outcome_train_rmse=rmse,
-        ))
     records = UnitRecords(
         unit_index=np.arange(n, dtype=np.int64),
         treatments=data.treatments,
@@ -344,7 +333,63 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         mu1=mu1,
         p_hat=p_hat,
     )
-    return records, tuple(diagnostics)
+    fits = [(p_model, rmse) for (_, p_model), (*_, rmse) in zip(propensities, outcomes)]
+    return records, fold_diagnostics(folds, data.treatments, fits)
+
+
+# ---------------------------------------------------------------------------
+# the records file
+# ---------------------------------------------------------------------------
+
+RECORD_COLUMNS = ["unit_index", "fold", "treatment", "outcome", "p_hat", "mu0", "mu1"]
+
+# load_csv reads the unit index, fold and p_hat as covariates and mu0, mu1 as
+# ground truth, so p_hat, like mu0 and mu1, need only be finite there
+_RECORD_SCHEMA = ColumnSchema(treatment="treatment", outcome="outcome",
+                              covariates=("unit_index", "fold", "p_hat"),
+                              mu0="mu0", mu1="mu1")
+
+
+def write_records_csv(records: UnitRecords, folds: FoldAssignment,
+                      path: str | Path) -> None:
+    """Write each unit's held-out predictions, with its fold, as a CSV.
+
+    Floats are written in their shortest round-trip form, so
+    read_records_csv gets every value back bit for bit.
+    """
+    columns = (records.unit_index, folds.fold_of_unit, records.treatments,
+               records.outcomes, records.require_p_hat(), records.mu0, records.mu1)
+    write_rows(path, RECORD_COLUMNS, zip(*(column.tolist() for column in columns)))
+
+
+def read_records_csv(path: str | Path, data: ObservationalDataset,
+                     folds: FoldAssignment) -> UnitRecords:
+    """Read a write_records_csv file as the held-out records of data.
+
+    The file must hold data's units in order, with data's treatments and
+    outcomes and with folds as its fold column: only then was each unit's
+    row predicted by models that never saw it under this fold assignment.
+
+    Raises:
+        ValueError: the file is missing, lacks a column, has a bad cell, or
+            fails one of the checks above.
+    """
+    table = load_csv(path, _RECORD_SCHEMA)
+    n = data.n_units
+    unit_index, fold, p_hat = table.covariates.T
+    if not np.array_equal(unit_index, np.arange(n)):
+        raise ValueError(f"its unit_index column must be the data's units "
+                         f"0..{n - 1} in order, one per row; it has {table.n_units} rows")
+    if not (np.array_equal(table.treatments, data.treatments)
+            and np.array_equal(table.outcomes, data.outcomes)):
+        raise ValueError("its treatments or outcomes differ from the data's")
+    if not np.array_equal(fold, folds.fold_of_unit):
+        raise ValueError(
+            f"its fold column is not this run's split into {folds.k} folds, so "
+            "its predictions are not held out for them (another k or seed?)")
+    return UnitRecords(unit_index=np.arange(n, dtype=np.int64), treatments=table.treatments,
+                       outcomes=table.outcomes, mu0=table.truth.mu0, mu1=table.truth.mu1,
+                       p_hat=np.ascontiguousarray(p_hat))
 
 
 # ---------------------------------------------------------------------------

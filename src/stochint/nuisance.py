@@ -4,21 +4,18 @@ The propensity model is a logistic regression on a nonlinear basis expansion,
 fit by damped Newton iterations on the L2-regularized mean negative
 log-likelihood.  Outcome models are either gradient-boosted trees (default)
 or ridge regression, fit per arm unless a joint model over (x, t) is asked
-for.  Both model families serialize to JSON with an explicit version field.
+for.  No model is saved: a run keeps only its held-out predictions, which
+``effects.write_records_csv`` writes.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ObservationalDataset, sigmoid
 from .trees import GradientBoostedRegressor
-
-SERIALIZATION_VERSION = 1
 
 BASIS_KINDS = ("raw", "polynomial2", "rbf")
 # widest polynomial2 basis (d <= 61): each Newton step of the propensity fit
@@ -295,13 +292,6 @@ class RidgeModel:
         x = np.asarray(x, dtype=float)
         return self.coef[0] + x @ self.coef[1:]
 
-    def to_dict(self) -> dict:
-        return {"coef": self.coef.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RidgeModel":
-        return cls(coef=np.asarray(payload["coef"], dtype=float))
-
 
 def _fit_ridge(x: np.ndarray, y: np.ndarray, penalty: float) -> RidgeModel:
     n = x.shape[0]
@@ -390,94 +380,3 @@ def fit_outcome(data: ObservationalDataset,
         },
     )
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _basis_to_dict(basis: BasisExpansion) -> dict:
-    payload = {"kind": basis.kind, "n_inputs": basis.n_inputs}
-    if basis.kind == "rbf":
-        payload["centers"] = basis.centers.tolist()
-        payload["scale"] = basis.scale
-    return payload
-
-
-def _basis_from_dict(payload: dict) -> BasisExpansion:
-    if payload["kind"] == "rbf":
-        return BasisExpansion(
-            kind="rbf",
-            n_inputs=int(payload["n_inputs"]),
-            centers=np.asarray(payload["centers"], dtype=float),
-            scale=float(payload["scale"]),
-        )
-    return BasisExpansion(kind=payload["kind"], n_inputs=int(payload["n_inputs"]))
-
-
-def model_to_dict(model) -> dict:
-    """Serialize a propensity or outcome model to a plain JSON-ready dict."""
-    if isinstance(model, PropensityModel):
-        return {
-            "version": SERIALIZATION_VERSION,
-            "model_type": "propensity",
-            "beta": model.beta.tolist(),
-            "basis": _basis_to_dict(model.basis),
-            "clip": model.clip,
-            "n_iter": model.n_iter,
-            "grad_norm": model.grad_norm,
-        }
-    if isinstance(model, OutcomeModel):
-        cfg = model.config
-        payload = {
-            "version": SERIALIZATION_VERSION,
-            "model_type": "outcome",
-            "config": asdict(cfg),
-        }
-        if cfg.joint:
-            payload["joint_model"] = model.joint_model.to_dict()
-        else:
-            payload["arm_models"] = {
-                str(arm): m.to_dict() for arm, m in sorted(model.arm_models.items())
-            }
-        return payload
-    raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def model_from_dict(payload: dict):
-    """Rebuild a model serialized by model_to_dict."""
-    version = payload.get("version")
-    if version != SERIALIZATION_VERSION:
-        raise ValueError(f"unsupported model version {version!r}")
-    kind = payload.get("model_type")
-    if kind == "propensity":
-        return PropensityModel(
-            beta=np.asarray(payload["beta"], dtype=float),
-            basis=_basis_from_dict(payload["basis"]),
-            clip=float(payload["clip"]),
-            n_iter=int(payload.get("n_iter", 0)),
-            grad_norm=float(payload.get("grad_norm", 0.0)),
-        )
-    if kind == "outcome":
-        cfg = OutcomeConfig(**payload["config"])
-        cls = GradientBoostedRegressor if cfg.kind == "boosted_trees" else RidgeModel
-        if cfg.joint:
-            return OutcomeModel(config=cfg,
-                                joint_model=cls.from_dict(payload["joint_model"]))
-        return OutcomeModel(
-            config=cfg,
-            arm_models={int(a): cls.from_dict(m)
-                        for a, m in payload["arm_models"].items()},
-        )
-    raise ValueError(f"unknown model_type {kind!r}")
-
-
-def save_model(model, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_model(path: str | Path):
-    with open(path, encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))

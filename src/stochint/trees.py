@@ -35,25 +35,6 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RegressionTree":
-        return cls(
-            feature=np.asarray(payload["feature"], dtype=np.int64),
-            threshold=np.asarray(payload["threshold"], dtype=float),
-            left=np.asarray(payload["left"], dtype=np.int64),
-            right=np.asarray(payload["right"], dtype=np.int64),
-            value=np.asarray(payload["value"], dtype=float),
-        )
-
 
 class PresortedColumns:
     """The columns of one covariate matrix in sorted order, shared by many trees.
@@ -305,23 +286,3 @@ class GradientBoostedRegressor:
             for tree_values in leaf_values:
                 rows += tree_values
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "base": self.base_,
-            "trees": [tree.to_dict() for tree in self.trees_],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GradientBoostedRegressor":
-        model = cls(
-            n_trees=int(payload["n_trees"]),
-            max_depth=int(payload["max_depth"]),
-            learning_rate=float(payload["learning_rate"]),
-        )
-        model.base_ = float(payload["base"])
-        model.trees_ = [RegressionTree.from_dict(t) for t in payload["trees"]]
-        return model

@@ -113,78 +113,132 @@ def test_estimate_delta_grid_writes_sweep(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "1.0", "2.0"]
 
 
-def test_estimate_save_then_load_models_matches(tmp_path):
-    data_path = simulate_small(tmp_path / "sim")
-    models = tmp_path / "models"
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    rc = run_cli("estimate", "--data", data_path, "--out", out_a,
-                 "--folds", "3", "--save-models", models, *FAST)
-    assert rc == 0
-    for fold in range(3):
-        assert (models / f"fold{fold}.propensity.json").exists()
-        assert (models / f"fold{fold}.outcome.json").exists()
-    rc = run_cli("estimate", "--data", data_path, "--out", out_b,
-                 "--folds", "3", "--load-models", models, *FAST)
-    assert rc == 0
-    report_a = json.loads((out_a / "report.json").read_text())
-    report_b = json.loads((out_b / "report.json").read_text())
-    for key in ("psi_hat", "tau_sie", "tau_ate_alg1"):
-        assert report_a[key] == report_b[key]
-    assert (out_a / "influence.csv").read_bytes() == \
-        (out_b / "influence.csv").read_bytes()
-    # the training RMSE path is not serialized, so loaded models report none
-    for fold_a, fold_b in zip(report_a["per_fold"], report_b["per_fold"], strict=True):
-        fold_a.pop("outcome_train_rmse")
-        assert fold_b.pop("outcome_train_rmse") is None
-        assert fold_a == fold_b
+MODEL_FIELDS = ("propensity_iterations", "propensity_grad_norm", "outcome_train_rmse")
 
 
-def test_estimate_load_boosted_models_reports_no_rmse(tmp_path):
+def save_records(tmp_path, *flags):
+    """Run estimate with --save-records; returns (data path, records path)."""
     data_path = simulate_small(tmp_path / "sim")
-    models = tmp_path / "models"
+    records = tmp_path / "records.csv"
     rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
-                 "--folds", "2", "--n-trees", "3", "--save-models", models)
+                 "--folds", "3", "--seed", "0", "--save-records", records, *flags)
     assert rc == 0
+    return data_path, records
+
+
+def test_estimate_save_then_load_records_matches(tmp_path):
+    data_path, records = save_records(tmp_path, *FAST)
+    lines = records.read_text().splitlines()
+    assert lines[0] == "unit_index,fold,treatment,outcome,p_hat,mu0,mu1"
+    assert len(lines) == 121
+    out_b = tmp_path / "b"
+    rc = run_cli("estimate", "--data", data_path, "--out", out_b,
+                 "--folds", "3", "--records", records, *FAST)
+    assert rc == 0
+    report_a = json.loads((tmp_path / "a" / "report.json").read_text())
+    report_b = json.loads((out_b / "report.json").read_text())
+    assert (tmp_path / "a" / "influence.csv").read_bytes() == \
+        (out_b / "influence.csv").read_bytes()
+    # no model is fit, so the model-only fields are null; the sizes stay
+    for fold_a, fold_b in zip(report_a.pop("per_fold"), report_b.pop("per_fold"),
+                              strict=True):
+        assert all(fold_b.pop(key) is None for key in MODEL_FIELDS)
+        assert {key: fold_a[key] for key in fold_b} == fold_b
+    assert report_a == report_b
+
+
+def test_estimate_records_report_no_model_fields(tmp_path):
+    data_path, records = save_records(tmp_path, "--n-trees", "3")
     rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
-                 "--folds", "2", "--n-trees", "3", "--load-models", models)
+                 "--folds", "3", "--n-trees", "3", "--records", records)
     assert rc == 0
     saved = json.loads((tmp_path / "a" / "report.json").read_text())
     loaded = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert all(f["outcome_train_rmse"] > 0 for f in saved["per_fold"])
-    assert all(f["outcome_train_rmse"] is None for f in loaded["per_fold"])
+    assert all(f["outcome_train_rmse"] > 0 and f["propensity_iterations"] > 0
+               for f in saved["per_fold"])
+    assert all(f[key] is None for f in loaded["per_fold"] for key in MODEL_FIELDS)
     assert saved["psi_hat"] == loaded["psi_hat"]
 
 
-@pytest.mark.parametrize("flags", [("--folds", "2"), ("--seed", "7")],
-                         ids=["k", "seed"])
-def test_estimate_load_models_rejects_other_folds(tmp_path, capsys, flags):
-    data_path = simulate_small(tmp_path / "sim")
-    models = tmp_path / "models"
-    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
-                 "--folds", "3", "--seed", "0", "--save-models", models, *FAST)
-    assert rc == 0
-    assert json.loads((models / "folds.json").read_text()) == \
-        {"n": 120, "k": 3, "seed": 0}
-    out = tmp_path / "b"
-    rc = run_cli("estimate", "--data", data_path, "--out", out,
-                 "--folds", "3", "--seed", "0", *flags,
-                 "--load-models", models, *FAST)
+def truth_data(tmp_path):
+    data = generate_ihdp_like(120, 3, seed=3, config=DgpConfig(treated_fraction_target=0.4))
+    data_path = tmp_path / "with_truth.csv"
+    write_csv(data, data_path, schema=default_schema(3, with_truth=True))
+    return data_path
+
+
+TRUTH_COLUMNS = ["--covariate-cols", "x0,x1,x2", "--mu0-col", "mu0", "--mu1-col", "mu1",
+                 "--propensity-col", "p"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-trees", "4"],
+    ["--n-trees", "4", "--joint-outcome", "--basis", "rbf"],
+    FAST,
+    ["--outcome-kind", "ridge_linear", "--joint-outcome",
+     "--propensity-mode", "constant", "--constant-propensity", "0.3"],
+    ["--outcome-kind", "ridge_linear", "--propensity-mode", "oracle"],
+    ["--outcome-mode", "oracle", "--propensity-mode", "oracle"],
+], ids=["boosted", "boosted-joint-rbf", "ridge", "joint-ridge-constant",
+        "ridge-oracle-propensity", "oracle-both"])
+def test_estimate_records_reproduce_every_artifact(tmp_path, flags):
+    data_path = truth_data(tmp_path)
+    records = tmp_path / "records.csv"
+    common = ["estimate", "--data", data_path, "--folds", "3", "--delta", "2.5",
+              "--delta-grid", "0:3:0.5", *TRUTH_COLUMNS, *flags]
+    assert run_cli(*common, "--out", tmp_path / "a", "--save-records", records) == 0
+    assert run_cli(*common, "--out", tmp_path / "b", "--records", records) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name in ("influence.csv", "sweep.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    report_a, report_b = (json.loads((run / "report.json").read_text()) for run in (a, b))
+    if all(f[key] is None for f in report_a["per_fold"] for key in MODEL_FIELDS):
+        # nothing model-only to drop: the whole report is the same file
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    for fold in report_a["per_fold"]:
+        fold.update(dict.fromkeys(MODEL_FIELDS))
+    assert report_a == report_b
+
+
+def _drop_last_row(lines):
+    return lines[:-1]
+
+
+def _drop_column(lines):
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def _edit_cell(column, change):
+    def edit(lines):
+        cells = lines[1].split(",")
+        cells[column] = change(cells[column])
+        return [lines[0], ",".join(cells), *lines[2:]]
+    return edit
+
+
+@pytest.mark.parametrize("flags, edit, message", [
+    (["--folds", "2"], None, "fold column"),
+    (["--seed", "7"], None, "fold column"),
+    ([], _edit_cell(2, lambda t: str(1 - int(t))), "treatments or outcomes differ"),
+    ([], _edit_cell(3, lambda y: repr(float(y) + 1.0)), "treatments or outcomes differ"),
+    ([], _drop_last_row, "it has 119 rows"),
+    ([], _drop_column, "missing column 'mu1'"),
+], ids=["folds", "seed", "treatment", "outcome", "rows", "column"])
+def test_estimate_records_refused(tmp_path, capsys, monkeypatch, flags, edit, message):
+    data_path, records = save_records(tmp_path, *FAST)
+    if edit is not None:
+        lines = edit(records.read_text().splitlines())
+        records.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
+    out, copy = tmp_path / "b", tmp_path / "copy.csv"
+    rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
+                 "--seed", "0", *flags, "--records", records,
+                 "--save-records", copy, *FAST)
     assert rc == 1
-    assert "folds.json records folds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--records {records}: " in err and message in err
     assert [p for p in out.rglob("*") if p.is_file()] == []
-
-
-def test_estimate_load_models_requires_manifest(tmp_path, capsys):
-    data_path = simulate_small(tmp_path / "sim")
-    models = tmp_path / "models"
-    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
-                 "--folds", "3", "--save-models", models, *FAST)
-    assert rc == 0
-    (models / "folds.json").unlink()
-    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
-                 "--folds", "3", "--load-models", models, *FAST)
-    assert rc == 1
-    assert "folds.json" in capsys.readouterr().err
+    assert not copy.exists()
 
 
 def test_estimate_oracle_modes_via_truth_columns(tmp_path):
@@ -216,22 +270,6 @@ def test_estimate_missing_data_fails_cleanly(tmp_path, capsys):
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
-def test_estimate_save_models_rejects_oracle(tmp_path, capsys):
-    data = generate_ihdp_like(80, 3, seed=3)
-    data_path = tmp_path / "with_truth.csv"
-    write_csv(data, data_path, schema=default_schema(3, with_truth=True))
-    out = tmp_path / "est"
-    rc = run_cli("estimate", "--data", data_path, "--out", out,
-                 "--folds", "2", "--save-models", tmp_path / "m",
-                 "--covariate-cols", "x0,x1,x2",
-                 "--mu0-col", "mu0", "--mu1-col", "mu1",
-                 "--propensity-col", "p",
-                 "--propensity-mode", "oracle", "--outcome-mode", "oracle")
-    assert rc == 1
-    assert "save-models" in capsys.readouterr().err
-    assert [p for p in out.rglob("*") if p.is_file()] == []
-
-
 def _fail_if_fitted(*args, **kwargs):
     raise AssertionError("cross-fitting ran before the check that refuses the run")
 
@@ -252,26 +290,28 @@ def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
                                                   grid, message):
     data_path = simulate_small(tmp_path / "sim")
     monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
-    out, models = tmp_path / "est", tmp_path / "models"
+    out, records = tmp_path / "est", tmp_path / "records.csv"
     rc = run_cli("estimate", "--data", data_path, "--out", out,
-                 "--save-models", models, f"--delta-grid={grid}", *FAST)
+                 "--save-records", records, f"--delta-grid={grid}", *FAST)
     assert rc == 1
     err = capsys.readouterr().err
     assert "--delta-grid" in err and message in err
-    assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not records.exists()
 
 
 @pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
 def test_estimate_bad_delta_fails_before_fit(tmp_path, capsys, monkeypatch, delta):
     data_path = simulate_small(tmp_path / "sim")
     monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
-    out, models = tmp_path / "est", tmp_path / "models"
+    out, records = tmp_path / "est", tmp_path / "records.csv"
     rc = run_cli("estimate", "--data", data_path, "--out", out,
-                 "--save-models", models, "--delta", delta, *FAST)
+                 "--save-records", records, "--delta", delta, *FAST)
     assert rc == 1
     err = capsys.readouterr().err
     assert "--delta " in err and "delta must be finite and >= 0" in err
-    assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not records.exists()
 
 
 def test_delta_grid_at_cap_is_allowed():
@@ -288,72 +328,47 @@ def test_estimate_delta_grid_from_config_needs_a_spec(tmp_path, capsys):
     assert "config key delta_grid must be a string, not 0.5" in capsys.readouterr().err
 
 
-def test_estimate_save_models_rejects_oracle_before_fit(tmp_path, capsys, monkeypatch):
-    data = generate_ihdp_like(80, 3, seed=3)
-    data_path = tmp_path / "with_truth.csv"
-    write_csv(data, data_path, schema=default_schema(3, with_truth=True))
-    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
-    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "est",
-                 "--folds", "2", "--save-models", tmp_path / "m",
-                 "--covariate-cols", "x0,x1,x2", "--propensity-col", "p",
-                 "--propensity-mode", "oracle", *FAST)
-    assert rc == 1
-    assert "--save-models requires fitted" in capsys.readouterr().err
-    assert not (tmp_path / "m").exists()
-
-
-def test_estimate_failed_run_removes_saved_models(tmp_path, capsys, monkeypatch):
-    # the fit succeeds and the models are written; a negative delta then
+def test_estimate_failed_run_removes_saved_records(tmp_path, capsys, monkeypatch):
+    # the fit succeeds and the records are written; a negative delta then
     # fails the report, and the run removes every file it wrote.  The CLI
     # refuses a negative --delta before fitting, so the report gets it here.
     data_path = simulate_small(tmp_path / "sim")
-    out, models = tmp_path / "est", tmp_path / "models"
+    out, records = tmp_path / "est", tmp_path / "records.csv"
     real_report = stochint.cli.report_from_records
     written = []
 
-    def report_with_negative_delta(records, delta, *args, **kwargs):
-        written.extend(p.name for p in models.iterdir())
-        return real_report(records, -1.0, *args, **kwargs)
+    def report_with_negative_delta(records_, delta, *args, **kwargs):
+        written.append(records.read_text().count("\n"))
+        return real_report(records_, -1.0, *args, **kwargs)
 
     monkeypatch.setattr("stochint.cli.report_from_records", report_with_negative_delta)
     rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
-                 "--save-models", models, *FAST)
+                 "--save-records", records, *FAST)
     assert rc == 1
     assert "delta must be finite" in capsys.readouterr().err
-    assert [p for p in (*out.rglob("*"), *models.rglob("*")) if p.is_file()] == []
-    assert "folds.json" in written and len(written) == 7
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not records.exists()
+    assert written == [121]
 
 
-def test_estimate_save_models_into_load_dir_refused(tmp_path, capsys):
-    data_path = simulate_small(tmp_path / "sim")
-    models = tmp_path / "models"
-    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
-                 "--folds", "3", "--save-models", models, *FAST)
-    assert rc == 0
-    saved = {p.name: p.read_bytes() for p in models.iterdir()}
+def test_estimate_save_records_onto_records_refused(tmp_path, capsys):
+    data_path, records = save_records(tmp_path, *FAST)
+    saved = records.read_bytes()
     rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
-                 "--folds", "3", "--load-models", models,
-                 "--save-models", models / ".", *FAST)
+                 "--folds", "3", "--records", records,
+                 "--save-records", records.parent / "." / records.name, *FAST)
     assert rc == 1
-    assert "--save-models must differ" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in models.iterdir()} == saved
+    assert "--save-records must differ from --records" in capsys.readouterr().err
+    assert records.read_bytes() == saved
 
 
-def test_estimate_load_then_save_models_copies_them(tmp_path):
-    data_path = simulate_small(tmp_path / "sim")
-    models_a, models_b = tmp_path / "a_models", tmp_path / "b_models"
-    rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "a",
-                 "--folds", "2", "--n-trees", "3", "--save-models", models_a)
-    assert rc == 0
+def test_estimate_load_then_save_records_copies_them(tmp_path):
+    data_path, records = save_records(tmp_path, "--n-trees", "3")
+    copy = tmp_path / "copy.csv"
     rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
-                 "--folds", "2", "--n-trees", "3", "--load-models", models_a,
-                 "--save-models", models_b)
+                 "--folds", "3", "--records", records, "--save-records", copy)
     assert rc == 0
-    saved = {p.name: p.read_bytes() for p in models_a.iterdir()}
-    assert sorted(saved) == ["fold0.outcome.json", "fold0.propensity.json",
-                             "fold1.outcome.json", "fold1.propensity.json",
-                             "folds.json"]
-    assert {p.name: p.read_bytes() for p in models_b.iterdir()} == saved
+    assert copy.read_bytes() == records.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +620,16 @@ def test_list_option_error_names_its_flag(tmp_path, capsys, argv, config, messag
     rc = run_cli(*argv, "--out", out, "--n", "60", *FAST)
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_optimize_negative_bound_reaches_the_bounds_check(tmp_path, capsys):
+    # a separate "-1,10" token reads as a flag; the "=" form passes the value
+    out = tmp_path / "opt"
+    rc = run_cli("optimize", "--out", out, "--generator", "op", "--n", "60",
+                 "--bounds=-1,10", "--population", "6", "--generations", "2", *FAST)
+    assert rc == 1
+    assert "bounds must be finite with 0 <= lo < hi" in capsys.readouterr().err
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stochint.effects
 import stochint.parallel
@@ -25,14 +27,17 @@ from stochint.effects import (
     estimate_sie,
     expected_response_from_records,
     fit_per_arm_linear,
+    fold_diagnostics,
     influence,
     ipwe_from_propensity,
     m_term,
     propensity_predictions,
+    read_records_csv,
     report_from_records,
     stochastic_propensity,
+    write_records_csv,
 )
-from stochint.nuisance import FitError, OutcomeConfig, model_to_dict
+from stochint.nuisance import FitError, OutcomeConfig
 from stochint.trees import GradientBoostedRegressor
 
 from conftest import oracle_records
@@ -210,24 +215,6 @@ def test_cross_fit_error_names_fold():
         cross_fit_records(data, k=2, seed=0)
 
 
-def test_cross_fit_collected_models_reproduce_records():
-    data = make_cross_fit_data(n=100, seed=4)
-    collected = []
-    records, _ = cross_fit_records(data, k=4, seed=2, nuisance=FAST_NUISANCE,
-                                   collect_models=collected)
-    assert len(collected) == 4
-    rebuilt, _ = cross_fit_records(data, k=4, seed=2, fold_models=collected)
-    assert np.array_equal(rebuilt.p_hat, records.p_hat)
-    assert np.array_equal(rebuilt.mu0, records.mu0)
-    assert np.array_equal(rebuilt.mu1, records.mu1)
-
-
-def test_cross_fit_from_models_checks_count():
-    data = make_cross_fit_data()
-    with pytest.raises(ValueError, match="fold model pairs"):
-        cross_fit_records(data, k=3, seed=0, fold_models=[None])
-
-
 # The boosted outcome fits of all folds run in forked worker processes when
 # more than one CPU is usable.  These pin that path to the in-process one.
 BOOSTED_NUISANCE = NuisanceSpec(
@@ -236,7 +223,7 @@ BOOSTED_NUISANCE = NuisanceSpec(
 )
 
 
-def cross_fit_with_workers(monkeypatch, workers, data, k, collect):
+def cross_fit_with_workers(monkeypatch, workers, data, k):
     """cross_fit_records with the worker count forced; also counts the
     boosted fits made in this process."""
     fits_here = []
@@ -246,14 +233,12 @@ def cross_fit_with_workers(monkeypatch, workers, data, k, collect):
         fits_here.append(1)
         return real_fit(self, *args, **kwargs)
 
-    models = [] if collect else None
     with monkeypatch.context() as patch:
         patch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
         patch.setattr(GradientBoostedRegressor, "fit", counting_fit)
         records, diags = cross_fit_records(data, k=k, seed=1,
-                                           nuisance=BOOSTED_NUISANCE,
-                                           collect_models=models)
-    return records, diags, models, len(fits_here)
+                                           nuisance=BOOSTED_NUISANCE)
+    return records, diags, len(fits_here)
 
 
 def assert_no_child_processes():
@@ -261,22 +246,16 @@ def assert_no_child_processes():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("collect", [False, True], ids=["records", "collect-models"])
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_forked_outcome_fits_match_in_process(monkeypatch, k, collect):
+def test_forked_outcome_fits_match_in_process(monkeypatch, k):
     data = make_cross_fit_data(n=150, seed=6)
-    serial = cross_fit_with_workers(monkeypatch, 1, data, k, collect)
-    forked = cross_fit_with_workers(monkeypatch, 2, data, k, collect)
-    assert serial[3] == 2 * k  # one boosted fit per arm and fold, here
-    assert forked[3] == 0  # all of them in the workers
+    serial = cross_fit_with_workers(monkeypatch, 1, data, k)
+    forked = cross_fit_with_workers(monkeypatch, 2, data, k)
+    assert serial[2] == 2 * k  # one boosted fit per arm and fold, here
+    assert forked[2] == 0  # all of them in the workers
     for name in ("p_hat", "mu0", "mu1"):
         assert np.array_equal(getattr(serial[0], name), getattr(forked[0], name))
     assert serial[1] == forked[1]
-    if collect:
-        assert len(serial[2]) == len(forked[2]) == k
-        for serial_pair, forked_pair in zip(serial[2], forked[2]):
-            assert ([model_to_dict(m) for m in serial_pair]
-                    == [model_to_dict(m) for m in forked_pair])
     assert_no_child_processes()
 
 
@@ -287,7 +266,7 @@ def test_outcome_fits_stay_in_process_while_another_thread_runs(monkeypatch):
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        _, _, _, fits_here = cross_fit_with_workers(monkeypatch, 2, data, 3, False)
+        _, _, fits_here = cross_fit_with_workers(monkeypatch, 2, data, 3)
     finally:
         release.set()
         other.join(timeout=60)
@@ -451,6 +430,58 @@ def test_sweep_matches_single_estimates():
     for i, d in enumerate(grid):
         single = estimate_sie(data, float(d), k=3, seed=5, nuisance=FAST_NUISANCE)
         assert swept[i] == single.psi_hat
+
+
+# ---------------------------------------------------------------------------
+# the records file
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def record_columns(draw):
+    """(treatments, outcomes, p_hat, mu0, mu1) of 2 to 12 units, any finite floats."""
+    n = draw(st.integers(2, 12))
+    column = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=n, max_size=n)
+    t = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return (t, *(np.array(draw(column)) for _ in range(4)))
+
+
+EDGES = np.array([-0.0, 5e-324, -2.5e-320, 1e308, -1e308, 0.1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=record_columns(), seed=st.integers(0, 2**32 - 1))
+@example(columns=(np.array([0, 1, 1, 0, 1, 0]), EDGES, EDGES[::-1], -EDGES,
+                  np.roll(EDGES, 2)), seed=0)
+def test_records_csv_round_trip_is_bit_exact(tmp_path_factory, columns, seed):
+    t, y, p_hat, mu0, mu1 = columns
+    n = t.shape[0]
+    data = ObservationalDataset(covariates=np.zeros((n, 1)), treatments=t, outcomes=y)
+    records = UnitRecords(unit_index=np.arange(n, dtype=np.int64),
+                          treatments=data.treatments, outcomes=data.outcomes,
+                          mu0=mu0, mu1=mu1, p_hat=p_hat)
+    folds = split_folds(n, 2, seed)
+    path = tmp_path_factory.getbasetemp() / "records.csv"
+    write_records_csv(records, folds, path)
+    back = read_records_csv(path, data, folds)
+    for name in ("unit_index", "treatments", "outcomes", "p_hat", "mu0", "mu1"):
+        want, got = getattr(records, name), getattr(back, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # bit for bit, so -0.0 stays -0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_fold_diagnostics_without_fits_keep_the_fold_sizes():
+    data = make_cross_fit_data()
+    _, fitted = cross_fit_records(data, k=3, seed=4, nuisance=FAST_NUISANCE)
+    bare = fold_diagnostics(split_folds(data.n_units, 3, 4), data.treatments)
+    assert all(d.propensity_iterations is None and d.propensity_grad_norm is None
+               and d.outcome_train_rmse is None for d in bare)
+    assert [(d.fold, d.n_eval, d.n_train, d.n_train_treated) for d in bare] == \
+        [(d.fold, d.n_eval, d.n_train, d.n_train_treated) for d in fitted]
+    assert all(d.propensity_iterations > 0 for d in fitted)
 
 
 # ---------------------------------------------------------------------------

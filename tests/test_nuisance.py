@@ -12,13 +12,9 @@ from stochint.nuisance import (
     SolverConfig,
     fit_outcome,
     fit_propensity,
-    load_model,
     make_basis,
     make_rbf_basis,
-    model_from_dict,
-    model_to_dict,
     propensity_gradient,
-    save_model,
     sigmoid,
 )
 
@@ -305,60 +301,6 @@ def test_outcome_config_validation():
         OutcomeConfig(ridge_penalty=0.0)
     with pytest.raises(ValueError):
         OutcomeConfig(min_arm_size=0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_propensity_serialization_round_trip(tmp_path):
-    data = logistic_dataset(800, np.array([0.2, 0.7, -0.4]), seed=16)
-    for kind in ("raw", "rbf"):
-        basis = make_basis(kind, data.covariates, n_centers=10, seed=1)
-        model = fit_propensity(data, basis)
-        path = tmp_path / f"prop_{kind}.json"
-        save_model(model, path)
-        clone = load_model(path)
-        assert np.array_equal(clone.predict(data.covariates),
-                              model.predict(data.covariates))
-
-
-def test_outcome_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal((150, 2))
-    t = (rng.random(150) < 0.5).astype(np.int64)
-    y = x[:, 0] + t
-    data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
-    configs = [
-        OutcomeConfig(n_trees=8),
-        OutcomeConfig(kind="ridge_linear"),
-        OutcomeConfig(kind="ridge_linear", joint=True),
-        OutcomeConfig(n_trees=5, joint=True),
-    ]
-    for i, cfg in enumerate(configs):
-        model = fit_outcome(data, cfg)
-        path = tmp_path / f"outcome_{i}.json"
-        save_model(model, path)
-        clone = load_model(path)
-        for arm in (0, 1):
-            assert np.array_equal(clone.predict(x, arm), model.predict(x, arm))
-
-
-def test_serialization_rejects_wrong_version():
-    data = logistic_dataset(300, np.array([0.0, 0.5]), seed=18)
-    model = fit_propensity(data, BasisExpansion(kind="raw", n_inputs=1))
-    payload = model_to_dict(model)
-    payload["version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        model_from_dict(payload)
-
-
-def test_serialization_rejects_unknown_type():
-    with pytest.raises(ValueError, match="model_type"):
-        model_from_dict({"version": 1, "model_type": "mystery"})
-    with pytest.raises(TypeError):
-        model_to_dict(object())
 
 
 def test_sigmoid_endpoints():

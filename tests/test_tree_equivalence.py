@@ -7,8 +7,6 @@ reference prediction steps one tree at a time.  They are kept here only to
 pin the learner's output bit for bit; nothing in the package uses them.
 """
 
-import json
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -252,8 +250,6 @@ def test_predict_on_held_out_rows_matches_per_tree_loop(
     x_new[rng.random(x_new.shape) < 0.02] = np.nan
     want = reference_predict(model, x_new)
     assert np.array_equal(model.predict(x_new), want, equal_nan=True)
-    clone = GradientBoostedRegressor.from_dict(json.loads(json.dumps(model.to_dict())))
-    assert np.array_equal(clone.predict(x_new), want, equal_nan=True)
 
 
 def test_predict_with_single_leaf_trees_matches_per_tree_loop():

@@ -125,15 +125,6 @@ def test_predict_matches_scalar_descent():
         assert got[i] == tree.value[node]
 
 
-def test_tree_serialization_round_trip():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((50, 2))
-    y = rng.standard_normal(50)
-    tree = fit_tree(x, y, max_depth=2)
-    clone = RegressionTree.from_dict(tree.to_dict())
-    assert np.array_equal(clone.predict(x), tree.predict(x))
-
-
 # ---------------------------------------------------------------------------
 # gradient boosting
 # ---------------------------------------------------------------------------
@@ -166,16 +157,6 @@ def test_boosting_is_deterministic():
     a = GradientBoostedRegressor(n_trees=20).fit(x, y).predict(x)
     b = GradientBoostedRegressor(n_trees=20).fit(x, y).predict(x)
     assert np.array_equal(a, b)
-
-
-def test_boosting_serialization_round_trip():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((100, 2))
-    y = x[:, 0] * x[:, 1]
-    model = GradientBoostedRegressor(n_trees=15, max_depth=2).fit(x, y)
-    clone = GradientBoostedRegressor.from_dict(model.to_dict())
-    x_new = rng.standard_normal((30, 2))
-    assert np.array_equal(clone.predict(x_new), model.predict(x_new))
 
 
 def test_boosting_validation():

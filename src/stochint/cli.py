@@ -188,7 +188,10 @@ class _Outputs:
         return self.add(self.dir.joinpath(*parts))
 
     def add(self, target: Path) -> Path:
-        """Track a file the run writes, also outside the output directory."""
+        """Track a file the run writes, also outside the output directory;
+        a file the run already writes is refused."""
+        if any(target.resolve() == seen.resolve() for seen in self.written):
+            raise CliError(f"{target} would be written twice by this run")
         target.parent.mkdir(parents=True, exist_ok=True)
         self.written.append(target)
         return target
@@ -439,9 +442,9 @@ def cmd_benchmark(args: argparse.Namespace, outputs: _Outputs) -> None:
     _echo_config(merged, "benchmark", outputs)
     write_epsilon_table(result, outputs.path("tables", "epsilon_ate.csv"))
     write_replications(result, outputs.path("tables", "replications.csv"))
-    if sizes and len(sizes) > 1:
+    if len(cfg.sample_sizes) > 1:
         write_epsilon_by_size(result, outputs.path("tables", "epsilon_by_size.csv"))
-    for entry in result.aggregate(result.sizes[0]):
+    for entry in result.aggregate(cfg.sample_sizes[0]):
         print(f"benchmark: {entry['method']:>4} {entry['split']:<5} "
               f"mean_epsilon {entry['mean_epsilon']:.6f} "
               f"std {entry['std_epsilon']:.6f}")
@@ -483,7 +486,7 @@ def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
             "expected_best": run.expected_best,
             "expected_status_quo": run.expected_status_quo,
             "expected_random": run.expected_random,
-            "fitness_best": run.fitness_best,
+            "fitness_best": float(run.trace.best_fitness[-1]),
             "improvement_vs_status_quo":
                 run.expected_best - run.expected_status_quo,
         },
@@ -528,9 +531,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Write "--flag -1:2" as "--flag=-1:2": argparse takes a separate value
+    that starts with "-" and is not a plain number for a flag."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and token.startswith(tuple("-" + c for c in "0123456789."))):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     outputs = _Outputs(_resolve_out(args, args.command))
     try:
         args.func(args, outputs)

@@ -538,10 +538,6 @@ class FoldAssignment:
             raise DatasetError("fold labels out of range")
         object.__setattr__(self, "fold_of_unit", f)
 
-    @property
-    def n_units(self) -> int:
-        return self.fold_of_unit.shape[0]
-
     def indices(self, fold: int) -> np.ndarray:
         """Unit indices of one fold, ascending."""
         return np.flatnonzero(self.fold_of_unit == fold)

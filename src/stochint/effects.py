@@ -16,7 +16,7 @@ saw it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,9 @@ from .nuisance import (
     BASIS_KINDS,
     FitError,
     OutcomeConfig,
+    RidgeModel,
     SolverConfig,
+    _fit_ridge,
     fit_outcome,
     fit_propensity,
     make_basis,
@@ -164,24 +166,20 @@ class NuisanceSpec:
 class UnitRecords:
     """Held-out nuisance predictions joined with the observed sample.
 
-    One row per unit, in ascending unit order.  p_hat is None when the
-    caller asked only for outcome predictions.
+    Row i is unit i of the sample.
     """
 
-    unit_index: np.ndarray
     treatments: np.ndarray
     outcomes: np.ndarray
     mu0: np.ndarray
     mu1: np.ndarray
-    p_hat: np.ndarray | None = None
+    p_hat: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.unit_index.shape[0]
+        return self.treatments.shape[0]
 
     def require_p_hat(self) -> np.ndarray:
-        if self.p_hat is None:
-            raise ValueError("these records were built without propensity predictions")
         return self.p_hat
 
 
@@ -221,12 +219,6 @@ def propensity_predictions(spec: PropensitySpec, train: ObservationalDataset,
     return [model.predict(ev.covariates) for ev in eval_sets], model
 
 
-def _train_rmse(model) -> float | None:
-    """Mean final-round training RMSE of a boosted model; None for ridge."""
-    path = model.train_rmse_path
-    return float(np.mean([arr[-1] for arr in path.values()])) if path else None
-
-
 def _in_fold(fold: int, fit, *args, **kwargs):
     """fit(*args, **kwargs), with the fold named in a FitError's message."""
     try:
@@ -260,20 +252,19 @@ def fold_diagnostics(folds: FoldAssignment, treatments: np.ndarray,
 
 def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
                       nuisance: NuisanceSpec | None = None,
-                      need_propensity: bool = True,
                       ) -> tuple[UnitRecords, tuple[FoldDiagnostics, ...]]:
     """Cross-fitted nuisance predictions for every unit.
 
     Folds come from split_folds(n, k, seed); each fold is predicted by models
     fit on its complement only, so no unit's outcome influences its own
     predictions.  Every fold's propensity is fit here, in fold order, before
-    any outcome work.  Boosted outcome fits then run in worker processes, one
-    per usable CPU and at most one per fold; other outcome models take
-    milliseconds and stay in this process.  Each result is placed by its
-    fold index, so none depends on the worker count.  A worker predicts the
-    held-out units itself and sends back only the predictions and the
-    training RMSE: unpickling the 100-tree models here left about 2 MiB more
-    resident.
+    any outcome work: two workers' OpenBLAS threads would oversubscribe the
+    cores.  The folds' outcome work then goes to parallel.forked_map, which
+    decides whether to fork; a forked result has the same bits as one made
+    here, and each is placed by its fold index, so none depends on the
+    worker count.  A worker predicts the held-out units itself and sends
+    back only the predictions and the training RMSE: unpickling the 100-tree
+    models here left about 2 MiB more resident.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -288,9 +279,7 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
 
     # subsets are built where they are used, so none outlives its fit
     def propensity(fold):
-        """(held-out p_hat or None, propensity model or None)."""
-        if not need_propensity:
-            return None, None
+        """(held-out p_hat, propensity model or None)."""
         (p_fold,), model = _in_fold(
             fold, propensity_predictions, spec.propensity,
             data.subset(folds.complement(fold)), data.subset(folds.indices(fold)),
@@ -308,31 +297,19 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
                          spec.outcome.config)
         x = data.covariates[folds.indices(fold)]
-        return model.predict(x, 0), model.predict(x, 1), _train_rmse(model)
+        return model.predict(x, 0), model.predict(x, 1), model.train_rmse
 
-    # the propensity's bits depend on the BLAS thread count, so it is never forked
     propensities = [propensity(fold) for fold in range(k)]
-    if spec.outcome.mode == "fit" and spec.outcome.config.kind == "boosted_trees":
-        outcomes = forked_map(outcome, range(k))
-    else:
-        outcomes = [outcome(fold) for fold in range(k)]
-    p_hat = np.empty(n) if need_propensity else None
+    outcomes = forked_map(outcome, range(k))
+    p_hat = np.empty(n)
     mu0 = np.empty(n)
     mu1 = np.empty(n)
     for fold, ((p_fold, _), (mu0_fold, mu1_fold, _)) in enumerate(
             zip(propensities, outcomes)):
         eval_idx = folds.indices(fold)
-        if need_propensity:
-            p_hat[eval_idx] = p_fold
-        mu0[eval_idx], mu1[eval_idx] = mu0_fold, mu1_fold
-    records = UnitRecords(
-        unit_index=np.arange(n, dtype=np.int64),
-        treatments=data.treatments,
-        outcomes=data.outcomes,
-        mu0=mu0,
-        mu1=mu1,
-        p_hat=p_hat,
-    )
+        p_hat[eval_idx], mu0[eval_idx], mu1[eval_idx] = p_fold, mu0_fold, mu1_fold
+    records = UnitRecords(treatments=data.treatments, outcomes=data.outcomes,
+                          mu0=mu0, mu1=mu1, p_hat=p_hat)
     fits = [(p_model, rmse) for (_, p_model), (*_, rmse) in zip(propensities, outcomes)]
     return records, fold_diagnostics(folds, data.treatments, fits)
 
@@ -357,9 +334,10 @@ def write_records_csv(records: UnitRecords, folds: FoldAssignment,
     Floats are written in their shortest round-trip form, so
     read_records_csv gets every value back bit for bit.
     """
-    columns = (records.unit_index, folds.fold_of_unit, records.treatments,
-               records.outcomes, records.require_p_hat(), records.mu0, records.mu1)
-    write_rows(path, RECORD_COLUMNS, zip(*(column.tolist() for column in columns)))
+    columns = (folds.fold_of_unit, records.treatments, records.outcomes,
+               records.p_hat, records.mu0, records.mu1)
+    write_rows(path, RECORD_COLUMNS,
+               zip(range(records.n), *(column.tolist() for column in columns)))
 
 
 def read_records_csv(path: str | Path, data: ObservationalDataset,
@@ -387,8 +365,8 @@ def read_records_csv(path: str | Path, data: ObservationalDataset,
         raise ValueError(
             f"its fold column is not this run's split into {folds.k} folds, so "
             "its predictions are not held out for them (another k or seed?)")
-    return UnitRecords(unit_index=np.arange(n, dtype=np.int64), treatments=table.treatments,
-                       outcomes=table.outcomes, mu0=table.truth.mu0, mu1=table.truth.mu1,
+    return UnitRecords(treatments=table.treatments, outcomes=table.outcomes,
+                       mu0=table.truth.mu0, mu1=table.truth.mu1,
                        p_hat=np.ascontiguousarray(p_hat))
 
 
@@ -399,9 +377,8 @@ def read_records_csv(path: str | Path, data: ObservationalDataset,
 
 @dataclass(frozen=True, eq=False)
 class InfluenceTable:
-    """Per-unit influence components, one row per unit in ascending order."""
+    """Per-unit influence components; row i is unit i of the sample."""
 
-    unit_index: np.ndarray
     q: np.ndarray
     m1: np.ndarray
     m0: np.ndarray
@@ -439,15 +416,14 @@ class EstimateReport:
 
 def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
     """Write the per-unit influence table as a CSV side-file."""
-    columns = (table.unit_index, table.q, table.m1, table.m0, table.phi,
-               table.tau_plugin)
+    columns = (table.q, table.m1, table.m0, table.phi, table.tau_plugin)
     write_rows(path, ["unit_index", "q", "m1", "m0", "phi", "tau_plugin"],
-               zip(*(column.tolist() for column in columns)))
+               zip(range(table.q.shape[0]), *(column.tolist() for column in columns)))
 
 
 def _dr_terms(records: UnitRecords):
     """Checked p_hat and the arm terms m1, m0, none of which depend on delta."""
-    p = _check_p_hat(records.require_p_hat())
+    p = _check_p_hat(records.p_hat)
     m1 = m_term(records.treatments, records.outcomes, records.mu1, p, 1)
     m0 = m_term(records.treatments, records.outcomes, records.mu0, p, 0)
     return p, m1, m0
@@ -474,14 +450,7 @@ def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
         n_units=records.n,
         mean_outcome=float(np.mean(records.outcomes)),
         per_fold=per_fold,
-        influence=InfluenceTable(
-            unit_index=records.unit_index,
-            q=q,
-            m1=m1,
-            m0=m0,
-            phi=phi,
-            tau_plugin=tau_plugin,
-        ),
+        influence=InfluenceTable(q=q, m1=m1, m0=m0, phi=phi, tau_plugin=tau_plugin),
     )
 
 
@@ -511,10 +480,11 @@ def estimate_ate_difference(data: ObservationalDataset, k: int = 5,
     """Cross-fitted outcome-model contrast mean(mu1_hat - mu0_hat).
 
     This is the treated-minus-control average effect used for benchmark
-    error tables; it needs no propensity model.
+    error tables; it reads no propensity, so a constant one stands in.
     """
-    records, _ = cross_fit_records(data, k, seed, nuisance,
-                                   need_propensity=False)
+    spec = replace(nuisance or NuisanceSpec(),
+                   propensity=PropensitySpec(mode="constant", constant=0.5))
+    records, _ = cross_fit_records(data, k, seed, spec)
     return float(np.mean(records.mu1 - records.mu0))
 
 
@@ -543,46 +513,30 @@ def expected_response_from_records(records: UnitRecords, deltas):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PerArmLinearModel:
-    """Least-squares linear regressions fit separately per arm."""
-
-    coef0: np.ndarray
-    coef1: np.ndarray
-
-    def predict(self, x: np.ndarray, arm: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        coef = self.coef1 if arm == 1 else self.coef0
-        return coef[0] + x @ coef[1:]
-
-    def contrast(self, x: np.ndarray) -> np.ndarray:
-        return self.predict(x, 1) - self.predict(x, 0)
-
-
-def _ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    a = np.hstack([np.ones((n, 1)), x])
+def _ls_fit(x: np.ndarray, y: np.ndarray) -> RidgeModel:
+    a = np.hstack([np.ones((x.shape[0], 1)), x])
     coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank == a.shape[1]:
-        return coef
+        return RidgeModel(coef=coef)
     warnings.warn(
         "rank-deficient least-squares design; falling back to ridge 1e-8",
         RuntimeWarning,
         stacklevel=3,
     )
-    d = np.eye(a.shape[1])
-    d[0, 0] = 0.0
-    return np.linalg.solve(a.T @ a + 1e-8 * n * d, a.T @ y)
+    return _fit_ridge(x, y, 1e-8)
 
 
-def fit_per_arm_linear(data: ObservationalDataset) -> PerArmLinearModel:
-    """Ordinary least squares per arm, with a ridge fallback on deficiency."""
+def fit_per_arm_linear(data: ObservationalDataset) -> tuple[RidgeModel, RidgeModel]:
+    """Ordinary least squares per arm, with a ridge fallback on deficiency.
+
+    Returns:
+        (control-arm model, treated-arm model).
+    """
     t = data.treatments
     if t.min() == t.max():
         raise FitError("per-arm linear fit needs both arms present")
     x, y = data.covariates, data.outcomes
-    return PerArmLinearModel(coef0=_ls_fit(x[t == 0], y[t == 0]),
-                             coef1=_ls_fit(x[t == 1], y[t == 1]))
+    return _ls_fit(x[t == 0], y[t == 0]), _ls_fit(x[t == 1], y[t == 1])
 
 
 def ipwe_from_propensity(treatments, outcomes, p_hat) -> float:

@@ -93,6 +93,11 @@ class BenchmarkConfig:
             object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
 
+    @property
+    def sample_sizes(self) -> tuple[int, ...]:
+        """The sizes run: sizes, or n alone when sizes is unset."""
+        return self.sizes or (self.n,)
+
 
 @dataclass(frozen=True)
 class ReplicationRow:
@@ -128,32 +133,6 @@ class BenchmarkResult:
                 })
         return out
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.config.sizes or (self.config.n,)
-
-
-def _split_estimates(method: str, train: ObservationalDataset,
-                     test: ObservationalDataset, cfg: BenchmarkConfig,
-                     seed: int) -> tuple[float, float]:
-    """Fit on train; estimate the average effect on both splits."""
-    if method == "sie":
-        ate_train = estimate_ate_difference(train, cfg.folds, seed, cfg.nuisance)
-        full_model = fit_outcome(train, cfg.nuisance.outcome.config)
-        contrast = full_model.predict(test.covariates, 1) \
-            - full_model.predict(test.covariates, 0)
-        return ate_train, float(np.mean(contrast))
-    if method == "ols":
-        model = fit_per_arm_linear(train)
-        return (float(np.mean(model.contrast(train.covariates))),
-                float(np.mean(model.contrast(test.covariates))))
-    if method == "ipwe":
-        (p_train, p_test), _ = propensity_predictions(
-            cfg.nuisance.propensity, train, train, test, seed=seed)
-        return (ipwe_from_propensity(train.treatments, train.outcomes, p_train),
-                ipwe_from_propensity(test.treatments, test.outcomes, p_test))
-    raise ValueError(f"unknown method {method!r}")
-
 
 @contextmanager
 def _replication(size: int, rep: int):
@@ -166,12 +145,28 @@ def _replication(size: int, rep: int):
         raise ValueError(f"size {size} replication {rep}: {err}") from None
 
 
-def _named_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
+def _split_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
                      ) -> tuple[float, float]:
-    """_split_estimates on one (size, replication, seed, train, test) split."""
+    """Fit on the train side of one (size, replication, seed, train, test)
+    split; estimate the average effect on both sides."""
     size, rep, seed, train, test = split
     with _replication(size, rep):
-        return _split_estimates(method, train, test, cfg, seed)
+        if method == "sie":
+            ate_train = estimate_ate_difference(train, cfg.folds, seed, cfg.nuisance)
+            full_model = fit_outcome(train, cfg.nuisance.outcome.config)
+            contrast = full_model.predict(test.covariates, 1) \
+                - full_model.predict(test.covariates, 0)
+            return ate_train, float(np.mean(contrast))
+        if method == "ols":
+            model0, model1 = fit_per_arm_linear(train)
+            return tuple(float(np.mean(model1.predict(x) - model0.predict(x)))
+                         for x in (train.covariates, test.covariates))
+        if method == "ipwe":
+            (p_train, p_test), _ = propensity_predictions(
+                cfg.nuisance.propensity, train, train, test, seed=seed)
+            return (ipwe_from_propensity(train.treatments, train.outcomes, p_train),
+                    ipwe_from_propensity(test.treatments, test.outcomes, p_test))
+        raise ValueError(f"unknown method {method!r}")
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
@@ -180,11 +175,12 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     Within a replication every method sees the same data and the same
     train/test split, so methods are compared pairwise.  Every split is
     built here, in (size, replication) order, and the ols and ipwe
-    estimates are made here too: the last bits of their least-squares and
-    Newton solves depend on the OpenBLAS thread count.  Then each
-    replication's boosted sie estimate is one task for forked workers (see
-    parallel.forked_map).  Estimates are placed by (size, replication,
-    method), so no row depends on the worker count.
+    estimates are made here too: two workers' OpenBLAS threads in their
+    least-squares and Newton solves would oversubscribe the cores.  Then
+    each replication's sie estimate is one task for parallel.forked_map,
+    which decides whether to fork; a forked estimate has the same bits as
+    one made here.  Estimates are placed by (size, replication, method), so
+    no row depends on the worker count.
 
     Raises:
         FitError, ValueError: the first failing ols or ipwe estimate in
@@ -192,7 +188,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             the message names the size and replication.
     """
     splits = []
-    for size in cfg.sizes or (cfg.n,):
+    for size in cfg.sample_sizes:
         fixed_data = None
         if cfg.replicate_mode == "seed":
             fixed_data = make_dataset(cfg.generator, size, cfg.d, cfg.seed, cfg.dgp)
@@ -204,13 +200,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
                 data = fixed_data
             splits.append((size, rep, rep_seed,
                            *train_test_split(data, cfg.test_fraction, rep_seed)))
-    estimates = {(split[0], split[1], method): _named_estimates(method, split, cfg)
+    estimates = {(split[0], split[1], method): _split_estimates(method, split, cfg)
                  for split in splits for method in cfg.methods if method != "sie"}
     if "sie" in cfg.methods:
-        def sie(split):
-            return _named_estimates("sie", split, cfg)
-        boosted = cfg.nuisance.outcome.config.kind == "boosted_trees"
-        sie_estimates = forked_map(sie, splits) if boosted else map(sie, splits)
+        sie_estimates = forked_map(lambda split: _split_estimates("sie", split, cfg),
+                                   splits)
         for (size, rep, *_), est in zip(splits, sie_estimates):
             estimates[size, rep, "sie"] = est
     rows = []
@@ -246,7 +240,6 @@ class OptimizationRun:
     expected_best: float
     expected_status_quo: float
     expected_random: float
-    fitness_best: float
 
 
 def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
@@ -274,7 +267,6 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
         expected_best=float(values[0]),
         expected_status_quo=float(values[1]),
         expected_random=float(values[2]),
-        fitness_best=float(trace.best_fitness[-1]),
     )
 
 
@@ -286,14 +278,14 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
 def write_epsilon_table(result: BenchmarkResult, path: str | Path) -> None:
     """Error table at the first size: method, split, mean_epsilon, std_epsilon."""
     rows = [(a["method"], a["split"], a["mean_epsilon"], a["std_epsilon"])
-            for a in result.aggregate(result.sizes[0])]
+            for a in result.aggregate(result.config.sample_sizes[0])]
     write_rows(path, ["method", "split", "mean_epsilon", "std_epsilon"], rows)
 
 
 def write_epsilon_by_size(result: BenchmarkResult, path: str | Path) -> None:
     """Per-size aggregated error table for data-size sensitivity runs."""
     rows = []
-    for size in result.sizes:
+    for size in result.config.sample_sizes:
         for a in result.aggregate(size):
             rows.append((size, a["method"], a["split"],
                          a["mean_epsilon"], a["std_epsilon"]))

@@ -328,13 +328,12 @@ class OutcomeModel:
         return self.arm_models[arm].predict(x)
 
     @property
-    def train_rmse_path(self) -> dict:
-        """Per-round training RMSE of each boosted submodel (diagnostics)."""
+    def train_rmse(self) -> float | None:
+        """Mean final-round training RMSE of the boosted submodels; None for ridge."""
         if self.config.kind != "boosted_trees":
-            return {}
-        if self.config.joint:
-            return {"joint": self.joint_model.train_rmse_}
-        return {arm: m.train_rmse_ for arm, m in self.arm_models.items()}
+            return None
+        models = [self.joint_model] if self.config.joint else self.arm_models.values()
+        return float(np.mean([m.train_rmse_[-1] for m in models]))
 
 
 def _fit_single(x: np.ndarray, y: np.ndarray, cfg: OutcomeConfig):

@@ -15,7 +15,6 @@ def oracle_records(n: int, seed: int, gap_lo: float = 0.5,
     t = (rng.random(n) < p).astype(np.int64)
     y = np.where(t == 1, mu1, mu0)
     return UnitRecords(
-        unit_index=np.arange(n, dtype=np.int64),
         treatments=t,
         outcomes=y,
         mu0=mu0,

@@ -274,25 +274,29 @@ def _fail_if_fitted(*args, **kwargs):
     raise AssertionError("cross-fitting ran before the check that refuses the run")
 
 
-@pytest.mark.parametrize("grid, message", [
-    ("1:0:1", "step > 0 and hi >= lo"),
-    ("nan:1:1", "must be finite"),
-    ("0:inf:1", "must be finite"),
-    ("0:5:x", "must be numbers"),
-    ("0:1e300:1", f"more than {MAX_GRID_POINTS} points"),
-    ("0:5:1e-300", f"more than {MAX_GRID_POINTS} points"),
-    (f"0:{MAX_GRID_POINTS}:1", f"more than {MAX_GRID_POINTS} points"),
-    (f"0:{MAX_GRID_POINTS - 0.4}:1", f"more than {MAX_GRID_POINTS} points"),
-    ("-1:1:0.5", "delta must be finite and >= 0"),
+@pytest.mark.parametrize("grid, message, joined", [
+    ("1:0:1", "step > 0 and hi >= lo", True),
+    ("nan:1:1", "must be finite", True),
+    ("0:inf:1", "must be finite", True),
+    ("0:5:x", "must be numbers", True),
+    ("0:1e300:1", f"more than {MAX_GRID_POINTS} points", True),
+    ("0:5:1e-300", f"more than {MAX_GRID_POINTS} points", True),
+    (f"0:{MAX_GRID_POINTS}:1", f"more than {MAX_GRID_POINTS} points", True),
+    (f"0:{MAX_GRID_POINTS - 0.4}:1", f"more than {MAX_GRID_POINTS} points", True),
+    ("-1:1:0.5", "delta must be finite and >= 0", True),
+    ("-1:1:0.5", "delta must be finite and >= 0", False),
+    ("-.5:1:0.5", "delta must be finite and >= 0", False),
 ], ids=["hi-below-lo", "nan", "inf", "non-numeric", "huge-hi", "tiny-step",
-        "just-over-cap", "rounds-over-cap", "negative-lo"])
+        "just-over-cap", "rounds-over-cap", "negative-lo", "negative-lo-separate",
+        "negative-fraction-lo-separate"])
 def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
-                                                  grid, message):
+                                                  grid, message, joined):
     data_path = simulate_small(tmp_path / "sim")
     monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
     out, records = tmp_path / "est", tmp_path / "records.csv"
+    flags = [f"--delta-grid={grid}"] if joined else ["--delta-grid", grid]
     rc = run_cli("estimate", "--data", data_path, "--out", out,
-                 "--save-records", records, f"--delta-grid={grid}", *FAST)
+                 "--save-records", records, *flags, *FAST)
     assert rc == 1
     err = capsys.readouterr().err
     assert "--delta-grid" in err and message in err
@@ -360,6 +364,19 @@ def test_estimate_save_records_onto_records_refused(tmp_path, capsys):
     assert rc == 1
     assert "--save-records must differ from --records" in capsys.readouterr().err
     assert records.read_bytes() == saved
+
+
+@pytest.mark.parametrize("name", ["influence.csv", "report.json"])
+def test_estimate_save_records_onto_an_artifact_refused(tmp_path, capsys, name):
+    # the artifact would overwrite the records; the run refuses the second write
+    data_path = simulate_small(tmp_path / "sim")
+    out = tmp_path / "est"
+    rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
+                 "--save-records", out / "." / name, *FAST)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(out / name) in err and "written twice" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_estimate_load_then_save_records_copies_them(tmp_path):
@@ -624,13 +641,14 @@ def test_list_option_error_names_its_flag(tmp_path, capsys, argv, config, messag
 
 
 def test_optimize_negative_bound_reaches_the_bounds_check(tmp_path, capsys):
-    # a separate "-1,10" token reads as a flag; the "=" form passes the value
-    out = tmp_path / "opt"
-    rc = run_cli("optimize", "--out", out, "--generator", "op", "--n", "60",
-                 "--bounds=-1,10", "--population", "6", "--generations", "2", *FAST)
-    assert rc == 1
-    assert "bounds must be finite with 0 <= lo < hi" in capsys.readouterr().err
-    assert [p for p in out.rglob("*") if p.is_file()] == []
+    # the value is the same whether given as a separate token or after "="
+    for flags in (["--bounds=-1,10"], ["--bounds", "-1,10"]):
+        out = tmp_path / "opt"
+        rc = run_cli("optimize", "--out", out, "--generator", "op", "--n", "60",
+                     *flags, "--population", "6", "--generations", "2", *FAST)
+        assert rc == 1
+        assert "bounds must be finite with 0 <= lo < hi" in capsys.readouterr().err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_optimize_bad_bounds_fails_cleanly(tmp_path, capsys):

@@ -38,6 +38,7 @@ from stochint.effects import (
     write_records_csv,
 )
 from stochint.nuisance import FitError, OutcomeConfig
+from stochint.parallel import forked_map
 from stochint.trees import GradientBoostedRegressor
 
 from conftest import oracle_records
@@ -161,7 +162,7 @@ def make_cross_fit_data(n=90, seed=0):
 def test_cross_fit_records_are_complete_and_ordered():
     data = make_cross_fit_data()
     records, diags = cross_fit_records(data, k=3, seed=0, nuisance=FAST_NUISANCE)
-    assert np.array_equal(records.unit_index, np.arange(90))
+    assert records.n == 90
     for arr in (records.p_hat, records.mu0, records.mu1):
         assert np.isfinite(arr).all()
     assert records.p_hat.min() >= 0.01 and records.p_hat.max() <= 0.99
@@ -223,22 +224,30 @@ BOOSTED_NUISANCE = NuisanceSpec(
 )
 
 
-def cross_fit_with_workers(monkeypatch, workers, data, k):
+ORACLE_OUTCOME = NuisanceSpec(propensity=PropensitySpec(basis_kind="raw"),
+                              outcome=OutcomeSpec(mode="oracle"))
+
+
+def cross_fit_with_workers(monkeypatch, workers, data, k, nuisance=BOOSTED_NUISANCE):
     """cross_fit_records with the worker count forced; also counts the
-    boosted fits made in this process."""
-    fits_here = []
-    real_fit = GradientBoostedRegressor.fit
+    boosted fits made in this process and the forks."""
+    fits_here, forks = [], []
+    real_fit, real_fork = GradientBoostedRegressor.fit, os.fork
 
     def counting_fit(self, *args, **kwargs):
         fits_here.append(1)
         return real_fit(self, *args, **kwargs)
 
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
     with monkeypatch.context() as patch:
         patch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
         patch.setattr(GradientBoostedRegressor, "fit", counting_fit)
-        records, diags = cross_fit_records(data, k=k, seed=1,
-                                           nuisance=BOOSTED_NUISANCE)
-    return records, diags, len(fits_here)
+        patch.setattr(os, "fork", counting_fork)
+        records, diags = cross_fit_records(data, k=k, seed=1, nuisance=nuisance)
+    return records, diags, len(fits_here), len(forks)
 
 
 def assert_no_child_processes():
@@ -246,13 +255,19 @@ def assert_no_child_processes():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_forked_outcome_fits_match_in_process(monkeypatch, k):
+@pytest.mark.parametrize("k, nuisance", [
+    (2, BOOSTED_NUISANCE), (3, BOOSTED_NUISANCE), (5, BOOSTED_NUISANCE),
+    (3, FAST_NUISANCE), (3, ORACLE_OUTCOME),
+], ids=["2", "3", "5", "ridge", "oracle"])
+def test_forked_outcome_fits_match_in_process(monkeypatch, k, nuisance):
     data = make_cross_fit_data(n=150, seed=6)
-    serial = cross_fit_with_workers(monkeypatch, 1, data, k)
-    forked = cross_fit_with_workers(monkeypatch, 2, data, k)
-    assert serial[2] == 2 * k  # one boosted fit per arm and fold, here
-    assert forked[2] == 0  # all of them in the workers
+    serial = cross_fit_with_workers(monkeypatch, 1, data, k, nuisance)
+    forked = cross_fit_with_workers(monkeypatch, 2, data, k, nuisance)
+    # (boosted fits here, forks): one boosted fit per arm and fold, all here
+    # or all in the two workers, and every outcome kind forks alike
+    boosted_fits = 2 * k if nuisance is BOOSTED_NUISANCE else 0
+    assert serial[2:] == (boosted_fits, 0)
+    assert forked[2:] == (0, 2)
     for name in ("p_hat", "mu0", "mu1"):
         assert np.array_equal(getattr(serial[0], name), getattr(forked[0], name))
     assert serial[1] == forked[1]
@@ -266,12 +281,29 @@ def test_outcome_fits_stay_in_process_while_another_thread_runs(monkeypatch):
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        _, _, fits_here = cross_fit_with_workers(monkeypatch, 2, data, 3)
+        _, _, fits_here, forks = cross_fit_with_workers(monkeypatch, 2, data, 3)
     finally:
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert fits_here == 2 * 3
+    assert (fits_here, forks) == (2 * 3, 0)
+
+
+def test_forked_propensity_matches_in_process(monkeypatch):
+    # a forked worker's OpenBLAS gives the bits of the calling process
+    data = generate_ihdp_like(4000, 15, seed=2)
+
+    def predict(seed):
+        (p,), _ = propensity_predictions(PropensitySpec(), data, data, seed=seed)
+        return os.getpid(), p
+
+    here = [predict(seed)[1] for seed in range(2)]
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
+    forked = forked_map(predict, range(2))
+    assert os.getpid() not in {pid for pid, _ in forked}
+    for want, (_, got) in zip(here, forked):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert_no_child_processes()
 
 
 def test_forked_fit_error_names_first_failing_fold(monkeypatch):
@@ -458,14 +490,13 @@ def test_records_csv_round_trip_is_bit_exact(tmp_path_factory, columns, seed):
     t, y, p_hat, mu0, mu1 = columns
     n = t.shape[0]
     data = ObservationalDataset(covariates=np.zeros((n, 1)), treatments=t, outcomes=y)
-    records = UnitRecords(unit_index=np.arange(n, dtype=np.int64),
-                          treatments=data.treatments, outcomes=data.outcomes,
+    records = UnitRecords(treatments=data.treatments, outcomes=data.outcomes,
                           mu0=mu0, mu1=mu1, p_hat=p_hat)
     folds = split_folds(n, 2, seed)
     path = tmp_path_factory.getbasetemp() / "records.csv"
     write_records_csv(records, folds, path)
     back = read_records_csv(path, data, folds)
-    for name in ("unit_index", "treatments", "outcomes", "p_hat", "mu0", "mu1"):
+    for name in ("treatments", "outcomes", "p_hat", "mu0", "mu1"):
         want, got = getattr(records, name), getattr(back, name)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -499,7 +530,8 @@ def linear_arms_dataset(n=200, seed=16):
 
 def test_ols_recovers_exact_linear_arms():
     data = linear_arms_dataset()
-    est = float(np.mean(fit_per_arm_linear(data).contrast(data.covariates)))
+    model0, model1 = fit_per_arm_linear(data)
+    est = float(np.mean(model1.predict(data.covariates) - model0.predict(data.covariates)))
     truth = float(np.mean(3.0 + 0.5 * data.covariates[:, 0]))
     assert abs(est - truth) <= 1e-8
 
@@ -512,7 +544,8 @@ def test_ols_warns_on_rank_deficiency():
     y = col + t
     data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        est = float(np.mean(fit_per_arm_linear(data).contrast(data.covariates)))
+        model0, model1 = fit_per_arm_linear(data)
+    est = float(np.mean(model1.predict(data.covariates) - model0.predict(data.covariates)))
     assert np.isfinite(est)
 
 
@@ -591,16 +624,3 @@ def test_oracle_mode_requires_truth():
     )
     with pytest.raises(ValueError, match="ground truth"):
         estimate_sie(data, 1.0, k=2, seed=0, nuisance=oracle_spec())
-
-
-def test_records_without_propensity_refuse_influence():
-    records = UnitRecords(
-        unit_index=np.arange(3),
-        treatments=np.array([0, 1, 0]),
-        outcomes=np.zeros(3),
-        mu0=np.zeros(3),
-        mu1=np.ones(3),
-        p_hat=None,
-    )
-    with pytest.raises(ValueError, match="without propensity"):
-        expected_response_from_records(records, np.ones(3))

@@ -139,7 +139,7 @@ def test_run_benchmark_is_deterministic():
         assert row_a == row_b
 
 
-# Each replication's boosted sie estimate runs in a forked worker when more
+# Each replication's sie estimate runs in a forked worker when more
 # than one CPU is usable.  These pin that path to the in-process one.
 BOOSTED_NUISANCE = NuisanceSpec(
     propensity=PropensitySpec(basis_kind="raw"),
@@ -175,7 +175,7 @@ def assert_no_child_processes():
 @pytest.mark.parametrize("overrides, forks", [
     (dict(sizes=(100, 160), methods=("sie", "ols", "ipwe")), 2),
     (dict(replicate_mode="seed", replications=3), 2),
-    (dict(nuisance=FAST_NUISANCE), 0),
+    (dict(nuisance=FAST_NUISANCE), 2),
     (dict(methods=("ols", "ipwe")), 0),
 ], ids=["sizes", "seed-mode", "ridge", "no-sie"])
 def test_replication_workers_match_in_process(monkeypatch, overrides, forks):
@@ -184,7 +184,7 @@ def test_replication_workers_match_in_process(monkeypatch, overrides, forks):
     forked, forked_forks = benchmark_with_workers(monkeypatch, 2, cfg)
     assert serial == forked
     assert len(serial) == 2 * len(cfg.methods) * cfg.replications * len(
-        cfg.sizes or (cfg.n,))
+        cfg.sample_sizes)
     assert (serial_forks, forked_forks) == (0, forks)
     assert_no_child_processes()
 
@@ -202,8 +202,8 @@ def test_replication_worker_failure_names_it_and_reaps_workers(monkeypatch):
 
 
 def test_non_finite_estimate_names_its_replication(monkeypatch):
-    def estimates(method, train, test, cfg, seed):
-        return (np.nan if seed == cfg.seed + 2 else 0.0), 0.0
+    def estimates(method, split, cfg):
+        return (np.nan if split[2] == cfg.seed + 2 else 0.0), 0.0
 
     monkeypatch.setattr(stochint.experiments, "_split_estimates", estimates)
     with pytest.raises(ValueError, match="^size 160 replication 1: epsilon_ate "
@@ -225,7 +225,8 @@ def test_run_optimization_outputs():
     assert run.trace.generations == 20
     # the searched policy beats leaving every propensity unchanged
     assert run.expected_best > run.expected_status_quo
-    assert abs(run.fitness_best - 80 * run.expected_best) <= 1e-8 * abs(run.fitness_best)
+    fitness_best = run.trace.best_fitness[-1]
+    assert abs(fitness_best - 80 * run.expected_best) <= 1e-8 * abs(fitness_best)
     assert np.isfinite(run.expected_random)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stochint.effects
+import stochint.parallel
 from stochint.data import DgpConfig, generate_ihdp_like
 from stochint.effects import (
     NuisanceSpec,
@@ -100,7 +101,6 @@ def test_ga_config_validation():
 
 def handmade_records():
     return UnitRecords(
-        unit_index=np.arange(2),
         treatments=np.array([1, 0]),
         outcomes=np.array([2.0, 1.0]),
         mu0=np.array([0.2, 1.0]),
@@ -119,7 +119,6 @@ def test_fitness_hand_computed_value():
 
 def test_optimize_records_error_names_individual():
     records = UnitRecords(
-        unit_index=np.arange(1),
         treatments=np.array([1]),
         outcomes=np.array([1e308]),
         mu0=np.array([0.0]),
@@ -304,6 +303,8 @@ def test_optimize_fits_nuisances_once_per_fold(monkeypatch):
 
     monkeypatch.setattr(stochint.effects, "fit_outcome", counting_outcome)
     monkeypatch.setattr(stochint.effects, "fit_propensity", counting_propensity)
+    # one usable CPU keeps every fit in this process, where it is counted
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 1)
 
     data = generate_ihdp_like(
         60, 3, seed=20, config=DgpConfig(treated_fraction_target=0.4)

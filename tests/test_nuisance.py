@@ -288,10 +288,13 @@ def test_outcome_train_rmse_path_is_monotone():
     y = np.sin(x[:, 0]) + t * x[:, 1] + 0.1 * rng.standard_normal(200)
     data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
     model = fit_outcome(data, OutcomeConfig(n_trees=30))
-    path = model.train_rmse_path
-    assert set(path) == {0, 1}
-    for rmse in path.values():
+    paths = [model.arm_models[arm].train_rmse_ for arm in (0, 1)]
+    for rmse in paths:
         assert (np.diff(rmse) <= 1e-12).all()
+    # the fold diagnostic: the arms' final-round RMSE, averaged in arm order
+    assert model.train_rmse == float(np.mean([paths[0][-1], paths[1][-1]]))
+    ridge = fit_outcome(data, OutcomeConfig(kind="ridge_linear"))
+    assert ridge.train_rmse is None
 
 
 def test_outcome_config_validation():

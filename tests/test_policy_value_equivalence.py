@@ -34,8 +34,7 @@ def random_records(n, seed):
     mu1 = mu0 + rng.normal(0.5, 1.0, n)
     t = (rng.random(n) < p).astype(np.int64)
     y = np.where(t == 1, mu1, mu0) + rng.normal(0.0, 1.0, n)
-    return UnitRecords(unit_index=np.arange(n, dtype=np.int64), treatments=t,
-                       outcomes=y, mu0=mu0, mu1=mu1, p_hat=p)
+    return UnitRecords(treatments=t, outcomes=y, mu0=mu0, mu1=mu1, p_hat=p)
 
 
 def reference_terms(records):

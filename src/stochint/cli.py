@@ -397,6 +397,14 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     if save_path and records_path and Path(save_path).resolve() == Path(records_path).resolve():
         raise CliError("--save-records must differ from --records: "
                        "a failed run removes the file it wrote")
+    if save_path:
+        # refused before the fit but not registered: a failed run must not
+        # remove an earlier run's artifacts
+        names = ["config.json", "report.json", "influence.csv"]
+        for name in names + ["sweep.csv"] * (grid is not None):
+            artifact = outputs.dir / name
+            if Path(save_path).resolve() == artifact.resolve():
+                raise CliError(f"{artifact} would be written twice by this run")
     folds = split_folds(data.n_units, k, seed)
     if records_path:
         try:

@@ -36,6 +36,7 @@ from .nuisance import (
     RidgeModel,
     SolverConfig,
     _fit_ridge,
+    check_outcome_arms,
     fit_outcome,
     fit_propensity,
     make_basis,
@@ -259,12 +260,13 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     fit on its complement only, so no unit's outcome influences its own
     predictions.  Every fold's propensity is fit here, in fold order, before
     any outcome work: two workers' OpenBLAS threads would oversubscribe the
-    cores.  The folds' outcome work then goes to parallel.forked_map, which
-    decides whether to fork; a forked result has the same bits as one made
-    here, and each is placed by its fold index, so none depends on the
-    worker count.  A worker predicts the held-out units itself and sends
-    back only the predictions and the training RMSE: unpickling the 100-tree
-    models here left about 2 MiB more resident.
+    cores.  Every fold's arm sizes are checked here too, in fold order.  The
+    outcome fits then go to parallel.forked_map, one task per (fold, arm),
+    or per fold for a joint model, longest first by training rows.  A forked
+    result has the same bits as one made here and is placed by (fold, arm),
+    so none depends on the worker count.  A worker predicts the held-out
+    units itself and sends back only the predictions and the training RMSE:
+    unpickling the 100-tree models here left about 2 MiB more resident.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -274,6 +276,7 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
             unfittable; the message names the first failing fold.
     """
     spec = nuisance or NuisanceSpec()
+    cfg = spec.outcome.config
     n = data.n_units
     folds = split_folds(n, k, seed)
 
@@ -286,31 +289,50 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
             seed=1000003 * seed + fold)
         return p_fold, model
 
-    def outcome(fold):
-        """(held-out mu0, mu1, training RMSE): a fitted model's predictions,
-        or oracle truth without a model."""
+    def outcome(task):
+        """(held-out predictions for the task's arms, training RMSE): a fitted
+        model's, or oracle truth without a model."""
+        fold, arms = task
+        eval_idx = folds.indices(fold)
         if spec.outcome.mode == "oracle":
-            if data.truth is None:
-                raise ValueError("oracle outcome requested but ground truth is absent")
-            eval_idx = folds.indices(fold)
-            return data.truth.mu0[eval_idx], data.truth.mu1[eval_idx], None
+            truth = (data.truth.mu0, data.truth.mu1)
+            return [truth[arm][eval_idx] for arm in arms], None
         model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
-                         spec.outcome.config)
-        x = data.covariates[folds.indices(fold)]
-        return model.predict(x, 0), model.predict(x, 1), model.train_rmse
+                         cfg, arms)
+        x = data.covariates[eval_idx]
+        return [model.predict(x, arm) for arm in arms], model.train_rmse
+
+    def longest_first(task):
+        fold, arms = task
+        return -int(np.isin(data.treatments[folds.complement(fold)], arms).sum()), task
 
     propensities = [propensity(fold) for fold in range(k)]
-    outcomes = forked_map(outcome, range(k))
+    if spec.outcome.mode == "oracle":
+        if data.truth is None:
+            raise ValueError("oracle outcome requested but ground truth is absent")
+    else:
+        for fold in range(k):
+            _in_fold(fold, check_outcome_arms,
+                     data.treatments[folds.complement(fold)], cfg)
+    arm_sets = [(0, 1)] if cfg.joint else [(0,), (1,)]
+    tasks = sorted(((fold, arms) for fold in range(k) for arms in arm_sets),
+                   key=longest_first)
+    outcomes = dict(zip(tasks, forked_map(outcome, tasks)))
     p_hat = np.empty(n)
-    mu0 = np.empty(n)
-    mu1 = np.empty(n)
-    for fold, ((p_fold, _), (mu0_fold, mu1_fold, _)) in enumerate(
-            zip(propensities, outcomes)):
+    mu = (np.empty(n), np.empty(n))
+    fits = []
+    for fold, (p_fold, p_model) in enumerate(propensities):
         eval_idx = folds.indices(fold)
-        p_hat[eval_idx], mu0[eval_idx], mu1[eval_idx] = p_fold, mu0_fold, mu1_fold
+        p_hat[eval_idx] = p_fold
+        rmses = []
+        for arms in arm_sets:
+            predictions, rmse = outcomes[fold, arms]
+            for arm, prediction in zip(arms, predictions):
+                mu[arm][eval_idx] = prediction
+            rmses.append(rmse)
+        fits.append((p_model, None if None in rmses else float(np.mean(rmses))))
     records = UnitRecords(treatments=data.treatments, outcomes=data.outcomes,
-                          mu0=mu0, mu1=mu1, p_hat=p_hat)
-    fits = [(p_model, rmse) for (_, p_model), (*_, rmse) in zip(propensities, outcomes)]
+                          mu0=mu[0], mu1=mu[1], p_hat=p_hat)
     return records, fold_diagnostics(folds, data.treatments, fits)
 
 

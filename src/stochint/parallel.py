@@ -1,14 +1,15 @@
 """Independent tasks computed by forked worker processes.
 
-The workers are forked copies of the calling process: they need no inputs
-sent and import nothing, and each sends its results back through its own
-pipe.  A worker never forks again, so workers do not nest.
+The workers are forked copies of the calling process: they import nothing
+and are sent only item indices, and each sends its results back through its
+own pipe.  A worker never forks again, so workers do not nest.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import select
 import sys
 import threading
 
@@ -27,11 +28,13 @@ def usable_cpus() -> int:
 def forked_map(func, items) -> list:
     """[func(item) for item in items], computed by forked worker processes.
 
-    One worker per usable CPU, at most one per item; worker w computes items
-    w, w + workers, ... and sends back each result, or the exception it
-    raised, through its own pipe.  The first exception in item order is
-    raised here.  Every worker has exited and been reaped when this returns
-    or raises.
+    One worker per usable CPU, at most one per item.  Item indices are
+    handed out in order, one at a time, each to the first worker free: a
+    worker gets the next index as soon as it sends back the result of its
+    last item, or the exception it raised, through its own pipe.  After a
+    failure no further index is handed out; every earlier item was already
+    handed out, so the first exception in item order is raised here.  Every
+    worker has exited and been reaped when this returns or raises.
 
     The items are computed in this process inside a worker, with one usable
     CPU, off Linux, or while another Python thread runs: fork copies only
@@ -43,49 +46,69 @@ def forked_map(func, items) -> list:
     if (_in_worker or workers < 2 or sys.platform != "linux"
             or threading.active_count() > 1):
         return [func(item) for item in items]
-    children = []
-    results = []
+    children = {}  # result pipe -> (worker pid, write end of its index pipe)
+    busy = {}  # result pipe -> index of the item its worker computes
+    results, failures = [None] * len(items), {}
     try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
+        for _ in range(workers):
+            index_read, index_write = os.pipe()
+            result_read, result_write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                for _, pipe in children:
+                os.close(index_write)
+                os.close(result_read)
+                for pipe, (_, fd) in children.items():
                     pipe.close()
-                _send_results(func, items[w::workers], write_fd)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        for i in range(len(items)):
-            pid, pipe = children[i % workers]
-            try:
-                failed, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker process {pid} ended without a result") from None
-            if failed:
-                raise value
-            results.append(value)
+                    os.close(fd)
+                _send_results(func, items, index_read, result_write)
+            os.close(index_read)
+            os.close(result_write)
+            children[os.fdopen(result_read, "rb")] = (pid, index_write)
+        next_item = 0
+        while True:
+            for pipe, (_, fd) in children.items():
+                if pipe not in busy and next_item < len(items) and not failures:
+                    os.write(fd, next_item.to_bytes(8, "little"))
+                    busy[pipe], next_item = next_item, next_item + 1
+            if not busy:
+                break
+            for pipe in select.select(list(busy), [], [])[0]:
+                i = busy.pop(pipe)
+                try:
+                    failed, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"worker process {children[pipe][0]} "
+                                       "ended without a result") from None
+                if failed:
+                    failures[i] = value
+                else:
+                    results[i] = value
     finally:
-        for pid, pipe in children:
+        for pipe, (pid, fd) in children.items():
+            os.close(fd)
             pipe.close()
             os.waitpid(pid, 0)
+    if failures:
+        raise failures[min(failures)]
     return results
 
 
-def _send_results(func, items, write_fd: int) -> None:
-    """Pickle (failed, func(item) or its exception) for each item to write_fd,
-    then end the process; runs in a forked worker and never returns."""
+def _send_results(func, items, index_fd: int, result_fd: int) -> None:
+    """For each item index read from index_fd, pickle (failed, func(item) or
+    its exception) to result_fd, until index_fd is closed; then end the
+    process.  Runs in a forked worker and never returns."""
     global _in_worker
     _in_worker = True
     status = 1
     try:
-        with os.fdopen(write_fd, "wb") as pipe:
-            for item in items:
+        with os.fdopen(result_fd, "wb") as pipe:
+            while index := os.read(index_fd, 8):
                 try:
-                    reply = (False, func(item))
+                    reply = (False, func(items[int.from_bytes(index, "little")]))
                 except Exception as err:
                     reply = (True, err)
                 pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)

@@ -366,17 +366,35 @@ def test_estimate_save_records_onto_records_refused(tmp_path, capsys):
     assert records.read_bytes() == saved
 
 
-@pytest.mark.parametrize("name", ["influence.csv", "report.json"])
-def test_estimate_save_records_onto_an_artifact_refused(tmp_path, capsys, name):
-    # the artifact would overwrite the records; the run refuses the second write
+@pytest.mark.parametrize("name", ["influence.csv", "report.json", "config.json",
+                                  "sweep.csv"])
+def test_estimate_save_records_onto_an_artifact_refused(tmp_path, capsys,
+                                                       monkeypatch, name):
+    # the artifact would overwrite the records; the run refuses before fitting
     data_path = simulate_small(tmp_path / "sim")
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
     out = tmp_path / "est"
     rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
-                 "--save-records", out / "." / name, *FAST)
+                 "--delta-grid", "0:2:1", "--save-records", out / "." / name, *FAST)
     assert rc == 1
     err = capsys.readouterr().err
     assert str(out / name) in err and "written twice" in err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_estimate_refusal_of_an_artifact_path_keeps_earlier_files(tmp_path, capsys):
+    data_path = simulate_small(tmp_path / "sim")
+    out = tmp_path / "est"
+    assert run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
+                   "--save-records", out / "sweep.csv", *FAST) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # sweep.csv is an artifact only with --delta-grid
+    assert set(before) == {"config.json", "report.json", "influence.csv", "sweep.csv"}
+    rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
+                 "--delta-grid", "0:2:1", "--save-records", out / "sweep.csv", *FAST)
+    assert rc == 1
+    assert "written twice" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_estimate_load_then_save_records_copies_them(tmp_path):

@@ -227,6 +227,11 @@ BOOSTED_NUISANCE = NuisanceSpec(
 ORACLE_OUTCOME = NuisanceSpec(propensity=PropensitySpec(basis_kind="raw"),
                               outcome=OutcomeSpec(mode="oracle"))
 
+JOINT_BOOSTED = NuisanceSpec(
+    propensity=PropensitySpec(basis_kind="raw"),
+    outcome=OutcomeSpec(config=OutcomeConfig(n_trees=10, max_depth=2, joint=True)),
+)
+
 
 def cross_fit_with_workers(monkeypatch, workers, data, k, nuisance=BOOSTED_NUISANCE):
     """cross_fit_records with the worker count forced; also counts the
@@ -255,18 +260,19 @@ def assert_no_child_processes():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("k, nuisance", [
-    (2, BOOSTED_NUISANCE), (3, BOOSTED_NUISANCE), (5, BOOSTED_NUISANCE),
-    (3, FAST_NUISANCE), (3, ORACLE_OUTCOME),
-], ids=["2", "3", "5", "ridge", "oracle"])
-def test_forked_outcome_fits_match_in_process(monkeypatch, k, nuisance):
+@pytest.mark.parametrize("k, nuisance, fits_per_fold", [
+    (2, BOOSTED_NUISANCE, 2), (3, BOOSTED_NUISANCE, 2), (5, BOOSTED_NUISANCE, 2),
+    (3, FAST_NUISANCE, 0), (3, ORACLE_OUTCOME, 0), (3, JOINT_BOOSTED, 1),
+], ids=["2", "3", "5", "ridge", "oracle", "joint"])
+def test_forked_outcome_fits_match_in_process(monkeypatch, k, nuisance,
+                                              fits_per_fold):
     data = make_cross_fit_data(n=150, seed=6)
     serial = cross_fit_with_workers(monkeypatch, 1, data, k, nuisance)
     forked = cross_fit_with_workers(monkeypatch, 2, data, k, nuisance)
-    # (boosted fits here, forks): one boosted fit per arm and fold, all here
-    # or all in the two workers, and every outcome kind forks alike
-    boosted_fits = 2 * k if nuisance is BOOSTED_NUISANCE else 0
-    assert serial[2:] == (boosted_fits, 0)
+    # (boosted fits here, forks): one boosted fit per arm and fold, or per
+    # fold for a joint model, all here or all in the two workers, and every
+    # outcome kind forks alike
+    assert serial[2:] == (fits_per_fold * k, 0)
     assert forked[2:] == (0, 2)
     for name in ("p_hat", "mu0", "mu1"):
         assert np.array_equal(getattr(serial[0], name), getattr(forked[0], name))
@@ -312,7 +318,8 @@ def test_forked_fit_error_names_first_failing_fold(monkeypatch):
     folds = split_folds(data.n_units, k, seed)
     treated = [int(data.treatments[folds.complement(f)].sum()) for f in range(k)]
     # only the folds whose complement has the most treated units can fit:
-    # folds 0 and 1 fit, one in each worker, then folds 2 and 3 fail
+    # folds 0 and 1 could, but the arm check here refuses fold 2 before any
+    # outcome task starts
     floor = max(treated)
     failing = [f for f in range(k) if treated[f] < floor]
     assert failing == [2, 3]
@@ -323,6 +330,32 @@ def test_forked_fit_error_names_first_failing_fold(monkeypatch):
     )
     monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
     with pytest.raises(FitError, match=f"^fold {failing[0]}: arm 1 has"):
+        cross_fit_records(data, k=k, seed=seed, nuisance=spec)
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fit_error_names_lowest_failing_fold_not_first_task(monkeypatch, workers):
+    # three folds of 20 with 2, 8 and 10 treated units: the complements of
+    # folds 1 and 2 have 12 and 10 treated, under min_arm_size, and 28 and 30
+    # controls, so fold 2's tasks run before fold 1's
+    n, k, seed = 60, 3, 0
+    folds = split_folds(n, k, seed)
+    t = np.zeros(n, dtype=np.int64)
+    for fold, treated in enumerate((2, 8, 10)):
+        t[folds.indices(fold)[:treated]] = 1
+    rng = np.random.default_rng(0)
+    data = ObservationalDataset(covariates=rng.standard_normal((n, 2)),
+                                treatments=t, outcomes=rng.standard_normal(n))
+    spec = NuisanceSpec(
+        propensity=PropensitySpec(basis_kind="raw"),
+        outcome=OutcomeSpec(config=OutcomeConfig(n_trees=5, max_depth=2,
+                                                 min_arm_size=13)),
+    )
+    controls = [int((t[folds.complement(f)] == 0).sum()) for f in range(k)]
+    assert controls == [22, 28, 30]
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
+    with pytest.raises(FitError, match="^fold 1: arm 1 has 12 units"):
         cross_fit_records(data, k=k, seed=seed, nuisance=spec)
     assert_no_child_processes()
 

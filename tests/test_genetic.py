@@ -317,4 +317,5 @@ def test_optimize_fits_nuisances_once_per_fold(monkeypatch):
     run = run_optimization(data, cfg, nuisance=spec, k=3, seed=0)
     assert run.best.n == 60
     assert run.trace.generations == 8
-    assert calls == {"outcome": 3, "propensity": 3}
+    # one outcome fit per (fold, arm): each arm's model is its own task
+    assert calls == {"outcome": 2 * 3, "propensity": 3}

@@ -59,6 +59,29 @@ def test_rbf_basis_values():
     assert basis.output_dim == 3
 
 
+def stacked_expansion(basis, x):
+    """The expansion as np.hstack of its pieces: the reference for expand."""
+    n, d = x.shape
+    if basis.kind == "raw":
+        return np.hstack([np.ones((n, 1)), x])
+    if basis.kind == "polynomial2":
+        return np.hstack([np.ones((n, 1)), x,
+                          *(x[:, i:] * x[:, i][:, None] for i in range(d))])
+    sq = ((x[:, None, :] - basis.centers[None, :, :]) ** 2).sum(axis=2)
+    return np.hstack([np.ones((n, 1)), np.exp(-sq / (2.0 * basis.scale ** 2))])
+
+
+@pytest.mark.parametrize("kind", ["raw", "polynomial2", "rbf"])
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2000, 25)])
+def test_expand_matches_stacked_pieces_bit_for_bit(kind, n, d):
+    x = np.random.default_rng(n + d).standard_normal((n, d)) * 3.0
+    basis = make_basis(kind, x, n_centers=5, seed=1)
+    got, want = basis.expand(x), stacked_expansion(basis, x)
+    assert got.shape == want.shape == (n, basis.output_dim)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_basis_rejects_bad_input():
     basis = BasisExpansion(kind="raw", n_inputs=2)
     with pytest.raises(ValueError, match="expected"):

@@ -11,7 +11,6 @@ exit code is nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -182,16 +181,26 @@ class _Outputs:
 
     def __init__(self, out_dir: Path):
         self.dir = out_dir
+        self.inputs: list[Path] = []
         self.written: list[Path] = []
 
     def path(self, *parts: str) -> Path:
         return self.add(self.dir.joinpath(*parts))
 
+    def check(self, target: Path, planned=()) -> None:
+        """Refuse a target the run reads, writes already or plans to write."""
+        resolved = target.resolve()
+        for path in self.inputs:
+            if path.resolve() == resolved:
+                raise CliError(f"{path} is read by this run and must not be overwritten")
+        for path in (*self.written, *planned):
+            if path.resolve() == resolved:
+                raise CliError(f"{path} would be written twice by this run")
+
     def add(self, target: Path) -> Path:
         """Track a file the run writes, also outside the output directory;
-        a file the run already writes is refused."""
-        if any(target.resolve() == seen.resolve() for seen in self.written):
-            raise CliError(f"{target} would be written twice by this run")
+        a file the run reads or already writes is refused."""
+        self.check(target)
         target.parent.mkdir(parents=True, exist_ok=True)
         self.written.append(target)
         return target
@@ -219,6 +228,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise CliError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(loaded, dict):
             raise CliError("config file must hold a JSON object")
+        # a run's echoed config.json names its command
+        command = loaded.pop("command", args.command)
+        if command != args.command:
+            raise CliError(f"config file {path} is for the {command} command, "
+                           f"not {args.command}")
         unknown = sorted(set(loaded) - set(settings))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
@@ -292,26 +306,12 @@ def _nuisance_from(merged: dict) -> NuisanceSpec:
                                             config=outcome_cfg))
 
 
-def _schema_from(merged: dict, data_path: str) -> ColumnSchema:
-    """Build a column schema, inferring covariates from the header if needed."""
-    if not Path(data_path).exists():
-        raise CliError(f"no such file: {data_path}")
-    covariates = merged["covariate_cols"]
-    if covariates:
-        cov_names = tuple(c for c in str(covariates).split(",") if c)
-    else:
-        with open(data_path, newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle), None)
-        if header is None:
-            raise CliError(f"{data_path}: empty file")
-        reserved = {merged["treatment_col"], merged["outcome_col"],
-                    merged["mu0_col"], merged["mu1_col"],
-                    merged["propensity_col"]}
-        cov_names = tuple(c for c in header if c not in reserved)
+def _schema_from(merged: dict) -> ColumnSchema:
+    """The column schema; load_csv infers the covariates if none are named."""
     return ColumnSchema(
         treatment=merged["treatment_col"],
         outcome=merged["outcome_col"],
-        covariates=cov_names,
+        covariates=_parse_tuple(merged, "covariate_cols", str),
         mu0=merged["mu0_col"],
         mu1=merged["mu1_col"],
         true_propensity=merged["propensity_col"],
@@ -355,7 +355,7 @@ def _parse_grid(spec) -> np.ndarray:
 def _parse_tuple(merged: dict, key: str, caster) -> tuple:
     spec = merged[key]
     try:
-        return tuple(caster(part) for part in str(spec).split(",") if part)
+        return tuple(caster(part) for part in str(spec or "").split(",") if part)
     except ValueError:
         raise CliError(f"{_flag(key)} {spec}: every part must be "
                        f"{_WANTED[caster][1]}") from None
@@ -366,8 +366,7 @@ def _parse_tuple(merged: dict, key: str, caster) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(args)
+def cmd_simulate(merged: dict, outputs: _Outputs) -> None:
     generator = merged["generator"]
     dgp = _dgp_from(merged, generator)
     data = make_dataset(generator, int(merged["n"]), int(merged["d"]),
@@ -381,12 +380,10 @@ def cmd_simulate(args: argparse.Namespace, outputs: _Outputs) -> None:
           f"true ATE {data.truth.ate:.6f}")
 
 
-def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(args)
+def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
     if not merged["data"]:
         raise CliError("estimate requires --data")
-    schema = _schema_from(merged, merged["data"])
-    data = load_csv(merged["data"], schema)
+    data = load_csv(merged["data"], _schema_from(merged))
     nuisance = _nuisance_from(merged)
     k = int(merged["folds"])
     seed = int(merged["seed"])
@@ -397,18 +394,20 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
     if save_path and records_path and Path(save_path).resolve() == Path(records_path).resolve():
         raise CliError("--save-records must differ from --records: "
                        "a failed run removes the file it wrote")
+    # refused before the fit but not registered: a failed run must not
+    # remove an earlier run's artifacts
+    names = ["config.json", "report.json", "influence.csv"]
+    artifacts = [outputs.dir / name
+                 for name in names + ["sweep.csv"] * (grid is not None)]
+    for artifact in artifacts:
+        outputs.check(artifact)
     if save_path:
-        # refused before the fit but not registered: a failed run must not
-        # remove an earlier run's artifacts
-        names = ["config.json", "report.json", "influence.csv"]
-        for name in names + ["sweep.csv"] * (grid is not None):
-            artifact = outputs.dir / name
-            if Path(save_path).resolve() == artifact.resolve():
-                raise CliError(f"{artifact} would be written twice by this run")
+        outputs.check(Path(save_path), planned=artifacts)
     folds = split_folds(data.n_units, k, seed)
     if records_path:
         try:
             records = read_records_csv(records_path, data, folds)
+            records.arm_terms  # the records' p_hat check, here where the file is known
         except ValueError as err:
             raise CliError(f"--records {records_path}: {err}") from None
         per_fold = fold_diagnostics(folds, data.treatments)
@@ -428,8 +427,7 @@ def cmd_estimate(args: argparse.Namespace, outputs: _Outputs) -> None:
           f"tau_sie {report.tau_sie:.6f} tau_ate_alg1 {report.tau_ate_alg1:.6f}")
 
 
-def cmd_benchmark(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(args)
+def cmd_benchmark(merged: dict, outputs: _Outputs) -> None:
     generator = merged["generator"]
     sizes = _parse_tuple(merged, "sizes", int) if merged["sizes"] else None
     cfg = BenchmarkConfig(
@@ -458,11 +456,11 @@ def cmd_benchmark(args: argparse.Namespace, outputs: _Outputs) -> None:
               f"std {entry['std_epsilon']:.6f}")
 
 
-def cmd_optimize(args: argparse.Namespace, outputs: _Outputs) -> None:
-    merged = _merge_config(args)
+def cmd_optimize(merged: dict, outputs: _Outputs) -> None:
+    for name in ("best_delta.csv", "trace.csv", "comparison.json"):
+        outputs.check(outputs.dir / name)  # before the search, as estimate does
     if merged["data"]:
-        schema = _schema_from(merged, merged["data"])
-        data = load_csv(merged["data"], schema)
+        data = load_csv(merged["data"], _schema_from(merged))
     else:
         generator = merged["generator"]
         data = make_dataset(generator, int(merged["n"]), int(merged["d"]),
@@ -557,7 +555,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     outputs = _Outputs(_resolve_out(args, args.command))
     try:
-        args.func(args, outputs)
+        merged = _merge_config(args)
+        outputs.inputs = [Path(path) for path in (args.config, merged.get("data"),
+                                                  merged.get("records")) if path]
+        outputs.check(outputs.dir / "config.json")  # every command echoes it
+        args.func(merged, outputs)
     except Exception as err:  # report, clean partial outputs, fail loudly
         outputs.cleanup()
         print(f"error: {err}", file=sys.stderr)

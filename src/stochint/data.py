@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +143,6 @@ class ColumnSchema:
         names = self.all_columns()
         if len(set(names)) != len(names):
             raise DatasetError("schema binds the same column name to two roles")
-        if not self.covariates:
-            raise DatasetError("schema must name at least one covariate column")
         if (self.mu0 is None) != (self.mu1 is None):
             raise DatasetError("mu0 and mu1 columns must be given together")
 
@@ -186,6 +184,8 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
     Args:
         path: file to read.
         schema: column bindings; all bound columns must exist exactly once.
+            A schema that names no covariates takes every column bound to
+            no other role.
 
     Returns:
         The parsed dataset; ground truth is attached when the schema binds
@@ -205,6 +205,11 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
+        if not schema.covariates:
+            bound = schema.all_columns()
+            schema = replace(schema, covariates=[c for c in header if c not in bound])
+            if not schema.covariates:
+                raise DatasetError(f"{path}: no column is left for the covariates")
         names = schema.all_columns()
         positions = []
         for name in names:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +168,8 @@ class NuisanceSpec:
 class UnitRecords:
     """Held-out nuisance predictions joined with the observed sample.
 
-    Row i is unit i of the sample.
+    Row i is unit i of the sample.  Every influence value is computed by
+    phi, from delta-free terms built once, on first use.
     """
 
     treatments: np.ndarray
@@ -182,6 +184,21 @@ class UnitRecords:
 
     def require_p_hat(self) -> np.ndarray:
         return self.p_hat
+
+    @cached_property
+    def arm_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Checked p_hat and the arm terms m1, m0, none of which depend on
+        delta; a p_hat outside (0, 1) raises ValueError."""
+        p = _check_p_hat(self.p_hat)
+        m1 = m_term(self.treatments, self.outcomes, self.mu1, p, 1)
+        m0 = m_term(self.treatments, self.outcomes, self.mu0, p, 0)
+        return p, m1, m0
+
+    def phi(self, deltas) -> np.ndarray:
+        """Per-unit influence values q m1 + (1 - q) m0 under deltas, which
+        are checked already and broadcast against the units."""
+        p, m1, m0 = self.arm_terms
+        return influence(_q(p, deltas), m1, m0)
 
 
 @dataclass(frozen=True)
@@ -258,15 +275,15 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
 
     Folds come from split_folds(n, k, seed); each fold is predicted by models
     fit on its complement only, so no unit's outcome influences its own
-    predictions.  Every fold's propensity is fit here, in fold order, before
-    any outcome work: two workers' OpenBLAS threads would oversubscribe the
-    cores.  Every fold's arm sizes are checked here too, in fold order.  The
-    outcome fits then go to parallel.forked_map, one task per (fold, arm),
-    or per fold for a joint model, longest first by training rows.  A forked
-    result has the same bits as one made here and is placed by (fold, arm),
-    so none depends on the worker count.  A worker predicts the held-out
-    units itself and sends back only the predictions and the training RMSE:
-    unpickling the 100-tree models here left about 2 MiB more resident.
+    predictions.  One pass in fold order fits each fold's propensity here
+    (two workers' OpenBLAS threads would oversubscribe the cores), checks
+    its arm sizes and plans its outcome tasks, so the lowest failing fold
+    is reported.  parallel.forked_map then runs one task per (fold, arm), or
+    per fold for a joint model, longest first by training rows: fold order
+    was slower in 8 of 10 estimate-ihdp-10k pairs on 2 CPUs.  A result has
+    the same bits as one made here and is placed by (fold, arm).  A worker
+    sends back only its held-out predictions and training RMSE: unpickling
+    the 100-tree models here left about 2 MiB more resident.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -274,27 +291,23 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     Raises:
         FitError: a fold's training complement lacks an arm or is otherwise
             unfittable; the message names the first failing fold.
+        ValueError: oracle truth is requested but absent.
     """
     spec = nuisance or NuisanceSpec()
     cfg = spec.outcome.config
+    oracle = spec.outcome.mode == "oracle"
+    if oracle and data.truth is None:
+        raise ValueError("oracle outcome requested but ground truth is absent")
     n = data.n_units
     folds = split_folds(n, k, seed)
-
-    # subsets are built where they are used, so none outlives its fit
-    def propensity(fold):
-        """(held-out p_hat, propensity model or None)."""
-        (p_fold,), model = _in_fold(
-            fold, propensity_predictions, spec.propensity,
-            data.subset(folds.complement(fold)), data.subset(folds.indices(fold)),
-            seed=1000003 * seed + fold)
-        return p_fold, model
+    arm_sets = [(0, 1)] if cfg.joint else [(0,), (1,)]
 
     def outcome(task):
         """(held-out predictions for the task's arms, training RMSE): a fitted
         model's, or oracle truth without a model."""
         fold, arms = task
         eval_idx = folds.indices(fold)
-        if spec.outcome.mode == "oracle":
+        if oracle:
             truth = (data.truth.mu0, data.truth.mu1)
             return [truth[arm][eval_idx] for arm in arms], None
         model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
@@ -302,35 +315,29 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         x = data.covariates[eval_idx]
         return [model.predict(x, arm) for arm in arms], model.train_rmse
 
-    def longest_first(task):
-        fold, arms = task
-        return -int(np.isin(data.treatments[folds.complement(fold)], arms).sum()), task
-
-    propensities = [propensity(fold) for fold in range(k)]
-    if spec.outcome.mode == "oracle":
-        if data.truth is None:
-            raise ValueError("oracle outcome requested but ground truth is absent")
-    else:
-        for fold in range(k):
-            _in_fold(fold, check_outcome_arms,
-                     data.treatments[folds.complement(fold)], cfg)
-    arm_sets = [(0, 1)] if cfg.joint else [(0,), (1,)]
-    tasks = sorted(((fold, arms) for fold in range(k) for arms in arm_sets),
-                   key=longest_first)
-    outcomes = dict(zip(tasks, forked_map(outcome, tasks)))
+    # subsets are built where they are used, so none outlives its fit
     p_hat = np.empty(n)
+    p_models, planned = [], []
+    for fold in range(k):
+        (p_fold,), p_model = _in_fold(
+            fold, propensity_predictions, spec.propensity,
+            data.subset(folds.complement(fold)), data.subset(folds.indices(fold)),
+            seed=1000003 * seed + fold)
+        p_hat[folds.indices(fold)] = p_fold
+        p_models.append(p_model)
+        sizes = np.bincount(data.treatments[folds.complement(fold)], minlength=2)
+        if not oracle:
+            _in_fold(fold, check_outcome_arms, sizes, cfg)
+        planned += [(-int(sizes[list(arms)].sum()), fold, arms) for arms in arm_sets]
+    tasks = [(fold, arms) for _, fold, arms in sorted(planned)]
     mu = (np.empty(n), np.empty(n))
-    fits = []
-    for fold, (p_fold, p_model) in enumerate(propensities):
-        eval_idx = folds.indices(fold)
-        p_hat[eval_idx] = p_fold
-        rmses = []
-        for arms in arm_sets:
-            predictions, rmse = outcomes[fold, arms]
-            for arm, prediction in zip(arms, predictions):
-                mu[arm][eval_idx] = prediction
-            rmses.append(rmse)
-        fits.append((p_model, None if None in rmses else float(np.mean(rmses))))
+    rmses = [[] for _ in range(k)]  # in task order: a mean of two is symmetric
+    for (fold, arms), (predictions, rmse) in zip(tasks, forked_map(outcome, tasks)):
+        for arm, prediction in zip(arms, predictions):
+            mu[arm][folds.indices(fold)] = prediction
+        rmses[fold].append(rmse)
+    fits = [(p_model, None if None in r else float(np.mean(r)))
+            for p_model, r in zip(p_models, rmses)]
     records = UnitRecords(treatments=data.treatments, outcomes=data.outcomes,
                           mu0=mu[0], mu1=mu[1], p_hat=p_hat)
     return records, fold_diagnostics(folds, data.treatments, fits)
@@ -443,14 +450,6 @@ def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
                zip(range(table.q.shape[0]), *(column.tolist() for column in columns)))
 
 
-def _dr_terms(records: UnitRecords):
-    """Checked p_hat and the arm terms m1, m0, none of which depend on delta."""
-    p = _check_p_hat(records.p_hat)
-    m1 = m_term(records.treatments, records.outcomes, records.mu1, p, 1)
-    m0 = m_term(records.treatments, records.outcomes, records.mu0, p, 0)
-    return p, m1, m0
-
-
 def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
                         per_fold: tuple[FoldDiagnostics, ...] = (),
                         ) -> EstimateReport:
@@ -458,9 +457,9 @@ def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
     d = _check_delta(delta)
     if d.ndim != 0:
         raise ValueError("a scalar delta is required here")
-    p, m1, m0 = _dr_terms(records)
-    q = stochastic_propensity(p, float(d))
-    phi = influence(q, m1, m0)
+    p, m1, m0 = records.arm_terms
+    q = _q(p, float(d))
+    phi = records.phi(float(d))
     tau_plugin = p * records.mu1 + (1.0 - p) * records.mu0
     return EstimateReport(
         tau_ate_alg1=float(np.mean(tau_plugin)),
@@ -516,7 +515,7 @@ def expected_response_from_records(records: UnitRecords, deltas):
     deltas is either a per-unit vector of shape (n,), which gives a float, or
     a 2-d array with one policy per row, which gives one mean per row: a
     (P, n) stack of per-unit vectors, or a (G, 1) column of scalar deltas.
-    m1 and m0 are built once per call.
+    m1 and m0 are built once per records.
     """
     d = _check_delta(deltas)
     n = records.n
@@ -525,8 +524,7 @@ def expected_response_from_records(records: UnitRecords, deltas):
             f"expected {n} per-unit deltas, a (P, {n}) stack or a (G, 1) "
             f"grid, got shape {d.shape}"
         )
-    p, m1, m0 = _dr_terms(records)
-    means = np.mean(influence(_q(p, d), m1, m0), axis=-1)
+    means = np.mean(records.phi(d), axis=-1)
     return float(means) if d.ndim == 1 else means
 
 

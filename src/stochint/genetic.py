@@ -1,11 +1,11 @@
 """Genetic search for per-unit intervention strengths.
 
 Candidate solutions are vectors of per-unit deltas inside box bounds.  The
-fitness of a candidate is the summed influence value over the sample; the
-search builds the delta-free arm terms once and keeps its population as one
-(population_size, n) array.  Variation uses tournament selection,
-simulated-binary or uniform crossover, uniform-redraw mutation, and elitism
-(which makes the best-fitness trace non-decreasing).
+fitness of a candidate is the sum of the records' influence values
+(UnitRecords.phi), whose delta-free arm terms are built once; the search
+keeps its population as one (population_size, n) array.  Variation uses
+tournament selection, simulated-binary or uniform crossover, uniform-redraw
+mutation, and elitism (which makes the best-fitness trace non-decreasing).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import UnitRecords, _dr_terms, _q, influence
+from .effects import UnitRecords
 
 CROSSOVER_OPERATORS = ("sbx", "uniform")
 
@@ -102,11 +102,6 @@ class GaTrace:
         return self.best_fitness.shape[0]
 
 
-def _row_fitness(deltas, p, m1, m0) -> float:
-    """Summed influence value of one already-checked delta row."""
-    return float(np.sum(influence(_q(p, deltas), m1, m0)))
-
-
 def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,7 +164,6 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
     """
     cfg = config or GaConfig()
     lo, hi = cfg.bounds
-    p, m1, m0 = _dr_terms(records)
     rng = np.random.default_rng(cfg.seed)
     population = _initial_rows(records.n, cfg, rng)
     bred = np.empty_like(population)
@@ -180,7 +174,7 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
     mean_hist = np.empty(cfg.generations)
     for gen in range(cfg.generations):
         for i, row in enumerate(population):
-            fits[i] = _row_fitness(row, p, m1, m0)
+            fits[i] = np.sum(records.phi(row))
         if not np.isfinite(fits).all():
             raise ValueError(f"individual {np.argmin(np.isfinite(fits))}: "
                              "non-finite fitness value")

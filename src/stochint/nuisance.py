@@ -354,10 +354,10 @@ def _fit_single(x: np.ndarray, y: np.ndarray, cfg: OutcomeConfig):
     return model.fit(x, y)
 
 
-def check_outcome_arms(treatments: np.ndarray, config: OutcomeConfig) -> None:
-    """Raise fit_outcome's FitError for training treatments with an arm under
-    min_arm_size in per-arm mode, or with an empty arm in joint mode."""
-    sizes = [int((treatments == arm).sum()) for arm in (0, 1)]
+def check_outcome_arms(sizes: np.ndarray, config: OutcomeConfig) -> None:
+    """Raise fit_outcome's FitError for training arm sizes (control, treated)
+    with an arm under min_arm_size in per-arm mode, or an empty arm in joint
+    mode."""
     if config.joint and 0 in sizes:
         raise FitError("joint outcome fit needs both arms present")
     for arm, size in enumerate(sizes):
@@ -380,7 +380,7 @@ def fit_outcome(data: ObservationalDataset, config: OutcomeConfig | None = None,
     """
     cfg = config or OutcomeConfig()
     x, t, y = data.covariates, data.treatments, data.outcomes
-    check_outcome_arms(t, cfg)
+    check_outcome_arms(np.bincount(t, minlength=2), cfg)
     if cfg.joint:
         xt = np.hstack([x, t[:, None].astype(float)])
         return OutcomeModel(config=cfg, joint_model=_fit_single(xt, y, cfg))

@@ -223,7 +223,8 @@ def _edit_cell(column, change):
     ([], _edit_cell(3, lambda y: repr(float(y) + 1.0)), "treatments or outcomes differ"),
     ([], _drop_last_row, "it has 119 rows"),
     ([], _drop_column, "missing column 'mu1'"),
-], ids=["folds", "seed", "treatment", "outcome", "rows", "column"])
+    ([], _edit_cell(4, lambda p: "1.5"), "p_hat must lie strictly inside (0, 1)"),
+], ids=["folds", "seed", "treatment", "outcome", "rows", "column", "p_hat"])
 def test_estimate_records_refused(tmp_path, capsys, monkeypatch, flags, edit, message):
     data_path, records = save_records(tmp_path, *FAST)
     if edit is not None:
@@ -397,6 +398,31 @@ def test_estimate_refusal_of_an_artifact_path_keeps_earlier_files(tmp_path, caps
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("flag, artifact", [
+    ("--data", "report.json"),
+    ("--records", "influence.csv"),
+    ("--config", "config.json"),
+])
+def test_estimate_artifact_onto_an_input_refused(tmp_path, capsys, monkeypatch,
+                                                 flag, artifact):
+    data_path, records = save_records(tmp_path, *FAST)
+    out = tmp_path / "a"  # the earlier run's output directory
+    target = out / artifact
+    inputs = {"--data": data_path, "--records": records}
+    if flag in inputs:
+        target.write_bytes(inputs[flag].read_bytes())
+        inputs[flag] = target
+        argv = [arg for key, path in inputs.items() for arg in (key, path)]
+    else:
+        argv = ["--config", target]  # the earlier run's echo
+    before = target.read_bytes()
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
+    rc = run_cli("estimate", *argv, "--out", out, "--folds", "3", *FAST)
+    assert rc == 1
+    assert f"{target} is read by this run" in capsys.readouterr().err
+    assert target.read_bytes() == before
+
+
 def test_estimate_load_then_save_records_copies_them(tmp_path):
     data_path, records = save_records(tmp_path, "--n-trees", "3")
     copy = tmp_path / "copy.csv"
@@ -503,6 +529,25 @@ def test_config_number_accepts_json_integer(tmp_path):
     echoed = json.loads((out / "config.json").read_text())
     assert (echoed["delta"], echoed["folds"], echoed["joint_outcome"]) == (2, 3, True)
     assert json.loads((out / "report.json").read_text())["k"] == 3
+
+
+def test_estimate_config_json_replays_the_run(tmp_path):
+    data_path = simulate_small(tmp_path / "sim")
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert run_cli("estimate", "--data", data_path, "--out", first, "--folds", "3",
+                   "--delta", "1.5", "--delta-grid", "0:2:0.5", *FAST) == 0
+    assert run_cli("estimate", "--config", first / "config.json", "--out", again) == 0
+    for name in ("config.json", "report.json", "influence.csv", "sweep.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_config_json_of_another_command_refused(tmp_path, capsys):
+    simulate_small(tmp_path / "sim")
+    out = tmp_path / "opt"
+    rc = run_cli("optimize", "--config", tmp_path / "sim" / "config.json", "--out", out)
+    assert rc == 1
+    assert "is for the simulate command, not optimize" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_malformed_config_rejected(tmp_path, capsys):
@@ -637,6 +682,22 @@ def test_optimize_from_csv_data(tmp_path):
     assert rc == 0
     best_lines = (out / "best_delta.csv").read_text().strip().splitlines()
     assert len(best_lines) == 61
+
+
+def test_optimize_artifact_onto_data_refused_before_the_search(tmp_path, capsys,
+                                                               monkeypatch):
+    data_path = simulate_small(tmp_path / "sim")
+    out = tmp_path / "opt"
+    out.mkdir()
+    target = out / "trace.csv"
+    target.write_bytes(data_path.read_bytes())
+    (out / "best_delta.csv").write_text("an earlier run's file\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr("stochint.cli.run_optimization", _fail_if_fitted)
+    rc = run_cli("optimize", "--data", target, "--out", out, *FAST)
+    assert rc == 1
+    assert f"{target} is read by this run" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("argv, config, message", [

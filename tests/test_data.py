@@ -219,6 +219,17 @@ def test_load_csv_propensity_without_outcome_means_has_no_truth(tmp_path):
     assert np.array_equal(loaded.outcomes, data.outcomes)
 
 
+def test_load_csv_without_covariates_takes_every_unbound_column(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,t,mu0,y,x0,mu1\n0.5,1,0.0,2.0,-1.0,1.0\n")
+    loaded = load_csv(path, ColumnSchema(treatment="t", outcome="y", covariates=(),
+                                         mu0="mu0", mu1="mu1"))
+    assert np.array_equal(loaded.covariates, [[0.5, -1.0]])
+    path.write_text("t,y\n1,2.0\n")
+    with pytest.raises(DatasetError, match="no column is left for the covariates"):
+        load_csv(path, ColumnSchema(treatment="t", outcome="y", covariates=()))
+
+
 def test_load_csv_rejects_empty_and_header_only(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -360,6 +360,43 @@ def test_fit_error_names_lowest_failing_fold_not_first_task(monkeypatch, workers
     assert_no_child_processes()
 
 
+def counting(monkeypatch, module, name):
+    """Wrap module.name to count its calls; returns the list of calls."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_arm_size_failure_in_fold_0_comes_after_one_propensity_fit(monkeypatch):
+    data = make_cross_fit_data()
+    spec = NuisanceSpec(
+        propensity=PropensitySpec(basis_kind="raw"),
+        outcome=OutcomeSpec(config=OutcomeConfig(kind="ridge_linear",
+                                                 min_arm_size=data.n_units)),
+    )
+    fits = counting(monkeypatch, stochint.effects, "fit_propensity")
+    with pytest.raises(FitError, match="^fold 0: arm "):
+        cross_fit_records(data, k=3, seed=0, nuisance=spec)
+    assert len(fits) == 1
+
+
+def test_missing_oracle_truth_fails_before_any_propensity_fit(monkeypatch):
+    data = make_cross_fit_data()
+    bare = ObservationalDataset(covariates=data.covariates,
+                                treatments=data.treatments, outcomes=data.outcomes)
+    spec = NuisanceSpec(propensity=PropensitySpec(basis_kind="raw"),
+                        outcome=OutcomeSpec(mode="oracle"))
+    fits = counting(monkeypatch, stochint.effects, "fit_propensity")
+    with pytest.raises(ValueError, match="oracle outcome requested but ground truth"):
+        cross_fit_records(bare, k=3, seed=0, nuisance=spec)
+    assert fits == []
+
+
 def test_worker_that_dies_is_reported_and_reaped(monkeypatch):
     test_process = os.getpid()
 
@@ -485,6 +522,14 @@ def test_expected_response_length_check():
     records = oracle_records(10, seed=14)
     with pytest.raises(ValueError, match="per-unit deltas"):
         expected_response_from_records(records, np.ones(9))
+
+
+def test_records_build_their_arm_terms_once_for_report_and_sweep(monkeypatch):
+    records = oracle_records(30, seed=16)
+    calls = counting(monkeypatch, stochint.effects, "m_term")
+    report_from_records(records, 2.0, k=2, seed=0)
+    expected_response_from_records(records, np.array([[0.0], [1.0], [2.0]]))
+    assert calls == ["m_term"] * 2
 
 
 def test_sweep_matches_single_estimates():

@@ -11,7 +11,6 @@ from stochint.effects import (
     OutcomeSpec,
     PropensitySpec,
     UnitRecords,
-    _dr_terms,
     expected_response_from_records,
 )
 from stochint.experiments import run_optimization
@@ -21,7 +20,6 @@ from stochint.genetic import (
     _crossover_rows,
     _initial_rows,
     _mutate_into,
-    _row_fitness,
     _tournament,
     optimize_records,
 )
@@ -113,7 +111,7 @@ def test_fitness_hand_computed_value():
     records = handmade_records()
     # m1 = (3, 0.5), m0 = (0.2, 1.0); at delta = 1 both q equal 0.5
     # phi = (0.5*3 + 0.5*0.2, 0.5*0.5 + 0.5*1.0) = (1.6, 0.75)
-    got = _row_fitness(np.array([1.0, 1.0]), *_dr_terms(records))
+    got = float(np.sum(records.phi(np.array([1.0, 1.0]))))
     assert abs(got - 2.35) <= 1e-12
 
 
@@ -319,3 +317,24 @@ def test_optimize_fits_nuisances_once_per_fold(monkeypatch):
     assert run.trace.generations == 8
     # one outcome fit per (fold, arm): each arm's model is its own task
     assert calls == {"outcome": 2 * 3, "propensity": 3}
+
+
+def test_optimization_builds_the_arm_terms_once(monkeypatch):
+    calls = []
+    real = stochint.effects.m_term
+
+    def counting(*args, **kwargs):
+        calls.append(args[-1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stochint.effects, "m_term", counting)
+    data = generate_ihdp_like(
+        60, 3, seed=21, config=DgpConfig(treated_fraction_target=0.4)
+    )
+    spec = NuisanceSpec(
+        propensity=PropensitySpec(basis_kind="raw"),
+        outcome=OutcomeSpec(config=OutcomeConfig(kind="ridge_linear")),
+    )
+    run_optimization(data, GaConfig(population_size=4, generations=2), spec, k=3)
+    # the search and the three reference policies share one records object
+    assert calls == [1, 0]

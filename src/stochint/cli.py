@@ -391,9 +391,6 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
     delta = _checked_delta("--delta", merged["delta"], float(merged["delta"]))
     grid = _parse_grid(merged["delta_grid"]) if merged["delta_grid"] else None
     save_path, records_path = merged["save_records"], merged["records"]
-    if save_path and records_path and Path(save_path).resolve() == Path(records_path).resolve():
-        raise CliError("--save-records must differ from --records: "
-                       "a failed run removes the file it wrote")
     # refused before the fit but not registered: a failed run must not
     # remove an earlier run's artifacts
     names = ["config.json", "report.json", "influence.csv"]

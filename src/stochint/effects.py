@@ -275,15 +275,14 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
 
     Folds come from split_folds(n, k, seed); each fold is predicted by models
     fit on its complement only, so no unit's outcome influences its own
-    predictions.  One pass in fold order fits each fold's propensity here
-    (two workers' OpenBLAS threads would oversubscribe the cores), checks
-    its arm sizes and plans its outcome tasks, so the lowest failing fold
-    is reported.  parallel.forked_map then runs one task per (fold, arm), or
-    per fold for a joint model, longest first by training rows: fold order
-    was slower in 8 of 10 estimate-ihdp-10k pairs on 2 CPUs.  A result has
-    the same bits as one made here and is placed by (fold, arm).  A worker
-    sends back only its held-out predictions and training RMSE: unpickling
-    the 100-tree models here left about 2 MiB more resident.
+    predictions.  Every fold's arm sizes are checked first, in fold order.
+    Then one parallel.forked_map call runs one propensity task per fold, in
+    fold order, ahead of one outcome task per (fold, arm), or per fold for a
+    joint model, longest first by training rows: fold order was slower in 8
+    of 10 estimate-ihdp-10k pairs on 2 CPUs.  An arm-size or propensity
+    failure thus names the lowest failing fold.  An outcome task sends back
+    only its held-out predictions and training RMSE: unpickling the 100-tree
+    models here left about 2 MiB more resident.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -300,46 +299,42 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         raise ValueError("oracle outcome requested but ground truth is absent")
     n = data.n_units
     folds = split_folds(n, k, seed)
-    arm_sets = [(0, 1)] if cfg.joint else [(0,), (1,)]
-
-    def outcome(task):
-        """(held-out predictions for the task's arms, training RMSE): a fitted
-        model's, or oracle truth without a model."""
-        fold, arms = task
-        eval_idx = folds.indices(fold)
-        if oracle:
-            truth = (data.truth.mu0, data.truth.mu1)
-            return [truth[arm][eval_idx] for arm in arms], None
-        model = _in_fold(fold, fit_outcome, data.subset(folds.complement(fold)),
-                         cfg, arms)
-        x = data.covariates[eval_idx]
-        return [model.predict(x, arm) for arm in arms], model.train_rmse
-
-    # subsets are built where they are used, so none outlives its fit
-    p_hat = np.empty(n)
-    p_models, planned = [], []
+    # task (fold, columns) fills the fold's rows of (mu0, mu1, p_hat)[columns]
+    tasks, planned = [(fold, (2,)) for fold in range(k)], []
     for fold in range(k):
-        (p_fold,), p_model = _in_fold(
-            fold, propensity_predictions, spec.propensity,
-            data.subset(folds.complement(fold)), data.subset(folds.indices(fold)),
-            seed=1000003 * seed + fold)
-        p_hat[folds.indices(fold)] = p_fold
-        p_models.append(p_model)
         sizes = np.bincount(data.treatments[folds.complement(fold)], minlength=2)
         if not oracle:
             _in_fold(fold, check_outcome_arms, sizes, cfg)
-        planned += [(-int(sizes[list(arms)].sum()), fold, arms) for arms in arm_sets]
-    tasks = [(fold, arms) for _, fold, arms in sorted(planned)]
-    mu = (np.empty(n), np.empty(n))
-    rmses = [[] for _ in range(k)]  # in task order: a mean of two is symmetric
-    for (fold, arms), (predictions, rmse) in zip(tasks, forked_map(outcome, tasks)):
-        for arm, prediction in zip(arms, predictions):
-            mu[arm][folds.indices(fold)] = prediction
-        rmses[fold].append(rmse)
+        planned += [(-int(sizes[list(arms)].sum()), fold, arms)
+                    for arms in ([(0, 1)] if cfg.joint else [(0,), (1,)])]
+    tasks += [(fold, arms) for _, fold, arms in sorted(planned)]
+
+    def fit(task):
+        """(held-out values for the task's columns, the propensity model or
+        the outcome training RMSE, or None where nothing was fitted)."""
+        fold, columns = task
+        # subsets are built where they are used, so none outlives its fit
+        train, eval_idx = data.subset(folds.complement(fold)), folds.indices(fold)
+        if columns == (2,):
+            return _in_fold(fold, propensity_predictions, spec.propensity, train,
+                            data.subset(eval_idx), seed=1000003 * seed + fold)
+        if oracle:
+            truth = (data.truth.mu0, data.truth.mu1)
+            return [truth[arm][eval_idx] for arm in columns], None
+        model = _in_fold(fold, fit_outcome, train, cfg, columns)
+        x = data.covariates[eval_idx]
+        return [model.predict(x, arm) for arm in columns], model.train_rmse
+
+    mu0, mu1, p_hat = values = (np.empty(n), np.empty(n), np.empty(n))
+    extras = [[] for _ in range(k)]  # per fold: propensity model, RMSEs in any order
+    for (fold, columns), (held_out, extra) in zip(tasks, forked_map(fit, tasks)):
+        for column, prediction in zip(columns, held_out):
+            values[column][folds.indices(fold)] = prediction
+        extras[fold].append(extra)
     fits = [(p_model, None if None in r else float(np.mean(r)))
-            for p_model, r in zip(p_models, rmses)]
+            for p_model, *r in extras]
     records = UnitRecords(treatments=data.treatments, outcomes=data.outcomes,
-                          mu0=mu[0], mu1=mu[1], p_hat=p_hat)
+                          mu0=mu0, mu1=mu1, p_hat=p_hat)
     return records, fold_diagnostics(folds, data.treatments, fits)
 
 

@@ -8,7 +8,6 @@ reproduces each output byte for byte.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,96 +133,68 @@ class BenchmarkResult:
         return out
 
 
-@contextmanager
-def _replication(size: int, rep: int):
-    """Prefix a FitError or ValueError raised inside with its replication."""
-    try:
-        yield
-    except FitError as err:
-        raise FitError(f"size {size} replication {rep}: {err}") from None
-    except ValueError as err:
-        raise ValueError(f"size {size} replication {rep}: {err}") from None
-
-
 def _split_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
                      ) -> tuple[float, float]:
     """Fit on the train side of one (size, replication, seed, train, test)
     split; estimate the average effect on both sides."""
-    size, rep, seed, train, test = split
-    with _replication(size, rep):
-        if method == "sie":
-            ate_train = estimate_ate_difference(train, cfg.folds, seed, cfg.nuisance)
-            full_model = fit_outcome(train, cfg.nuisance.outcome.config)
-            contrast = full_model.predict(test.covariates, 1) \
-                - full_model.predict(test.covariates, 0)
-            return ate_train, float(np.mean(contrast))
-        if method == "ols":
-            model0, model1 = fit_per_arm_linear(train)
-            return tuple(float(np.mean(model1.predict(x) - model0.predict(x)))
-                         for x in (train.covariates, test.covariates))
-        if method == "ipwe":
-            (p_train, p_test), _ = propensity_predictions(
-                cfg.nuisance.propensity, train, train, test, seed=seed)
-            return (ipwe_from_propensity(train.treatments, train.outcomes, p_train),
-                    ipwe_from_propensity(test.treatments, test.outcomes, p_test))
-        raise ValueError(f"unknown method {method!r}")
+    _, _, seed, train, test = split
+    if method == "sie":
+        ate_train = estimate_ate_difference(train, cfg.folds, seed, cfg.nuisance)
+        full_model = fit_outcome(train, cfg.nuisance.outcome.config)
+        contrast = full_model.predict(test.covariates, 1) \
+            - full_model.predict(test.covariates, 0)
+        return ate_train, float(np.mean(contrast))
+    if method == "ols":
+        model0, model1 = fit_per_arm_linear(train)
+        return tuple(float(np.mean(model1.predict(x) - model0.predict(x)))
+                     for x in (train.covariates, test.covariates))
+    if method == "ipwe":
+        (p_train, p_test), _ = propensity_predictions(
+            cfg.nuisance.propensity, train, train, test, seed=seed)
+        return (ipwe_from_propensity(train.treatments, train.outcomes, p_train),
+                ipwe_from_propensity(test.treatments, test.outcomes, p_test))
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _replication_rows(cfg: BenchmarkConfig, size: int, rep: int,
+                      ) -> list[ReplicationRow]:
+    """Draw one replication's data, split it, and score every method on it."""
+    seed = cfg.seed + 1 + rep
+    data = make_dataset(cfg.generator, size, cfg.d,
+                        cfg.seed if cfg.replicate_mode == "seed" else seed, cfg.dgp)
+    split = (size, rep, seed, *train_test_split(data, cfg.test_fraction, seed))
+    truth = {"train": split[3].truth.ate, "test": split[4].truth.ate}
+    rows = []
+    try:
+        for method in cfg.methods:
+            for side, est in zip(("train", "test"), _split_estimates(method, split, cfg)):
+                rows.append(ReplicationRow(size, rep, method, side, est, truth[side],
+                                           epsilon_ate(est, truth[side])))
+    except FitError as err:  # the message names the replication
+        raise FitError(f"size {size} replication {rep}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"size {size} replication {rep}: {err}") from None
+    return rows
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Replicated benchmark of absolute ATE error per method and split.
 
     Within a replication every method sees the same data and the same
-    train/test split, so methods are compared pairwise.  Every split is
-    built here, in (size, replication) order, and the ols and ipwe
-    estimates are made here too: two workers' OpenBLAS threads in their
-    least-squares and Newton solves would oversubscribe the cores.  Then
-    each replication's sie estimate is one task for parallel.forked_map,
-    which decides whether to fork; a forked estimate has the same bits as
-    one made here.  Estimates are placed by (size, replication, method), so
-    no row depends on the worker count.
+    train/test split, so methods are compared pairwise.  Each (size,
+    replication) is one parallel.forked_map task, whose rows are placed in
+    (size, replication, method) order, so no row depends on the worker
+    count.
 
     Raises:
-        FitError, ValueError: the first failing ols or ipwe estimate in
-            (size, replication) order, else the first failing sie estimate;
-            the message names the size and replication.
+        FitError, ValueError: the first failing replication in (size,
+            replication) order, with methods in cfg.methods order; the
+            message names the size and replication.
     """
-    splits = []
-    for size in cfg.sample_sizes:
-        fixed_data = None
-        if cfg.replicate_mode == "seed":
-            fixed_data = make_dataset(cfg.generator, size, cfg.d, cfg.seed, cfg.dgp)
-        for rep in range(cfg.replications):
-            rep_seed = cfg.seed + 1 + rep
-            if fixed_data is None:
-                data = make_dataset(cfg.generator, size, cfg.d, rep_seed, cfg.dgp)
-            else:
-                data = fixed_data
-            splits.append((size, rep, rep_seed,
-                           *train_test_split(data, cfg.test_fraction, rep_seed)))
-    estimates = {(split[0], split[1], method): _split_estimates(method, split, cfg)
-                 for split in splits for method in cfg.methods if method != "sie"}
-    if "sie" in cfg.methods:
-        sie_estimates = forked_map(lambda split: _split_estimates("sie", split, cfg),
-                                   splits)
-        for (size, rep, *_), est in zip(splits, sie_estimates):
-            estimates[size, rep, "sie"] = est
-    rows = []
-    for size, rep, _, train, test in splits:
-        truth = {"train": train.truth.ate, "test": test.truth.ate}
-        for method in cfg.methods:
-            for split, est in zip(("train", "test"), estimates[size, rep, method]):
-                with _replication(size, rep):
-                    epsilon = epsilon_ate(est, truth[split])
-                rows.append(ReplicationRow(
-                    size=size,
-                    replication=rep,
-                    method=method,
-                    split=split,
-                    estimate=est,
-                    truth=truth[split],
-                    epsilon=epsilon,
-                ))
-    return BenchmarkResult(config=cfg, rows=tuple(rows))
+    tasks = [(size, rep) for size in cfg.sample_sizes
+             for rep in range(cfg.replications)]
+    rows = forked_map(lambda task: _replication_rows(cfg, *task), tasks)
+    return BenchmarkResult(config=cfg, rows=tuple(row for rep in rows for row in rep))
 
 
 # ---------------------------------------------------------------------------

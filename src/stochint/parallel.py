@@ -7,11 +7,14 @@ own pipe.  A worker never forks again, so workers do not nest.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
 import select
 import sys
 import threading
+from contextlib import contextmanager
 
 # set in each forked worker, which then computes any forked_map in-process
 _in_worker = False
@@ -25,6 +28,41 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled 64-bit-integer OpenBLAS, found in this process's memory
+    map; None off Linux or with any other BLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            path = next(line.split()[-1] for line in maps
+                        if "libscipy_openblas64_" in line)
+    except (OSError, StopIteration):
+        return None
+    lib = ctypes.CDLL(path)
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, then restore the caller's count: a
+    solve's last bits depend on it.  The count is process-wide, so nothing is
+    pinned while another Python thread runs."""
+    lib = _openblas() if threading.active_count() == 1 else None
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
+@_one_blas_thread()
 def forked_map(func, items) -> list:
     """[func(item) for item in items], computed by forked worker processes.
 
@@ -38,8 +76,7 @@ def forked_map(func, items) -> list:
 
     The items are computed in this process inside a worker, with one usable
     CPU, off Linux, or while another Python thread runs: fork copies only
-    the calling thread.  OpenBLAS stops its own threads at fork, which was
-    checked on Linux only.
+    the calling thread.  On both paths they run on one OpenBLAS thread.
     """
     items = list(items)
     workers = min(usable_cpus(), len(items))

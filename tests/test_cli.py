@@ -28,9 +28,13 @@ from stochint.data import (
     default_schema,
     generate_ihdp_like,
     load_csv,
+    train_test_split,
     write_csv,
 )
-from stochint.nuisance import FitError
+from stochint.effects import OutcomeSpec, PropensitySpec
+from stochint.experiments import METHODS, BenchmarkConfig, make_dataset
+from stochint.genetic import GaConfig
+from stochint.nuisance import FitError, OutcomeConfig, SolverConfig
 
 FAST = ["--outcome-kind", "ridge_linear", "--basis", "raw"]
 
@@ -363,7 +367,8 @@ def test_estimate_save_records_onto_records_refused(tmp_path, capsys):
                  "--folds", "3", "--records", records,
                  "--save-records", records.parent / "." / records.name, *FAST)
     assert rc == 1
-    assert "--save-records must differ from --records" in capsys.readouterr().err
+    assert (f"{records} is read by this run and must not be overwritten"
+            in capsys.readouterr().err)
     assert records.read_bytes() == saved
 
 
@@ -518,6 +523,47 @@ def test_parser_declares_the_settings_table(tmp_path, command):
     assert all(echoed[key] == 2 for key in numbers)
 
 
+def test_settings_defaults_are_the_library_defaults():
+    # both modules declare these values; a run without flags must get the
+    # library's defaults
+    outcome, propensity, ga, bench = (OutcomeConfig(), PropensitySpec(),
+                                      GaConfig(), BenchmarkConfig())
+    nuisance = {
+        "outcome_kind": outcome.kind, "outcome_mode": OutcomeSpec().mode,
+        "n_trees": outcome.n_trees, "max_depth": outcome.max_depth,
+        "learning_rate": outcome.learning_rate, "ridge_penalty": outcome.ridge_penalty,
+        "joint_outcome": outcome.joint, "min_arm_size": outcome.min_arm_size,
+        "propensity_mode": propensity.mode, "basis": propensity.basis_kind,
+        "rbf_centers": propensity.rbf_centers, "clip": propensity.clip,
+        "constant_propensity": propensity.constant,
+        "l2_penalty": SolverConfig().l2_penalty,
+    }
+    library = {
+        "estimate": nuisance,
+        "benchmark": {
+            **nuisance, "generator": bench.generator, "n": bench.n, "d": bench.d,
+            "seed": bench.seed, "methods": METHODS, "replications": bench.replications,
+            "test_fraction": bench.test_fraction, "folds": bench.folds,
+            "replicate": bench.replicate_mode, "sizes": bench.sizes,
+        },
+        "optimize": {
+            **nuisance, "population": ga.population_size,
+            "generations": ga.generations, "crossover_rate": ga.crossover_rate,
+            "mutation_rate": ga.mutation_rate, "elitism": ga.elitism_count,
+            "tournament": ga.tournament_size, "crossover_op": ga.crossover_operator,
+            "sbx_eta": ga.sbx_eta, "init_mean": ga.init_mean, "init_std": ga.init_std,
+            "bounds": ga.bounds, "ga_seed": ga.seed,
+        },
+    }
+    assert bench.methods == METHODS
+    parse = {"methods": lambda spec: tuple(spec.split(",")),
+             "bounds": lambda spec: tuple(float(part) for part in spec.split(","))}
+    for command, want in library.items():
+        defaults = {key: SETTINGS[command][key][0] for key in want}
+        assert {key: parse.get(key, lambda value: value)(value)
+                for key, value in defaults.items()} == want
+
+
 def test_config_number_accepts_json_integer(tmp_path):
     data_path = simulate_small(tmp_path / "sim")
     cfg_path = tmp_path / "cfg.json"
@@ -610,28 +656,39 @@ def test_benchmark_error_names_the_failing_replication(tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("ignore:rank-deficient least-squares design")
-def test_benchmark_baseline_failure_surfaces_before_sie_failure(tmp_path, capsys,
-                                                                monkeypatch):
+def test_benchmark_first_failing_replication_wins(tmp_path, capsys, monkeypatch):
+    # at n=60, every replication's sie fails, replication 0's in fold 1; ols
+    # is made to fail on one replication's training data, which a worker
+    # sees as well as this process
     monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
-    argv = ["benchmark", "--out", tmp_path / "bench", "--n", "60",
-            "--methods", "sie,ols", "--replications", "2", "--n-trees", "5"]
-    assert run_cli(*argv) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: size 60 replication 0: fold 1: arm 1 has 8 units")
-    # an ols failure in replication 1 is reported before that sie failure
-    calls = []
     real_fit = stochint.experiments.fit_per_arm_linear
 
-    def fail_second_call(train):
-        calls.append(1)
-        if len(calls) == 2:
-            raise FitError("per-arm linear fit needs both arms present")
-        return real_fit(train)
+    def ols_fails_on(rep):
+        data = make_dataset("ihdp", 60, 25, seed=1 + rep)
+        outcomes = train_test_split(data, 0.2, 1 + rep)[0].outcomes
 
-    monkeypatch.setattr(stochint.experiments, "fit_per_arm_linear", fail_second_call)
-    assert run_cli(*argv) == 1
-    assert capsys.readouterr().err == (
-        "error: size 60 replication 1: per-arm linear fit needs both arms present\n")
+        def fit(train):
+            if np.array_equal(train.outcomes, outcomes):
+                raise FitError(f"ols fails on replication {rep}'s data")
+            return real_fit(train)
+        return fit
+
+    def first_error(rep, methods):
+        monkeypatch.setattr(stochint.experiments, "fit_per_arm_linear",
+                            ols_fails_on(rep))
+        assert run_cli("benchmark", "--out", tmp_path / "bench", "--n", "60",
+                       "--methods", methods, "--replications", "2",
+                       "--n-trees", "5") == 1
+        return capsys.readouterr().err
+
+    sie_error = "error: size 60 replication 0: fold 1: arm 1 has 8 units"
+    # replication 0 fails before replication 1, whatever the method
+    assert first_error(1, "ols,sie").startswith(sie_error)
+    # within a replication, methods fail in --methods order
+    assert first_error(0, "sie,ols").startswith(sie_error)
+    assert first_error(0, "ols,sie") == (
+        "error: size 60 replication 0: ols fails on replication 0's data\n")
+    assert not (tmp_path / "bench" / "tables").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -296,18 +296,20 @@ def test_outcome_fits_stay_in_process_while_another_thread_runs(monkeypatch):
 
 
 def test_forked_propensity_matches_in_process(monkeypatch):
-    # a forked worker's OpenBLAS gives the bits of the calling process
+    # on one OpenBLAS thread, a forked worker gives the calling process's bits
     data = generate_ihdp_like(4000, 15, seed=2)
 
     def predict(seed):
         (p,), _ = propensity_predictions(PropensitySpec(), data, data, seed=seed)
         return os.getpid(), p
 
-    here = [predict(seed)[1] for seed in range(2)]
-    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
-    forked = forked_map(predict, range(2))
-    assert os.getpid() not in {pid for pid, _ in forked}
-    for want, (_, got) in zip(here, forked):
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda cpus=cpus: cpus)
+        runs[cpus] = forked_map(predict, range(2))
+    assert {pid for pid, _ in runs[1]} == {os.getpid()}
+    assert os.getpid() not in {pid for pid, _ in runs[2]}
+    for (_, want), (_, got) in zip(runs[1], runs[2]):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert_no_child_processes()
 
@@ -372,17 +374,19 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_arm_size_failure_in_fold_0_comes_after_one_propensity_fit(monkeypatch):
+def test_arm_size_failure_in_fold_0_comes_before_any_propensity_fit(monkeypatch):
     data = make_cross_fit_data()
     spec = NuisanceSpec(
         propensity=PropensitySpec(basis_kind="raw"),
         outcome=OutcomeSpec(config=OutcomeConfig(kind="ridge_linear",
                                                  min_arm_size=data.n_units)),
     )
+    # one CPU, so a propensity fit would run where it is counted
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 1)
     fits = counting(monkeypatch, stochint.effects, "fit_propensity")
     with pytest.raises(FitError, match="^fold 0: arm "):
         cross_fit_records(data, k=3, seed=0, nuisance=spec)
-    assert len(fits) == 1
+    assert fits == []
 
 
 def test_missing_oracle_truth_fails_before_any_propensity_fit(monkeypatch):

@@ -176,7 +176,7 @@ def assert_no_child_processes():
     (dict(sizes=(100, 160), methods=("sie", "ols", "ipwe")), 2),
     (dict(replicate_mode="seed", replications=3), 2),
     (dict(nuisance=FAST_NUISANCE), 2),
-    (dict(methods=("ols", "ipwe")), 0),
+    (dict(methods=("ols", "ipwe")), 2),
 ], ids=["sizes", "seed-mode", "ridge", "no-sie"])
 def test_replication_workers_match_in_process(monkeypatch, overrides, forks):
     cfg = small_benchmark(**{"nuisance": BOOSTED_NUISANCE, **overrides})

@@ -1,12 +1,14 @@
-"""Tests for parallel.forked_map's dispatch, with a fake CPU count of 2."""
+"""Tests for parallel.forked_map: its dispatch, with a fake CPU count of 2,
+and its OpenBLAS thread pin."""
 
 import os
+import threading
 import time
 
 import pytest
 
 import stochint.parallel
-from stochint.parallel import forked_map
+from stochint.parallel import _openblas, forked_map
 
 
 @pytest.fixture
@@ -63,3 +65,36 @@ def test_first_failure_in_item_order_wins_over_first_in_time(tmp_path, two_cpus)
 
 def test_many_trivial_items_come_back_in_order(two_cpus):
     assert forked_map(lambda i: i * i, range(1000)) == [i * i for i in range(1000)]
+
+
+def blas_threads(_=None):
+    return _openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.skipif(_openblas() is None, reason="numpy has no bundled OpenBLAS here")
+def test_tasks_run_on_one_openblas_thread(two_cpus, monkeypatch):
+    caller = blas_threads()
+    _openblas().scipy_openblas_set_num_threads64_(2)
+
+    def fail(_):
+        raise ValueError("task")
+
+    try:
+        for cpus in (2, 1):  # the forked path, then the in-process one
+            monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: cpus)
+            assert forked_map(blas_threads, range(3)) == [1, 1, 1]
+            assert blas_threads() == 2
+            with pytest.raises(ValueError, match="^task$"):
+                forked_map(fail, range(3))
+            assert blas_threads() == 2
+        # the count is process-wide, so another thread's BLAS work is left be
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert forked_map(blas_threads, range(3)) == [2, 2, 2]
+        finally:
+            release.set()
+            other.join(timeout=60)
+    finally:
+        _openblas().scipy_openblas_set_num_threads64_(caller)

@@ -2,10 +2,11 @@
 
 Candidate solutions are vectors of per-unit deltas inside box bounds.  The
 fitness of a candidate is the sum of the records' influence values
-(UnitRecords.phi), whose delta-free arm terms are built once; the search
-keeps its population as one (population_size, n) array.  Variation uses
+(UnitRecords.phi), whose delta-free arm terms are built once.  Variation uses
 tournament selection, simulated-binary or uniform crossover, uniform-redraw
 mutation, and elitism (which makes the best-fitness trace non-decreasing).
+The rows and fitness are shared with the parallel.lockstep workers that
+breed and score the children; elites carry their fitness forward.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import UnitRecords
+from .parallel import lockstep, shared_zeros
 
 CROSSOVER_OPERATORS = ("sbx", "uniform")
 
@@ -112,8 +114,9 @@ def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator) -> np.ndar
 def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> list:
     """Index of each of len(fits) tournament winners.
 
-    One integers() call per tournament: numpy buffers 32-bit draws within a
-    call, so batched calls would draw a different stream.
+    One integers() call per tournament: numpy buffers 32-bit draws, so
+    batched calls would draw a different stream.  An unused buffered half
+    stays in the generator's state for its next integers() call.
     """
     entrants = [rng.integers(0, len(fits), size=size) for _ in fits]
     return [group[np.argmax(fits[group])] for group in entrants]
@@ -151,53 +154,72 @@ def _mutate_into(child: np.ndarray, draws: np.ndarray, config: GaConfig) -> None
     np.copyto(child, lo + (hi - lo) * draws[1], where=draws[0] < config.mutation_rate)
 
 
+def _skip_doubles(rng: np.random.Generator, count: int) -> None:
+    """Move rng past count random() doubles, keeping the 32-bit half that
+    integers() left buffered: bit_generator.advance() drops it."""
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(count)
+    rng.bit_generator.state = {**rng.bit_generator.state,
+                               "has_uint32": state["has_uint32"],
+                               "uinteger": state["uinteger"]}
+
+
 def optimize_records(records: UnitRecords, config: GaConfig | None = None
                      ) -> tuple[InterventionVector, GaTrace]:
     """Run the genetic search against precomputed unit records.
 
-    Nuisances are whatever the records carry; no fitting happens here.  The
-    elites and the children of each generation fill a second population
-    array; the README's Determinism section gives the rng draw order.
+    Nuisances are whatever the records carry; no fitting happens here.  Each
+    parallel.lockstep rank breeds a block of pairs; the README's Determinism
+    section gives the rng draw order, which does not depend on the ranks.
 
     Returns:
         (best vector of the final generation, per-generation trace).
     """
     cfg = config or GaConfig()
     lo, hi = cfg.bounds
+    n, m, elites = records.n, cfg.population_size, cfg.elitism_count
     rng = np.random.default_rng(cfg.seed)
-    population = _initial_rows(records.n, cfg, rng)
-    bred = np.empty_like(population)
-    draws = np.empty((6, records.n))
-    m, elites = cfg.population_size, cfg.elitism_count
-    fits = np.empty(m)
+    # generation g's rows and fitness are populations[g % 2] and fitness[g % 2]
+    populations, fitness = shared_zeros((2, m, n)), shared_zeros((2, m))
+    populations[0] = _initial_rows(n, cfg, rng)
+    for i, row in enumerate(populations[0]):
+        fitness[0, i] = np.sum(records.phi(row))
+    pair_rng, draws = np.random.default_rng(), np.empty((6, n))
+
+    def breed(pairs, task):
+        gen, state, parents = task
+        population, bred = populations[gen % 2], populations[1 - gen % 2]
+        # pair i draws its crossover mask and u, then a mutation mask and
+        # redraw per child: 6 n doubles, even for a child past the end
+        pair_rng.bit_generator.state = state
+        pair_rng.bit_generator.advance(6 * n * pairs.start)
+        for i in pairs:
+            pair_rng.random(out=draws)
+            children = _crossover_rows(population[parents[2 * i]],
+                                       population[parents[2 * i + 1]], draws[:2], cfg)
+            for k, child, child_draws in zip(range(elites + 2 * i, m), children,
+                                             (draws[2:4], draws[4:])):
+                _mutate_into(child, child_draws, cfg)
+                bred[k] = child
+                fitness[1 - gen % 2, k] = np.sum(records.phi(child))
+
     best_hist = np.empty(cfg.generations)
     mean_hist = np.empty(cfg.generations)
-    for gen in range(cfg.generations):
-        for i, row in enumerate(population):
-            fits[i] = np.sum(records.phi(row))
-        if not np.isfinite(fits).all():
-            raise ValueError(f"individual {np.argmin(np.isfinite(fits))}: "
-                             "non-finite fitness value")
-        order = np.argsort(-fits, kind="stable")
-        best_hist[gen] = fits[order[0]]
-        mean_hist[gen] = fits.mean()
-        if gen == cfg.generations - 1:
-            break
-        bred[:elites] = population[order[:elites]]
-        parents = _tournament(fits, cfg.tournament_size, rng)
-        for i in range(0, m, 2):
-            # each pair draws its crossover mask and u, then a mutation mask
-            # and redraw per child, even if its children fall past the end
-            rng.random(out=draws)
-            rows = bred[elites + i:elites + i + 2]
-            if len(rows):
-                children = _crossover_rows(population[parents[i]],
-                                           population[parents[i + 1]], draws[:2], cfg)
-                for row, child, child_draws in zip(rows, children,
-                                                   (draws[2:4], draws[4:])):
-                    row[:] = child
-                    _mutate_into(row, child_draws, cfg)
-        population, bred = bred, population
+    with lockstep(breed, (m - elites + 1) // 2) as run:
+        for gen in range(cfg.generations):
+            population, fits = populations[gen % 2], fitness[gen % 2]
+            if not np.isfinite(fits).all():
+                raise ValueError(f"individual {np.argmin(np.isfinite(fits))}: "
+                                 "non-finite fitness value")
+            order = np.argsort(-fits, kind="stable")
+            best_hist[gen] = fits[order[0]]
+            mean_hist[gen] = fits.mean()
+            if gen == cfg.generations - 1:
+                break
+            populations[1 - gen % 2, :elites] = population[order[:elites]]
+            fitness[1 - gen % 2, :elites] = fits[order[:elites]]
+            parents = _tournament(fits, cfg.tournament_size, rng)
+            run((gen, rng.bit_generator.state, parents))
+            _skip_doubles(rng, 6 * n * (m // 2))
     best = InterventionVector(population[order[0]].copy(), lo, hi)
     return best, GaTrace(best_hist, mean_hist)
-

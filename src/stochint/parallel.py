@@ -1,22 +1,27 @@
-"""Independent tasks computed by forked worker processes.
+"""Work shared with forked worker processes, under one rule for forking.
 
-The workers are forked copies of the calling process: they import nothing
-and are sent only item indices, and each sends its results back through its
-own pipe.  A worker never forks again, so workers do not nest.
+The workers are forked copies of the calling process: they import nothing,
+are sent only small pickled requests through their own pipe, and reply
+through another.  forked_map hands out independent tasks; lockstep runs one
+step of a loop on every rank at once.  A worker never forks again, so
+workers do not nest.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import mmap
 import os
 import pickle
 import select
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
-# set in each forked worker, which then computes any forked_map in-process
+import numpy as np
+
+# set in each forked worker, which then runs any forked_map or lockstep in-process
 _in_worker = False
 
 
@@ -26,6 +31,13 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _may_fork(workers: int) -> bool:
+    """Whether to fork workers: at least 2, on Linux, outside any worker, and
+    while no other Python thread runs, since fork copies only the caller's."""
+    return (workers >= 2 and not _in_worker and sys.platform == "linux"
+            and threading.active_count() == 1)
 
 
 @functools.cache
@@ -79,73 +91,127 @@ def forked_map(func, items) -> list:
     the calling thread.  On both paths they run on one OpenBLAS thread.
     """
     items = list(items)
-    workers = min(usable_cpus(), len(items))
-    if (_in_worker or workers < 2 or sys.platform != "linux"
-            or threading.active_count() > 1):
+    count = min(usable_cpus(), len(items))
+    if not _may_fork(count):
         return [func(item) for item in items]
-    children = {}  # result pipe -> (worker pid, write end of its index pipe)
-    busy = {}  # result pipe -> index of the item its worker computes
+    busy = {}  # result pipe -> (worker pid, index of the item it computes)
     results, failures = [None] * len(items), {}
-    try:
-        for _ in range(workers):
-            index_read, index_write = os.pipe()
-            result_read, result_write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(index_write)
-                os.close(result_read)
-                for pipe, (_, fd) in children.items():
-                    pipe.close()
-                    os.close(fd)
-                _send_results(func, items, index_read, result_write)
-            os.close(index_read)
-            os.close(result_write)
-            children[os.fdopen(result_read, "rb")] = (pid, index_write)
+    with _workers([lambda i: func(items[i])] * count) as workers:
         next_item = 0
         while True:
-            for pipe, (_, fd) in children.items():
+            for pid, indices, pipe in workers:
                 if pipe not in busy and next_item < len(items) and not failures:
-                    os.write(fd, next_item.to_bytes(8, "little"))
-                    busy[pipe], next_item = next_item, next_item + 1
+                    _send(indices, next_item)
+                    busy[pipe], next_item = (pid, next_item), next_item + 1
             if not busy:
                 break
             for pipe in select.select(list(busy), [], [])[0]:
-                i = busy.pop(pipe)
-                try:
-                    failed, value = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"worker process {children[pipe][0]} "
-                                       "ended without a result") from None
+                pid, i = busy.pop(pipe)
+                failed, value = _receive(pid, pipe)
                 if failed:
                     failures[i] = value
                 else:
                     results[i] = value
-    finally:
-        for pipe, (pid, fd) in children.items():
-            os.close(fd)
-            pipe.close()
-            os.waitpid(pid, 0)
     if failures:
         raise failures[min(failures)]
     return results
 
 
-def _send_results(func, items, index_fd: int, result_fd: int) -> None:
-    """For each item index read from index_fd, pickle (failed, func(item) or
-    its exception) to result_fd, until index_fd is closed; then end the
+@contextmanager
+def lockstep(step, tasks: int):
+    """Yield run(arg), which calls step(block, arg) for each rank's block of
+    range(tasks) and returns once all have returned: one barrier per run.
+
+    One rank per usable CPU, at most one per task, each with a contiguous
+    block.  Rank 0 runs here and the others in workers forked on entry, which
+    share results through shared_zeros arrays made before it.  Where
+    forked_map would not fork, every block runs here, in rank order.  run
+    raises the lowest failing rank's exception, or a dead worker's error; on
+    exit every worker's pipes are closed, which ends it, and it is reaped.
+    """
+    ranks = min(usable_cpus(), tasks)
+    blocks = [range(r * tasks // ranks, (r + 1) * tasks // ranks) for r in range(ranks)]
+    if not _may_fork(ranks):
+        yield lambda arg: [step(block, arg) for block in blocks]
+        return
+    with _workers([functools.partial(step, block) for block in blocks[1:]]) as workers:
+        def run(arg):
+            for _, requests, _ in workers:
+                _send(requests, arg)
+            step(blocks[0], arg)
+            for pid, _, replies in workers:
+                failed, value = _receive(pid, replies)
+                if failed:
+                    raise value
+        yield run
+
+
+def shared_zeros(shape) -> np.ndarray:
+    """Float zeros in anonymous shared memory, seen by workers forked later."""
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), float).reshape(shape)
+
+
+@contextmanager
+def _workers(tasks):
+    """Yield the (pid, request pipe, reply pipe) of a worker forked to serve
+    each task (see _serve), which first closes its copies of the earlier
+    workers' pipes.  On exit, close each worker's pipes, which ends it after
+    its current request, and reap it."""
+    workers = []
+    try:
+        for task in tasks:
+            request_read, request_write = os.pipe()
+            reply_read, reply_write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(request_write)
+                os.close(reply_read)
+                for _, *pipes in workers:
+                    for pipe in pipes:
+                        pipe.close()
+                _serve(task, request_read, reply_write)
+            os.close(request_read)
+            os.close(reply_write)
+            workers.append((pid, os.fdopen(request_write, "wb"),
+                            os.fdopen(reply_read, "rb")))
+        yield workers
+    finally:
+        for pid, requests, replies in workers:
+            with suppress(OSError):  # flushing a request to a dead worker
+                requests.close()
+            replies.close()
+            os.waitpid(pid, 0)
+
+
+def _send(pipe, message) -> None:
+    pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
+
+
+def _receive(pid: int, pipe) -> tuple:
+    """The (failed, value) reply that worker pid pickled to pipe."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(f"worker process {pid} ended without a result") from None
+
+
+def _serve(task, request_fd: int, reply_fd: int) -> None:
+    """For each request unpickled from request_fd, pickle (failed, task(request)
+    or its exception) to reply_fd, until request_fd is closed; then end the
     process.  Runs in a forked worker and never returns."""
     global _in_worker
     _in_worker = True
     status = 1
     try:
-        with os.fdopen(result_fd, "wb") as pipe:
-            while index := os.read(index_fd, 8):
+        with os.fdopen(request_fd, "rb") as requests, \
+                os.fdopen(reply_fd, "wb") as replies:
+            while requests.peek(1):
                 try:
-                    reply = (False, func(items[int.from_bytes(index, "little")]))
+                    reply = (False, task(pickle.load(requests)))
                 except Exception as err:
                     reply = (True, err)
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
-                pipe.flush()
+                _send(replies, reply)
         status = 0
     finally:
         os._exit(status)

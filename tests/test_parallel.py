@@ -1,14 +1,16 @@
 """Tests for parallel.forked_map: its dispatch, with a fake CPU count of 2,
-and its OpenBLAS thread pin."""
+and its OpenBLAS thread pin; and for parallel.lockstep's ranks."""
 
 import os
+import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import stochint.parallel
-from stochint.parallel import _openblas, forked_map
+from stochint.parallel import _openblas, forked_map, lockstep, shared_zeros
 
 
 @pytest.fixture
@@ -98,3 +100,76 @@ def test_tasks_run_on_one_openblas_thread(two_cpus, monkeypatch):
             other.join(timeout=60)
     finally:
         _openblas().scipy_openblas_set_num_threads64_(caller)
+
+
+def record_pids(tasks):
+    """A shared array and a step that writes each run's arg and its
+    process id at each task of its block."""
+    seen = shared_zeros((tasks, 2))
+
+    def step(block, arg):
+        seen[block] = arg, os.getpid()
+    return seen, step
+
+
+def test_lockstep_ranks_take_contiguous_blocks(monkeypatch):
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 3)
+    seen, step = record_pids(7)
+    with lockstep(step, 7) as run:
+        for arg in (1, 2):
+            run(arg)
+            assert (seen[:, 0] == arg).all()  # every rank stepped
+    pids = seen[:, 1].astype(int)
+    assert pids[0] == pids[1] == os.getpid()
+    assert pids[2] == pids[3] != pids[4] == pids[5] == pids[6]
+    assert os.getpid() not in pids[2:]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_lockstep_runs_in_process_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 3)
+    seen, step = record_pids(5)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        with lockstep(step, 5) as run:
+            run(1)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert (seen == (1, os.getpid())).all()
+
+
+def wait_for_exit(pid, timeout=30.0):
+    """Whether process pid is gone, or a zombie, within timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            if "\nState:\tZ" in Path(f"/proc/{pid}/status").read_text():
+                return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_lockstep_workers_end_when_their_caller_is_killed(monkeypatch):
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
+    seen, step = record_pids(2)
+    caller = os.fork()
+    if caller == 0:
+        try:
+            with lockstep(step, 2) as run:
+                run(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(caller, 0)
+    assert os.WIFSIGNALED(status)
+    worker = int(seen[1, 1])
+    assert worker not in (0, os.getpid(), caller)
+    assert wait_for_exit(worker)
+

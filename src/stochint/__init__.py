@@ -48,7 +48,6 @@ from .nuisance import (
     SolverConfig,
     fit_outcome,
     fit_propensity,
-    make_basis,
 )
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ from .experiments import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .genetic import CROSSOVER_OPERATORS, GaConfig
+from .genetic import GaConfig
 from .nuisance import BASIS_KINDS, OUTCOME_KINDS, OutcomeConfig, SolverConfig
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
@@ -65,7 +65,7 @@ OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 MAX_GRID_POINTS = 1000
 
 # Each command's settings, in --help order, as {config key: (default, kind)}.
-# kind is int, float, bool, str or the tuple of allowed strings.  A key's flag
+# kind is int, float, str or the tuple of allowed strings.  A key's flag
 # is "--" plus the key with "_" as "-", except for the keys in _FLAGS.
 _DGP = {
     "generator": ("ihdp", GENERATORS),
@@ -89,11 +89,9 @@ _NUISANCE = {
     "max_depth": (3, int),
     "learning_rate": (0.1, float),
     "ridge_penalty": (1e-6, float),
-    "joint_outcome": (False, bool),
     "min_arm_size": (10, int),
     "propensity_mode": ("fit", ("fit", "oracle", "constant")),
     "basis": ("polynomial2", BASIS_KINDS),
-    "rbf_centers": (20, int),
     "clip": (0.01, float),
     "l2_penalty": (1e-4, float),
     "constant_propensity": (None, float),
@@ -127,7 +125,6 @@ SETTINGS = {
         "replications": (50, int),
         "test_fraction": (0.2, float),
         "folds": (5, int),
-        "replicate": ("dgp", ("dgp", "seed")),
         "sizes": (None, str),
         **_NUISANCE,
     },
@@ -143,7 +140,6 @@ SETTINGS = {
         "mutation_rate": (0.05, float),
         "elitism": (2, int),
         "tournament": (3, int),
-        "crossover_op": ("sbx", CROSSOVER_OPERATORS),
         "sbx_eta": (15.0, float),
         "init_mean": (1.0, float),
         "init_std": (1.0, float),
@@ -167,9 +163,9 @@ _HELP = {
 }
 
 # the JSON types a config value of each kind may have, and how to say so;
-# Python's bool is an int, so only the bool kind accepts true and false
-_WANTED = {bool: (bool, "true or false"), int: (int, "an integer"),
-           float: ((int, float), "a number"), str: (str, "a string")}
+# Python's bool is an int, so true and false are refused separately
+_WANTED = {int: (int, "an integer"), float: ((int, float), "a number"),
+           str: (str, "a string")}
 
 
 class CliError(ValueError):
@@ -257,7 +253,7 @@ def _check_config_value(key: str, value, default, kind) -> None:
     if isinstance(kind, tuple):
         kind = str
     types, wanted = _WANTED[kind]
-    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise CliError(f"config key {key} must be {wanted}, not {json.dumps(value)}")
 
 
@@ -290,13 +286,11 @@ def _nuisance_from(merged: dict) -> NuisanceSpec:
         max_depth=int(merged["max_depth"]),
         learning_rate=float(merged["learning_rate"]),
         ridge_penalty=float(merged["ridge_penalty"]),
-        joint=bool(merged["joint_outcome"]),
         min_arm_size=int(merged["min_arm_size"]),
     )
     propensity = PropensitySpec(
         mode=merged["propensity_mode"],
         basis_kind=merged["basis"],
-        rbf_centers=int(merged["rbf_centers"]),
         clip=float(merged["clip"]),
         constant=merged["constant_propensity"],
         solver=SolverConfig(l2_penalty=float(merged["l2_penalty"])),
@@ -437,7 +431,6 @@ def cmd_benchmark(merged: dict, outputs: _Outputs) -> None:
         test_fraction=float(merged["test_fraction"]),
         folds=int(merged["folds"]),
         seed=int(merged["seed"]),
-        replicate_mode=merged["replicate"],
         sizes=sizes,
         nuisance=_nuisance_from(merged),
     )
@@ -472,7 +465,6 @@ def cmd_optimize(merged: dict, outputs: _Outputs) -> None:
         mutation_rate=float(merged["mutation_rate"]),
         elitism_count=int(merged["elitism"]),
         tournament_size=int(merged["tournament"]),
-        crossover_operator=merged["crossover_op"],
         sbx_eta=float(merged["sbx_eta"]),
         init_mean=float(merged["init_mean"]),
         init_std=float(merged["init_std"]),
@@ -522,9 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help=f"output directory (default: ${OUTPUT_ROOT_ENV}"
                                        f"/<command> or runs/<command>)")
         for key, (_, kind) in SETTINGS[command].items():
-            if kind is bool:
-                spec = {"action": "store_true"}
-            elif isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 spec = {"choices": kind}
             else:
                 spec = {"type": kind}

@@ -32,6 +32,7 @@ from .data import (
 )
 from .nuisance import (
     BASIS_KINDS,
+    BasisExpansion,
     FitError,
     OutcomeConfig,
     RidgeModel,
@@ -40,7 +41,6 @@ from .nuisance import (
     check_outcome_arms,
     fit_outcome,
     fit_propensity,
-    make_basis,
 )
 from .parallel import forked_map
 
@@ -129,7 +129,6 @@ class PropensitySpec:
 
     mode: str = "fit"
     basis_kind: str = "polynomial2"
-    rbf_centers: int = 20
     clip: float = 0.01
     constant: float | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -215,7 +214,7 @@ class FoldDiagnostics:
 
 
 def propensity_predictions(spec: PropensitySpec, train: ObservationalDataset,
-                           *eval_sets: ObservationalDataset, seed: int):
+                           *eval_sets: ObservationalDataset):
     """Fit the propensity once on train and predict it on each evaluation set.
 
     Oracle mode reads each set's ground truth and constant mode fills in the
@@ -231,8 +230,7 @@ def propensity_predictions(spec: PropensitySpec, train: ObservationalDataset,
         return [ev.truth.true_propensity for ev in eval_sets], None
     if spec.mode == "constant":
         return [np.full(ev.n_units, float(spec.constant)) for ev in eval_sets], None
-    basis = make_basis(spec.basis_kind, train.covariates,
-                       n_centers=spec.rbf_centers, seed=seed)
+    basis = BasisExpansion(spec.basis_kind, train.n_features)
     model = fit_propensity(train, basis, solver=spec.solver, clip=spec.clip)
     return [model.predict(ev.covariates) for ev in eval_sets], model
 
@@ -277,12 +275,12 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
     fit on its complement only, so no unit's outcome influences its own
     predictions.  Every fold's arm sizes are checked first, in fold order.
     Then one parallel.forked_map call runs one propensity task per fold, in
-    fold order, ahead of one outcome task per (fold, arm), or per fold for a
-    joint model, longest first by training rows: fold order was slower in 8
-    of 10 estimate-ihdp-10k pairs on 2 CPUs.  An arm-size or propensity
-    failure thus names the lowest failing fold.  An outcome task sends back
-    only its held-out predictions and training RMSE: unpickling the 100-tree
-    models here left about 2 MiB more resident.
+    fold order, ahead of one outcome task per (fold, arm), longest first by
+    training rows: fold order was slower in 8 of 10 estimate-ihdp-10k pairs
+    on 2 CPUs.  An arm-size or propensity failure thus names the lowest
+    failing fold.  An outcome task sends back only its held-out predictions
+    and training RMSE: unpickling the 100-tree models here left about 2 MiB
+    more resident.
 
     Returns:
         (records, per-fold diagnostics), with records in ascending unit order.
@@ -305,8 +303,7 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         sizes = np.bincount(data.treatments[folds.complement(fold)], minlength=2)
         if not oracle:
             _in_fold(fold, check_outcome_arms, sizes, cfg)
-        planned += [(-int(sizes[list(arms)].sum()), fold, arms)
-                    for arms in ([(0, 1)] if cfg.joint else [(0,), (1,)])]
+        planned += [(-int(sizes[arm]), fold, (arm,)) for arm in (0, 1)]
     tasks += [(fold, arms) for _, fold, arms in sorted(planned)]
 
     def fit(task):
@@ -317,7 +314,7 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         train, eval_idx = data.subset(folds.complement(fold)), folds.indices(fold)
         if columns == (2,):
             return _in_fold(fold, propensity_predictions, spec.propensity, train,
-                            data.subset(eval_idx), seed=1000003 * seed + fold)
+                            data.subset(eval_idx))
         if oracle:
             truth = (data.truth.mu0, data.truth.mu1)
             return [truth[arm][eval_idx] for arm in columns], None
@@ -479,7 +476,7 @@ def estimate_sie(data: ObservationalDataset, delta: float, k: int = 5,
         data: observational sample.
         delta: intervention multiplier on the treatment odds (scalar >= 0).
         k: number of cross-fitting folds (>= 2).
-        seed: governs fold assignment and any seeded basis construction.
+        seed: governs fold assignment.
         nuisance: propensity/outcome settings; defaults fit both.
 
     Returns:

@@ -57,11 +57,8 @@ def make_dataset(generator: str, n: int, d: int, seed: int,
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Replicated estimation-error benchmark settings.
-
-    replicate_mode "dgp" redraws the dataset each replication; "seed" keeps
-    one dataset fixed and varies only the split/fold seeds.
-    """
+    """Replicated estimation-error benchmark settings; each replication
+    draws its own dataset."""
 
     generator: str = "ihdp"
     n: int = 747
@@ -72,7 +69,6 @@ class BenchmarkConfig:
     test_fraction: float = 0.2
     folds: int = 5
     seed: int = 0
-    replicate_mode: str = "dgp"
     sizes: tuple[int, ...] | None = None
     nuisance: NuisanceSpec = field(default_factory=NuisanceSpec)
 
@@ -86,11 +82,14 @@ class BenchmarkConfig:
             raise ValueError("need at least one method")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.replicate_mode not in ("dgp", "seed"):
-            raise ValueError("replicate_mode must be 'dgp' or 'seed'")
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("methods", "sizes"):
+            values = getattr(self, name) or ()
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:  # a repeat would run, and write, its rows twice
+                raise ValueError(f"{name} lists {repeated[0]} more than once")
 
     @property
     def sample_sizes(self) -> tuple[int, ...]:
@@ -150,7 +149,7 @@ def _split_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
                      for x in (train.covariates, test.covariates))
     if method == "ipwe":
         (p_train, p_test), _ = propensity_predictions(
-            cfg.nuisance.propensity, train, train, test, seed=seed)
+            cfg.nuisance.propensity, train, train, test)
         return (ipwe_from_propensity(train.treatments, train.outcomes, p_train),
                 ipwe_from_propensity(test.treatments, test.outcomes, p_test))
     raise ValueError(f"unknown method {method!r}")
@@ -160,8 +159,7 @@ def _replication_rows(cfg: BenchmarkConfig, size: int, rep: int,
                       ) -> list[ReplicationRow]:
     """Draw one replication's data, split it, and score every method on it."""
     seed = cfg.seed + 1 + rep
-    data = make_dataset(cfg.generator, size, cfg.d,
-                        cfg.seed if cfg.replicate_mode == "seed" else seed, cfg.dgp)
+    data = make_dataset(cfg.generator, size, cfg.d, seed, cfg.dgp)
     split = (size, rep, seed, *train_test_split(data, cfg.test_fraction, seed))
     truth = {"train": split[3].truth.ate, "test": split[4].truth.ate}
     rows = []

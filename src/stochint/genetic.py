@@ -3,10 +3,10 @@
 Candidate solutions are vectors of per-unit deltas inside box bounds.  The
 fitness of a candidate is the sum of the records' influence values
 (UnitRecords.phi), whose delta-free arm terms are built once.  Variation uses
-tournament selection, simulated-binary or uniform crossover, uniform-redraw
-mutation, and elitism (which makes the best-fitness trace non-decreasing).
-The rows and fitness are shared with the parallel.lockstep workers that
-breed and score the children; elites carry their fitness forward.
+tournament selection, simulated binary crossover, uniform-redraw mutation,
+and elitism (which makes the best-fitness trace non-decreasing).  The rows
+and fitness are shared with the parallel.lockstep workers that breed and
+score the children; elites carry their fitness forward.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 
 from .effects import UnitRecords
 from .parallel import lockstep, shared_zeros
-
-CROSSOVER_OPERATORS = ("sbx", "uniform")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +58,6 @@ class GaConfig:
     mutation_rate: float = 0.05
     elitism_count: int = 2
     tournament_size: int = 3
-    crossover_operator: str = "sbx"
     sbx_eta: float = 15.0
     init_mean: float = 1.0
     init_std: float = 1.0
@@ -80,8 +77,6 @@ class GaConfig:
             raise ValueError("elitism_count must lie in [0, population_size)")
         if not 2 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament_size must lie in [2, population_size]")
-        if self.crossover_operator not in CROSSOVER_OPERATORS:
-            raise ValueError(f"unknown crossover operator {self.crossover_operator!r}")
         if self.sbx_eta <= 0:
             raise ValueError("sbx_eta must be > 0")
         if self.init_std <= 0:
@@ -124,24 +119,16 @@ def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> list:
 
 def _crossover_rows(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
                     config: GaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped children of rows a and b; draws[0] gates mixing, draws[1] is u.
-
-    "sbx" is simulated binary crossover with distribution index sbx_eta;
-    "uniform" swaps each mixed coordinate with probability 0.5.
-    """
+    """Clamped simulated-binary-crossover children of rows a and b, with
+    distribution index sbx_eta; draws[0] gates mixing, draws[1] is u."""
     u = draws[1]
-    if config.crossover_operator == "sbx":
-        # one pow of the branch-selected base is bit-identical to selecting
-        # between the powers of both branches; 0.5 / x equals 1 / (2 x)
-        base = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u))
-        beta = np.power(base, 1.0 / (config.sbx_eta + 1.0), out=base)
-        up, down = 1.0 + beta, 1.0 - beta
-        c1 = 0.5 * (up * a + down * b)
-        c2 = 0.5 * (down * a + up * b)
-    else:
-        swap = u < 0.5
-        c1 = np.where(swap, b, a)
-        c2 = np.where(swap, a, b)
+    # one pow of the branch-selected base is bit-identical to selecting
+    # between the powers of both branches; 0.5 / x equals 1 / (2 x)
+    base = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u))
+    beta = np.power(base, 1.0 / (config.sbx_eta + 1.0), out=base)
+    up, down = 1.0 + beta, 1.0 - beta
+    c1 = 0.5 * (up * a + down * b)
+    c2 = 0.5 * (down * a + up * b)
     keep = draws[0] >= config.crossover_rate
     np.copyto(c1, a, where=keep)
     np.copyto(c2, b, where=keep)

@@ -3,9 +3,8 @@
 The propensity model is a logistic regression on a nonlinear basis expansion,
 fit by damped Newton iterations on the L2-regularized mean negative
 log-likelihood.  Outcome models are either gradient-boosted trees (default)
-or ridge regression, fit per arm unless a joint model over (x, t) is asked
-for.  No model is saved: a run keeps only its held-out predictions, which
-``effects.write_records_csv`` writes.
+or ridge regression, fit per arm.  No model is saved: a run keeps only its
+held-out predictions, which ``effects.write_records_csv`` writes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from .data import ObservationalDataset, sigmoid
 from .trees import GradientBoostedRegressor
 
-BASIS_KINDS = ("raw", "polynomial2", "rbf")
+BASIS_KINDS = ("raw", "polynomial2")
 # widest polynomial2 basis (d <= 61): each Newton step of the propensity fit
 # solves a system of this many unknowns, 5,151 at d = 100
 MAX_POLYNOMIAL2_COLUMNS = 2000
@@ -40,41 +39,26 @@ class BasisExpansion:
     kinds:
         raw:          [1, x_1, ..., x_d]
         polynomial2:  [1, x_1..x_d, x_i * x_j for i <= j]
-        rbf:          [1, exp(-||x - c_r||^2 / (2 scale^2))] over centers c_r
     """
 
     kind: str
     n_inputs: int
-    centers: np.ndarray | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "rbf":
-            if self.centers is None or self.scale is None:
-                raise ValueError("rbf basis requires centers and scale")
-            c = np.ascontiguousarray(np.asarray(self.centers, dtype=float))
-            if c.ndim != 2 or c.shape[1] != self.n_inputs:
-                raise ValueError("rbf centers must be (n_centers, n_inputs)")
-            c.flags.writeable = False
-            object.__setattr__(self, "centers", c)
-            if not self.scale > 0:
-                raise ValueError("rbf scale must be > 0")
         if self.kind == "polynomial2" and self.output_dim > MAX_POLYNOMIAL2_COLUMNS:
             raise ValueError(
                 f"a polynomial2 basis on {self.n_inputs} covariates has "
                 f"{self.output_dim} columns, more than {MAX_POLYNOMIAL2_COLUMNS}; "
-                "use the raw or rbf basis")
+                "use the raw basis")
 
     @property
     def output_dim(self) -> int:
         if self.kind == "raw":
             return 1 + self.n_inputs
-        if self.kind == "polynomial2":
-            d = self.n_inputs
-            return 1 + d + d * (d + 1) // 2
-        return 1 + self.centers.shape[0]
+        d = self.n_inputs
+        return 1 + d + d * (d + 1) // 2
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Map (n, d) covariates to the (n, output_dim) design matrix."""
@@ -90,10 +74,6 @@ class BasisExpansion:
         # those of stacking the pieces
         out = np.empty((n, self.output_dim))
         out[:, 0] = 1.0
-        if self.kind == "rbf":
-            sq = ((x[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-            np.exp(-sq / (2.0 * self.scale ** 2), out=out[:, 1:])
-            return out
         out[:, 1:d + 1] = x
         if self.kind == "polynomial2":
             col = d + 1
@@ -101,38 +81,6 @@ class BasisExpansion:
                 np.multiply(x[:, i:], x[:, i][:, None], out=out[:, col:col + d - i])
                 col += d - i
         return out
-
-
-def make_rbf_basis(x: np.ndarray, n_centers: int, seed: int) -> BasisExpansion:
-    """Build an RBF basis with k-means centers (10 steps) from a covariate subsample."""
-    x = np.asarray(x, dtype=float)
-    n, d = x.shape
-    if n_centers < 1 or n_centers > n:
-        raise ValueError("need 1 <= n_centers <= n")
-    rng = np.random.default_rng(seed)
-    sample = x[rng.choice(n, size=min(n, 512), replace=False)]
-    centers = sample[rng.choice(sample.shape[0], size=n_centers, replace=False)].copy()
-    for _ in range(10):
-        dist = ((sample[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        label = np.argmin(dist, axis=1)
-        for r in range(n_centers):
-            members = sample[label == r]
-            if members.shape[0]:
-                centers[r] = members.mean(axis=0)
-    dist = ((sample[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    scale = float(np.sqrt(np.median(dist.min(axis=1)) + 1e-12))
-    if scale <= 0:
-        scale = 1.0
-    return BasisExpansion(kind="rbf", n_inputs=d, centers=centers, scale=scale)
-
-
-def make_basis(kind: str, x: np.ndarray, n_centers: int = 20,
-               seed: int = 0) -> BasisExpansion:
-    """Construct a basis of the given kind for covariates shaped like x."""
-    x = np.asarray(x, dtype=float)
-    if kind == "rbf":
-        return make_rbf_basis(x, n_centers=min(n_centers, x.shape[0]), seed=seed)
-    return BasisExpansion(kind=kind, n_inputs=x.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +218,6 @@ class OutcomeConfig:
     """Outcome regression settings.
 
     kind: "boosted_trees" (default) or "ridge_linear".
-    joint: False fits one model per arm; True fits a single model on (x, t).
     min_arm_size: smallest arm allowed for per-arm fitting.
     """
 
@@ -279,7 +226,6 @@ class OutcomeConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     ridge_penalty: float = 1e-6
-    joint: bool = False
     min_arm_size: int = 10
 
     def __post_init__(self):
@@ -318,11 +264,10 @@ def _fit_ridge(x: np.ndarray, y: np.ndarray, penalty: float) -> RidgeModel:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeModel:
-    """Fitted outcome regression, routed per arm or joint over (x, t)."""
+    """Fitted outcome regression, one model per arm."""
 
     config: OutcomeConfig
-    arm_models: dict | None = None
-    joint_model: object | None = None
+    arm_models: dict
 
     def predict(self, x: np.ndarray, arm: int) -> np.ndarray:
         """Predicted mean outcome under the given arm for covariate rows x."""
@@ -331,9 +276,6 @@ class OutcomeModel:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        if self.config.joint:
-            xt = np.hstack([x, np.full((x.shape[0], 1), float(arm))])
-            return self.joint_model.predict(xt)
         return self.arm_models[arm].predict(x)
 
     @property
@@ -341,8 +283,7 @@ class OutcomeModel:
         """Mean final-round training RMSE of the boosted submodels; None for ridge."""
         if self.config.kind != "boosted_trees":
             return None
-        models = [self.joint_model] if self.config.joint else self.arm_models.values()
-        return float(np.mean([m.train_rmse_[-1] for m in models]))
+        return float(np.mean([m.train_rmse_[-1] for m in self.arm_models.values()]))
 
 
 def _fit_single(x: np.ndarray, y: np.ndarray, cfg: OutcomeConfig):
@@ -356,12 +297,9 @@ def _fit_single(x: np.ndarray, y: np.ndarray, cfg: OutcomeConfig):
 
 def check_outcome_arms(sizes: np.ndarray, config: OutcomeConfig) -> None:
     """Raise fit_outcome's FitError for training arm sizes (control, treated)
-    with an arm under min_arm_size in per-arm mode, or an empty arm in joint
-    mode."""
-    if config.joint and 0 in sizes:
-        raise FitError("joint outcome fit needs both arms present")
+    with an arm under min_arm_size."""
     for arm, size in enumerate(sizes):
-        if size < config.min_arm_size and not config.joint:
+        if size < config.min_arm_size:
             raise FitError(
                 f"arm {arm} has {size} units, fewer than min_arm_size="
                 f"{config.min_arm_size}; per-arm outcome fit refused"
@@ -370,10 +308,8 @@ def check_outcome_arms(sizes: np.ndarray, config: OutcomeConfig) -> None:
 
 def fit_outcome(data: ObservationalDataset, config: OutcomeConfig | None = None,
                 arms: tuple[int, ...] = (0, 1)) -> OutcomeModel:
-    """Fit the outcome regression mu(x, t).
-
-    Per-arm mode fits one regression for each of the given arms; joint mode
-    appends the treatment indicator as an extra input column.
+    """Fit the outcome regression mu(x, t), one regression for each of the
+    given arms.
 
     Raises:
         FitError: as check_outcome_arms.
@@ -381,9 +317,6 @@ def fit_outcome(data: ObservationalDataset, config: OutcomeConfig | None = None,
     cfg = config or OutcomeConfig()
     x, t, y = data.covariates, data.treatments, data.outcomes
     check_outcome_arms(np.bincount(t, minlength=2), cfg)
-    if cfg.joint:
-        xt = np.hstack([x, t[:, None].astype(float)])
-        return OutcomeModel(config=cfg, joint_model=_fit_single(xt, y, cfg))
     return OutcomeModel(
         config=cfg,
         arm_models={arm: _fit_single(x[t == arm], y[t == arm], cfg) for arm in arms},

@@ -177,13 +177,13 @@ TRUTH_COLUMNS = ["--covariate-cols", "x0,x1,x2", "--mu0-col", "mu0", "--mu1-col"
 
 @pytest.mark.parametrize("flags", [
     ["--n-trees", "4"],
-    ["--n-trees", "4", "--joint-outcome", "--basis", "rbf"],
+    ["--n-trees", "4", "--basis", "raw"],
     FAST,
-    ["--outcome-kind", "ridge_linear", "--joint-outcome",
+    ["--outcome-kind", "ridge_linear",
      "--propensity-mode", "constant", "--constant-propensity", "0.3"],
     ["--outcome-kind", "ridge_linear", "--propensity-mode", "oracle"],
     ["--outcome-mode", "oracle", "--propensity-mode", "oracle"],
-], ids=["boosted", "boosted-joint-rbf", "ridge", "joint-ridge-constant",
+], ids=["boosted", "boosted-raw", "ridge", "ridge-constant",
         "ridge-oracle-propensity", "oracle-both"])
 def test_estimate_records_reproduce_every_artifact(tmp_path, flags):
     data_path = truth_data(tmp_path)
@@ -465,9 +465,51 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def _echoed_before_removal(command, **removed):
+    """config.json as echoed by a run that still had the removed keys."""
+    defaults = {key: default for key, (default, _) in SETTINGS[command].items()}
+    return {"command": command, **defaults, **removed}
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("estimate", {"joint_outcome": True}, []),
+    ("estimate", {"rbf_centers": 20}, []),
+    ("optimize", {"crossover_op": "sbx"}, []),
+    ("benchmark", {"replicate": "dgp"}, []),
+    ("estimate", _echoed_before_removal("estimate", joint_outcome=False,
+                                        rbf_centers=20), []),
+    ("benchmark", _echoed_before_removal("benchmark", joint_outcome=False,
+                                         rbf_centers=20, replicate="dgp"), []),
+    ("optimize", _echoed_before_removal("optimize", joint_outcome=False,
+                                        rbf_centers=20, crossover_op="sbx"), []),
+    ("estimate", None, ["--joint-outcome"]),
+    ("estimate", None, ["--rbf-centers", "20"]),
+    ("estimate", None, ["--basis", "rbf"]),
+    ("optimize", None, ["--crossover-op", "uniform"]),
+    ("benchmark", None, ["--replicate", "seed"]),
+], ids=["joint_outcome", "rbf_centers", "crossover_op", "replicate",
+        "estimate-echo", "benchmark-echo", "optimize-echo", "--joint-outcome",
+        "--rbf-centers", "--basis-rbf", "--crossover-op", "--replicate"])
+def test_removed_options_are_refused(tmp_path, capsys, command, config, flags):
+    out = tmp_path / "run"
+    argv = [command, "--out", out, *flags]
+    if config is None:  # an unknown flag or choice is argparse's usage error
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli(*argv, "--config", cfg_path) == 1
+        removed = sorted(set(config) - set(SETTINGS[command]) - {"command"})
+        assert capsys.readouterr().err == (
+            f"error: unknown config keys: {', '.join(removed)}\n")
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 @pytest.mark.parametrize("command, key, value, wanted", [
-    ("estimate", "joint_outcome", "false", "true or false"),
-    ("estimate", "joint_outcome", 0, "true or false"),
+    ("estimate", "min_arm_size", "false", "an integer"),
+    ("benchmark", "sizes", 200, "a string"),
     ("estimate", "folds", 2.9, "an integer"),
     ("estimate", "folds", True, "an integer"),
     ("estimate", "delta", "2", "a number"),
@@ -532,9 +574,8 @@ def test_settings_defaults_are_the_library_defaults():
         "outcome_kind": outcome.kind, "outcome_mode": OutcomeSpec().mode,
         "n_trees": outcome.n_trees, "max_depth": outcome.max_depth,
         "learning_rate": outcome.learning_rate, "ridge_penalty": outcome.ridge_penalty,
-        "joint_outcome": outcome.joint, "min_arm_size": outcome.min_arm_size,
-        "propensity_mode": propensity.mode, "basis": propensity.basis_kind,
-        "rbf_centers": propensity.rbf_centers, "clip": propensity.clip,
+        "min_arm_size": outcome.min_arm_size, "propensity_mode": propensity.mode,
+        "basis": propensity.basis_kind, "clip": propensity.clip,
         "constant_propensity": propensity.constant,
         "l2_penalty": SolverConfig().l2_penalty,
     }
@@ -544,14 +585,14 @@ def test_settings_defaults_are_the_library_defaults():
             **nuisance, "generator": bench.generator, "n": bench.n, "d": bench.d,
             "seed": bench.seed, "methods": METHODS, "replications": bench.replications,
             "test_fraction": bench.test_fraction, "folds": bench.folds,
-            "replicate": bench.replicate_mode, "sizes": bench.sizes,
+            "sizes": bench.sizes,
         },
         "optimize": {
             **nuisance, "population": ga.population_size,
             "generations": ga.generations, "crossover_rate": ga.crossover_rate,
             "mutation_rate": ga.mutation_rate, "elitism": ga.elitism_count,
-            "tournament": ga.tournament_size, "crossover_op": ga.crossover_operator,
-            "sbx_eta": ga.sbx_eta, "init_mean": ga.init_mean, "init_std": ga.init_std,
+            "tournament": ga.tournament_size, "sbx_eta": ga.sbx_eta,
+            "init_mean": ga.init_mean, "init_std": ga.init_std,
             "bounds": ga.bounds, "ga_seed": ga.seed,
         },
     }
@@ -567,13 +608,13 @@ def test_settings_defaults_are_the_library_defaults():
 def test_config_number_accepts_json_integer(tmp_path):
     data_path = simulate_small(tmp_path / "sim")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"delta": 2, "folds": 3, "joint_outcome": True}))
+    cfg_path.write_text(json.dumps({"delta": 2, "folds": 3, "ridge_penalty": 1}))
     out = tmp_path / "est"
     rc = run_cli("estimate", "--config", cfg_path, "--data", data_path, "--out", out,
                  *FAST)
     assert rc == 0
     echoed = json.loads((out / "config.json").read_text())
-    assert (echoed["delta"], echoed["folds"], echoed["joint_outcome"]) == (2, 3, True)
+    assert (echoed["delta"], echoed["folds"], echoed["ridge_penalty"]) == (2, 3, 1)
     assert json.loads((out / "report.json").read_text())["k"] == 3
 
 
@@ -763,7 +804,9 @@ def test_optimize_artifact_onto_data_refused_before_the_search(tmp_path, capsys,
      "--sizes 50,x: every part must be an integer"),
     (["benchmark"], {"sizes": [100, 200]},
      "config key sizes must be a string, not [100, 200]"),
-], ids=["bounds", "sizes", "sizes-config-list"])
+    (["benchmark", "--sizes", "60,40,60"], None, "sizes lists 60 more than once"),
+    (["benchmark", "--methods", "ols,ols"], None, "methods lists ols more than once"),
+], ids=["bounds", "sizes", "sizes-config-list", "sizes-repeated", "methods-repeated"])
 def test_list_option_error_names_its_flag(tmp_path, capsys, argv, config, message):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

@@ -227,12 +227,6 @@ BOOSTED_NUISANCE = NuisanceSpec(
 ORACLE_OUTCOME = NuisanceSpec(propensity=PropensitySpec(basis_kind="raw"),
                               outcome=OutcomeSpec(mode="oracle"))
 
-JOINT_BOOSTED = NuisanceSpec(
-    propensity=PropensitySpec(basis_kind="raw"),
-    outcome=OutcomeSpec(config=OutcomeConfig(n_trees=10, max_depth=2, joint=True)),
-)
-
-
 def cross_fit_with_workers(monkeypatch, workers, data, k, nuisance=BOOSTED_NUISANCE):
     """cross_fit_records with the worker count forced; also counts the
     boosted fits made in this process and the forks."""
@@ -262,16 +256,15 @@ def assert_no_child_processes():
 
 @pytest.mark.parametrize("k, nuisance, fits_per_fold", [
     (2, BOOSTED_NUISANCE, 2), (3, BOOSTED_NUISANCE, 2), (5, BOOSTED_NUISANCE, 2),
-    (3, FAST_NUISANCE, 0), (3, ORACLE_OUTCOME, 0), (3, JOINT_BOOSTED, 1),
-], ids=["2", "3", "5", "ridge", "oracle", "joint"])
+    (3, FAST_NUISANCE, 0), (3, ORACLE_OUTCOME, 0),
+], ids=["2", "3", "5", "ridge", "oracle"])
 def test_forked_outcome_fits_match_in_process(monkeypatch, k, nuisance,
                                               fits_per_fold):
     data = make_cross_fit_data(n=150, seed=6)
     serial = cross_fit_with_workers(monkeypatch, 1, data, k, nuisance)
     forked = cross_fit_with_workers(monkeypatch, 2, data, k, nuisance)
-    # (boosted fits here, forks): one boosted fit per arm and fold, or per
-    # fold for a joint model, all here or all in the two workers, and every
-    # outcome kind forks alike
+    # (boosted fits here, forks): one boosted fit per arm and fold, all here
+    # or all in the two workers, and every outcome kind forks alike
     assert serial[2:] == (fits_per_fold * k, 0)
     assert forked[2:] == (0, 2)
     for name in ("p_hat", "mu0", "mu1"):
@@ -299,8 +292,8 @@ def test_forked_propensity_matches_in_process(monkeypatch):
     # on one OpenBLAS thread, a forked worker gives the calling process's bits
     data = generate_ihdp_like(4000, 15, seed=2)
 
-    def predict(seed):
-        (p,), _ = propensity_predictions(PropensitySpec(), data, data, seed=seed)
+    def predict(_):
+        (p,), _ = propensity_predictions(PropensitySpec(), data, data)
         return os.getpid(), p
 
     runs = {}
@@ -661,7 +654,7 @@ def test_ipwe_rejects_boundary_probabilities():
 def test_baseline_ipwe_constant_mode_matches_formula():
     data = make_cross_fit_data(n=100, seed=20)
     spec = NuisanceSpec(propensity=PropensitySpec(mode="constant", constant=0.45))
-    (p_hat,), _ = propensity_predictions(spec.propensity, data, data, seed=0)
+    (p_hat,), _ = propensity_predictions(spec.propensity, data, data)
     got = ipwe_from_propensity(data.treatments, data.outcomes, p_hat)
     t = data.treatments.astype(float)
     y = data.outcomes

@@ -71,8 +71,6 @@ def test_benchmark_config_validation():
         small_benchmark(methods=())
     with pytest.raises(ValueError, match="replications"):
         small_benchmark(replications=0)
-    with pytest.raises(ValueError, match="replicate_mode"):
-        small_benchmark(replicate_mode="bootstrap")
     with pytest.raises(ValueError, match="generator"):
         small_benchmark(generator="census")
 
@@ -109,27 +107,20 @@ def test_aggregate_matches_manual_mean_std():
         assert entry["std_epsilon"] == float(np.std(eps))
 
 
-def test_seed_replicate_mode_reuses_one_dataset():
-    # in "seed" mode the split varies but the underlying sample does not,
-    # so the split-weighted truth reassembles to the same value every rep
-    cfg = small_benchmark(methods=("ols",), replications=3,
-                          replicate_mode="seed", test_fraction=0.2)
-    result = run_benchmark(cfg)
-    n_test = int(round(160 * 0.2))
-    n_train = 160 - n_test
-    combined = {}
-    for rep in range(3):
-        t_train = next(r.truth for r in result.rows
-                       if r.replication == rep and r.split == "train")
-        t_test = next(r.truth for r in result.rows
-                      if r.replication == rep and r.split == "test")
-        combined[rep] = (n_train * t_train + n_test * t_test) / 160
-    values = list(combined.values())
-    assert max(values) - min(values) <= 1e-12
+def test_each_replication_draws_its_own_dataset():
+    result = run_benchmark(small_benchmark(methods=("ols",), replications=3))
+    truths = {r.truth for r in result.rows if r.split == "train"}
+    assert len(truths) == 3
 
-    dgp_mode = run_benchmark(small_benchmark(methods=("ols",), replications=3))
-    truths = {r.truth for r in dgp_mode.rows if r.split == "train"}
-    assert len(truths) == 3  # fresh draw each replication
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(sizes=(100, 160, 100)), "sizes lists 100 more than once"),
+    (dict(methods=("ols", "sie", "ols")), "methods lists ols more than once"),
+], ids=["sizes", "methods"])
+def test_benchmark_config_refuses_a_repeat(overrides, message):
+    # a repeat would run its replications twice and write each row twice
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        small_benchmark(**overrides)
 
 
 def test_run_benchmark_is_deterministic():
@@ -174,10 +165,9 @@ def assert_no_child_processes():
 
 @pytest.mark.parametrize("overrides, forks", [
     (dict(sizes=(100, 160), methods=("sie", "ols", "ipwe")), 2),
-    (dict(replicate_mode="seed", replications=3), 2),
     (dict(nuisance=FAST_NUISANCE), 2),
     (dict(methods=("ols", "ipwe")), 2),
-], ids=["sizes", "seed-mode", "ridge", "no-sie"])
+], ids=["sizes", "ridge", "no-sie"])
 def test_replication_workers_match_in_process(monkeypatch, overrides, forks):
     cfg = small_benchmark(**{"nuisance": BOOSTED_NUISANCE, **overrides})
     serial, serial_forks = benchmark_with_workers(monkeypatch, 1, cfg)

@@ -84,8 +84,6 @@ def test_ga_config_validation():
         GaConfig(population_size=4, elitism_count=4)
     with pytest.raises(ValueError, match="tournament"):
         GaConfig(tournament_size=1)
-    with pytest.raises(ValueError, match="operator"):
-        GaConfig(crossover_operator="blend")
     with pytest.raises(ValueError, match="sbx_eta"):
         GaConfig(sbx_eta=0.0)
     with pytest.raises(ValueError, match="bounds"):
@@ -167,7 +165,7 @@ def test_tournament_prefers_high_fitness():
 
 
 def test_sbx_children_preserve_parent_sum():
-    cfg = GaConfig(crossover_rate=1.0, crossover_operator="sbx")
+    cfg = GaConfig(crossover_rate=1.0)
     rng = np.random.default_rng(6)
     parent_rng = np.random.default_rng(7)
     for _ in range(200):
@@ -195,19 +193,6 @@ def test_crossover_rate_zero_copies_parents():
     c1, c2 = cross_rows(a, b, cfg, rng)
     assert np.array_equal(c1, a)
     assert np.array_equal(c2, b)
-
-
-def test_uniform_crossover_swaps_coordinates():
-    cfg = GaConfig(crossover_rate=1.0, crossover_operator="uniform")
-    rng = np.random.default_rng(10)
-    a = np.arange(1.0, 9.0)
-    b = np.arange(1.0, 9.0) + 0.5
-    c1, c2 = cross_rows(a, b, cfg, rng)
-    for i in range(8):
-        assert sorted([c1[i], c2[i]]) == sorted([a[i], b[i]])
-    # with 8 coordinates at swap probability one half, both patterns appear
-    assert not np.array_equal(c1, a)
-    assert not np.array_equal(c1, b)
 
 
 def test_crossover_children_respect_bounds():

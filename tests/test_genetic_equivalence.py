@@ -34,17 +34,12 @@ def reference_crossover(a, b, cfg, rng):
     lo, hi = cfg.bounds
     apply_mask = rng.random(n) < cfg.crossover_rate
     u = rng.random(n)
-    if cfg.crossover_operator == "sbx":
-        exponent = 1.0 / (cfg.sbx_eta + 1.0)
-        beta = np.where(u <= 0.5,
-                        (2.0 * u) ** exponent,
-                        (1.0 / (2.0 * (1.0 - u))) ** exponent)
-        c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-        c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    else:
-        swap = u < 0.5
-        c1 = np.where(swap, b, a)
-        c2 = np.where(swap, a, b)
+    exponent = 1.0 / (cfg.sbx_eta + 1.0)
+    beta = np.where(u <= 0.5,
+                    (2.0 * u) ** exponent,
+                    (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+    c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
     return (np.clip(np.where(apply_mask, c1, a), lo, hi),
             np.clip(np.where(apply_mask, c2, b), lo, hi))
 
@@ -99,7 +94,6 @@ def search_settings(draw):
         mutation_rate=draw(rates),
         elitism_count=draw(st.integers(0, 3)),
         tournament_size=draw(st.integers(2, population)),
-        crossover_operator=draw(st.sampled_from(["sbx", "uniform"])),
         sbx_eta=draw(st.sampled_from([1.0, 2.5, 15.0])),
         # normal(1, 1) draws fall outside [lo, hi] on both sides
         bounds=(lo, lo + draw(st.sampled_from([0.9, 2.0, 10.0]))),

@@ -12,8 +12,6 @@ from stochint.nuisance import (
     SolverConfig,
     fit_outcome,
     fit_propensity,
-    make_basis,
-    make_rbf_basis,
     propensity_gradient,
     sigmoid,
 )
@@ -50,32 +48,20 @@ def test_polynomial2_basis_values_and_dim():
     assert BasisExpansion(kind="polynomial2", n_inputs=5).output_dim == 1 + 5 + 15
 
 
-def test_rbf_basis_values():
-    centers = np.array([[0.0, 0.0], [1.0, 1.0]])
-    basis = BasisExpansion(kind="rbf", n_inputs=2, centers=centers, scale=1.0)
-    out = basis.expand(np.array([[0.0, 0.0]]))
-    expected = np.array([[1.0, 1.0, np.exp(-1.0)]])
-    assert np.allclose(out, expected, atol=1e-15)
-    assert basis.output_dim == 3
-
-
 def stacked_expansion(basis, x):
     """The expansion as np.hstack of its pieces: the reference for expand."""
     n, d = x.shape
     if basis.kind == "raw":
         return np.hstack([np.ones((n, 1)), x])
-    if basis.kind == "polynomial2":
-        return np.hstack([np.ones((n, 1)), x,
-                          *(x[:, i:] * x[:, i][:, None] for i in range(d))])
-    sq = ((x[:, None, :] - basis.centers[None, :, :]) ** 2).sum(axis=2)
-    return np.hstack([np.ones((n, 1)), np.exp(-sq / (2.0 * basis.scale ** 2))])
+    return np.hstack([np.ones((n, 1)), x,
+                      *(x[:, i:] * x[:, i][:, None] for i in range(d))])
 
 
-@pytest.mark.parametrize("kind", ["raw", "polynomial2", "rbf"])
+@pytest.mark.parametrize("kind", ["raw", "polynomial2"])
 @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (2000, 25)])
 def test_expand_matches_stacked_pieces_bit_for_bit(kind, n, d):
     x = np.random.default_rng(n + d).standard_normal((n, d)) * 3.0
-    basis = make_basis(kind, x, n_centers=5, seed=1)
+    basis = BasisExpansion(kind, d)
     got, want = basis.expand(x), stacked_expansion(basis, x)
     assert got.shape == want.shape == (n, basis.output_dim)
     assert got.flags.c_contiguous
@@ -90,8 +76,6 @@ def test_basis_rejects_bad_input():
         basis.expand(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="unknown basis"):
         BasisExpansion(kind="cubic", n_inputs=2)
-    with pytest.raises(ValueError, match="centers"):
-        BasisExpansion(kind="rbf", n_inputs=2)
 
 
 def test_wide_polynomial2_basis_fails_before_expanding(monkeypatch):
@@ -104,30 +88,9 @@ def test_wide_polynomial2_basis_fails_before_expanding(monkeypatch):
     monkeypatch.setattr(BasisExpansion, "expand", expand)
     data = logistic_dataset(40, [0.0] + [0.1] * 62, seed=0)
     with pytest.raises(ValueError, match="62 covariates has 2016 columns, "
-                                         "more than 2000; use the raw or rbf basis"):
-        fit_propensity(data, make_basis("polynomial2", data.covariates))
-    assert make_basis("raw", data.covariates).output_dim == 63
-
-
-def test_make_rbf_basis_is_deterministic():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((200, 3))
-    a = make_rbf_basis(x, n_centers=8, seed=5)
-    b = make_rbf_basis(x, n_centers=8, seed=5)
-    assert np.array_equal(a.centers, b.centers)
-    assert a.scale == b.scale
-    assert a.centers.shape == (8, 3)
-    assert a.scale > 0
-
-
-def test_make_basis_dispatch():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((50, 2))
-    assert make_basis("raw", x).kind == "raw"
-    assert make_basis("polynomial2", x).kind == "polynomial2"
-    rbf = make_basis("rbf", x, n_centers=6, seed=0)
-    assert rbf.kind == "rbf"
-    assert rbf.output_dim == 7
+                                         "more than 2000; use the raw basis"):
+        fit_propensity(data, BasisExpansion("polynomial2", data.n_features))
+    assert BasisExpansion("raw", data.n_features).output_dim == 63
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +244,6 @@ def test_outcome_min_arm_size_enforced():
                                 outcomes=rng.standard_normal(30))
     with pytest.raises(FitError, match="arm 1 has 4 units"):
         fit_outcome(data, OutcomeConfig())
-
-
-def test_outcome_joint_mode_uses_treatment_column():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((400, 2))
-    t = (rng.random(400) < 0.5).astype(np.int64)
-    y = x[:, 0] + 3.0 * t
-    data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
-    model = fit_outcome(data, OutcomeConfig(kind="ridge_linear", joint=True))
-    gap = model.predict(x, 1) - model.predict(x, 0)
-    assert np.allclose(gap, 3.0, atol=1e-2)
-
-
-def test_outcome_joint_mode_needs_both_arms():
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal((30, 2))
-    data = ObservationalDataset(covariates=x,
-                                treatments=np.zeros(30, dtype=np.int64),
-                                outcomes=np.zeros(30))
-    with pytest.raises(FitError, match="both arms"):
-        fit_outcome(data, OutcomeConfig(joint=True))
 
 
 def test_outcome_train_rmse_path_is_monotone():

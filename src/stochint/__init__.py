@@ -43,7 +43,6 @@ from .nuisance import (
     BasisExpansion,
     FitError,
     OutcomeConfig,
-    OutcomeModel,
     PropensityModel,
     SolverConfig,
     fit_outcome,

@@ -179,7 +179,7 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
 
 
 def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
-    """Load a comma-separated, headered, UTF-8 file into a dataset.
+    """Load a comma-separated, headered UTF-8 file (BOM allowed) into a dataset.
 
     Args:
         path: file to read.
@@ -199,7 +199,7 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

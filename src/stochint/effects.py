@@ -297,36 +297,35 @@ def cross_fit_records(data: ObservationalDataset, k: int, seed: int,
         raise ValueError("oracle outcome requested but ground truth is absent")
     n = data.n_units
     folds = split_folds(n, k, seed)
-    # task (fold, columns) fills the fold's rows of (mu0, mu1, p_hat)[columns]
-    tasks, planned = [(fold, (2,)) for fold in range(k)], []
+    # task (fold, column) fills the fold's rows of (mu0, mu1, p_hat)[column]
+    tasks, planned = [(fold, 2) for fold in range(k)], []
     for fold in range(k):
         sizes = np.bincount(data.treatments[folds.complement(fold)], minlength=2)
         if not oracle:
             _in_fold(fold, check_outcome_arms, sizes, cfg)
-        planned += [(-int(sizes[arm]), fold, (arm,)) for arm in (0, 1)]
-    tasks += [(fold, arms) for _, fold, arms in sorted(planned)]
+        planned += [(-int(sizes[arm]), fold, arm) for arm in (0, 1)]
+    tasks += [(fold, arm) for _, fold, arm in sorted(planned)]
 
     def fit(task):
-        """(held-out values for the task's columns, the propensity model or
+        """(held-out values of the task's column, the propensity model or
         the outcome training RMSE, or None where nothing was fitted)."""
-        fold, columns = task
+        fold, column = task
         # subsets are built where they are used, so none outlives its fit
         train, eval_idx = data.subset(folds.complement(fold)), folds.indices(fold)
-        if columns == (2,):
-            return _in_fold(fold, propensity_predictions, spec.propensity, train,
-                            data.subset(eval_idx))
+        if column == 2:
+            (p,), model = _in_fold(fold, propensity_predictions, spec.propensity,
+                                   train, data.subset(eval_idx))
+            return p, model
         if oracle:
-            truth = (data.truth.mu0, data.truth.mu1)
-            return [truth[arm][eval_idx] for arm in columns], None
-        model = _in_fold(fold, fit_outcome, train, cfg, columns)
-        x = data.covariates[eval_idx]
-        return [model.predict(x, arm) for arm in columns], model.train_rmse
+            return (data.truth.mu0, data.truth.mu1)[column][eval_idx], None
+        model = _in_fold(fold, fit_outcome, train, cfg, column)
+        rmse = None if cfg.kind == "ridge_linear" else model.train_rmse_[-1]
+        return model.predict(data.covariates[eval_idx]), rmse
 
     mu0, mu1, p_hat = values = (np.empty(n), np.empty(n), np.empty(n))
     extras = [[] for _ in range(k)]  # per fold: propensity model, RMSEs in any order
-    for (fold, columns), (held_out, extra) in zip(tasks, forked_map(fit, tasks)):
-        for column, prediction in zip(columns, held_out):
-            values[column][folds.indices(fold)] = prediction
+    for (fold, column), (held_out, extra) in zip(tasks, forked_map(fit, tasks)):
+        values[column][folds.indices(fold)] = held_out
         extras[fold].append(extra)
     fits = [(p_model, None if None in r else float(np.mean(r)))
             for p_model, *r in extras]

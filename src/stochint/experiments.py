@@ -82,6 +82,9 @@ class BenchmarkConfig:
             raise ValueError("need at least one method")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.nuisance.outcome.mode == "oracle":
+            raise ValueError("benchmark refuses outcome mode 'oracle': sie's "
+                             "test-split estimate comes from fitted models")
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -139,10 +142,10 @@ def _split_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
     _, _, seed, train, test = split
     if method == "sie":
         ate_train = estimate_ate_difference(train, cfg.folds, seed, cfg.nuisance)
-        full_model = fit_outcome(train, cfg.nuisance.outcome.config)
-        contrast = full_model.predict(test.covariates, 1) \
-            - full_model.predict(test.covariates, 0)
-        return ate_train, float(np.mean(contrast))
+        model0, model1 = (fit_outcome(train, cfg.nuisance.outcome.config, arm)
+                          for arm in (0, 1))
+        x = test.covariates
+        return ate_train, float(np.mean(model1.predict(x) - model0.predict(x)))
     if method == "ols":
         model0, model1 = fit_per_arm_linear(train)
         return tuple(float(np.mean(model1.predict(x) - model0.predict(x)))

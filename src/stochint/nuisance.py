@@ -262,39 +262,6 @@ def _fit_ridge(x: np.ndarray, y: np.ndarray, penalty: float) -> RidgeModel:
     return RidgeModel(coef=coef)
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeModel:
-    """Fitted outcome regression, one model per arm."""
-
-    config: OutcomeConfig
-    arm_models: dict
-
-    def predict(self, x: np.ndarray, arm: int) -> np.ndarray:
-        """Predicted mean outcome under the given arm for covariate rows x."""
-        if arm not in (0, 1):
-            raise ValueError("arm must be 0 or 1")
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        return self.arm_models[arm].predict(x)
-
-    @property
-    def train_rmse(self) -> float | None:
-        """Mean final-round training RMSE of the boosted submodels; None for ridge."""
-        if self.config.kind != "boosted_trees":
-            return None
-        return float(np.mean([m.train_rmse_[-1] for m in self.arm_models.values()]))
-
-
-def _fit_single(x: np.ndarray, y: np.ndarray, cfg: OutcomeConfig):
-    if cfg.kind == "ridge_linear":
-        return _fit_ridge(x, y, cfg.ridge_penalty)
-    model = GradientBoostedRegressor(
-        n_trees=cfg.n_trees, max_depth=cfg.max_depth, learning_rate=cfg.learning_rate
-    )
-    return model.fit(x, y)
-
-
 def check_outcome_arms(sizes: np.ndarray, config: OutcomeConfig) -> None:
     """Raise fit_outcome's FitError for training arm sizes (control, treated)
     with an arm under min_arm_size."""
@@ -306,18 +273,20 @@ def check_outcome_arms(sizes: np.ndarray, config: OutcomeConfig) -> None:
             )
 
 
-def fit_outcome(data: ObservationalDataset, config: OutcomeConfig | None = None,
-                arms: tuple[int, ...] = (0, 1)) -> OutcomeModel:
-    """Fit the outcome regression mu(x, t), one regression for each of the
-    given arms.
+def fit_outcome(data: ObservationalDataset, config: OutcomeConfig,
+                arm: int) -> RidgeModel | GradientBoostedRegressor:
+    """Fit the outcome regression mu_arm(x) on the units of the given arm.
 
     Raises:
+        ValueError: arm is not 0 or 1.
         FitError: as check_outcome_arms.
     """
-    cfg = config or OutcomeConfig()
-    x, t, y = data.covariates, data.treatments, data.outcomes
-    check_outcome_arms(np.bincount(t, minlength=2), cfg)
-    return OutcomeModel(
-        config=cfg,
-        arm_models={arm: _fit_single(x[t == arm], y[t == arm], cfg) for arm in arms},
-    )
+    if arm not in (0, 1):
+        raise ValueError("arm must be 0 or 1")
+    t = data.treatments
+    check_outcome_arms(np.bincount(t, minlength=2), config)
+    x, y = data.covariates[t == arm], data.outcomes[t == arm]
+    if config.kind == "ridge_linear":
+        return _fit_ridge(x, y, config.ridge_penalty)
+    return GradientBoostedRegressor(n_trees=config.n_trees, max_depth=config.max_depth,
+                                    learning_rate=config.learning_rate).fit(x, y)

@@ -151,6 +151,22 @@ def test_estimate_save_then_load_records_matches(tmp_path):
     assert report_a == report_b
 
 
+def test_estimate_reads_inputs_that_start_with_a_bom(tmp_path):
+    data_path, records = save_records(tmp_path, *FAST)
+    bom_copies = []
+    for path in (data_path, records):
+        copy = path.with_name("bom-" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        bom_copies.append(copy)
+    common = ["estimate", "--folds", "3", "--seed", "0", *FAST]
+    assert run_cli(*common, "--data", bom_copies[0], "--out", tmp_path / "b") == 0
+    assert run_cli(*common, "--data", bom_copies[0], "--records", bom_copies[1],
+                   "--out", tmp_path / "c") == 0
+    a = (tmp_path / "a" / "influence.csv").read_bytes()
+    assert (tmp_path / "b" / "influence.csv").read_bytes() == a
+    assert (tmp_path / "c" / "influence.csv").read_bytes() == a
+
+
 def test_estimate_records_report_no_model_fields(tmp_path):
     data_path, records = save_records(tmp_path, "--n-trees", "3")
     rc = run_cli("estimate", "--data", data_path, "--out", tmp_path / "b",
@@ -694,6 +710,15 @@ def test_benchmark_error_names_the_failing_replication(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: size 80 replication 1: fold 2: arm 1 has 9 units")
     assert not (tmp_path / "bench" / "tables").exists()
+
+
+def test_benchmark_oracle_outcome_refused_before_any_replication(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(stochint.experiments, "make_dataset", pytest.fail)
+    rc = run_cli(*bench_args(tmp_path / "bench"), "--outcome-mode", "oracle")
+    assert rc == 1
+    assert "outcome mode 'oracle'" in capsys.readouterr().err
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 @pytest.mark.filterwarnings("ignore:rank-deficient least-squares design")

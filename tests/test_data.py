@@ -131,6 +131,19 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     )
 
 
+def test_load_csv_skips_a_leading_bom(tmp_path):
+    data = generate_ihdp_like(20, 3, seed=8)
+    path, bom = tmp_path / "data.csv", tmp_path / "bom.csv"
+    write_csv(data, path)
+    assert not path.read_bytes().startswith(b"\xef\xbb\xbf")  # writers add none
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    schema = default_schema(3, with_truth=True)
+    plain, loaded = load_csv(path, schema), load_csv(bom, schema)
+    for name in ("covariates", "treatments", "outcomes"):
+        assert np.array_equal(getattr(loaded, name), getattr(plain, name))
+    assert np.array_equal(loaded.truth.mu1, plain.truth.mu1)
+
+
 def test_csv_without_truth_columns(tmp_path):
     data = small_dataset()
     path = tmp_path / "data.csv"

@@ -37,7 +37,7 @@ from stochint.effects import (
     stochastic_propensity,
     write_records_csv,
 )
-from stochint.nuisance import FitError, OutcomeConfig
+from stochint.nuisance import FitError, OutcomeConfig, fit_outcome
 from stochint.parallel import forked_map
 from stochint.trees import GradientBoostedRegressor
 
@@ -588,6 +588,21 @@ def test_fold_diagnostics_without_fits_keep_the_fold_sizes():
     assert [(d.fold, d.n_eval, d.n_train, d.n_train_treated) for d in bare] == \
         [(d.fold, d.n_eval, d.n_train, d.n_train_treated) for d in fitted]
     assert all(d.propensity_iterations > 0 for d in fitted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fold_outcome_rmse_is_the_mean_of_the_arms_final_rmse(monkeypatch, workers):
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
+    data = make_cross_fit_data()
+    folds = split_folds(data.n_units, 3, 4)
+    _, diags = cross_fit_records(data, k=3, seed=4, nuisance=BOOSTED_NUISANCE)
+    cfg = BOOSTED_NUISANCE.outcome.config
+    for fold, diag in enumerate(diags):
+        train = data.subset(folds.complement(fold))
+        final = [fit_outcome(train, cfg, arm).train_rmse_[-1] for arm in (0, 1)]
+        assert diag.outcome_train_rmse == float(np.mean(final))
+    _, ridge = cross_fit_records(data, k=3, seed=4, nuisance=FAST_NUISANCE)
+    assert all(d.outcome_train_rmse is None for d in ridge)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,17 @@ def test_benchmark_config_validation():
         small_benchmark(generator="census")
 
 
+def test_benchmark_config_refuses_oracle_outcomes(monkeypatch):
+    # sie would take the train split's ATE from the truth but fit the test
+    # split's, so the two sides would not measure the same estimator
+    monkeypatch.setattr(stochint.experiments, "make_dataset", pytest.fail)
+    oracle = NuisanceSpec(outcome=OutcomeSpec(mode="oracle"))
+    with pytest.raises(ValueError, match="outcome mode 'oracle'"):
+        run_benchmark(small_benchmark(nuisance=oracle))
+    # oracle propensities stay: ipwe with the true propensity is a baseline
+    small_benchmark(nuisance=NuisanceSpec(propensity=PropensitySpec(mode="oracle")))
+
+
 # ---------------------------------------------------------------------------
 # benchmark runs
 # ---------------------------------------------------------------------------

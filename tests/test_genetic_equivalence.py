@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochint.effects import influence, m_term, stochastic_propensity
+from stochint import genetic
 from stochint.genetic import (
     GaConfig,
     _crossover_rows,
@@ -51,7 +52,7 @@ def reference_mutate(x, cfg, rng):
     return np.where(mask, redraw, x)
 
 
-def reference_search(records, cfg):
+def reference_search(records, cfg, extra_draw=False):
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.bounds
     m = cfg.population_size
@@ -71,6 +72,8 @@ def reference_search(records, cfg):
         for _ in range(m):
             entrants = rng.integers(0, m, size=cfg.tournament_size)
             parents.append(population[int(entrants[int(np.argmax(fits[entrants]))])])
+        if extra_draw:
+            rng.integers(0, 2)
         children = []
         for i in range(0, m, 2):
             c1, c2 = reference_crossover(parents[i], parents[i + 1], cfg, rng)
@@ -142,3 +145,33 @@ def test_long_searches_match_reference_for_each_elitism():
         assert np.array_equal(best.deltas, ref_best)
         assert np.array_equal(trace.best_fitness, ref_best_hist)
         assert np.array_equal(trace.mean_fitness, ref_mean_hist)
+
+
+def test_buffered_half_of_an_odd_tournament_draw_matches_reference(monkeypatch):
+    # an even population draws an even number of 32-bit values in its
+    # tournaments, so none is left buffered; one more draw per generation
+    # leaves one, which _skip_doubles must carry past the children's doubles
+    real_tournament, buffered = genetic._tournament, []
+
+    def odd_tournament(fits, size, rng):
+        winners = real_tournament(fits, size, rng)
+        rng.integers(0, 2)
+        buffered.append(rng.bit_generator.state["has_uint32"])
+        return winners
+
+    monkeypatch.setattr(genetic, "_tournament", odd_tournament)
+    records = oracle_records(30, seed=5, gap_lo=-1.0, gap_hi=1.0)
+    cfg = GaConfig(population_size=10, generations=20, mutation_rate=0.2,
+                   bounds=(0.2, 4.0), seed=7)
+    ref_best, ref_best_hist, ref_mean_hist = reference_search(records, cfg,
+                                                              extra_draw=True)
+    best, trace = optimize_records(records, cfg)
+    assert any(buffered)
+    assert np.array_equal(best.deltas, ref_best)
+    assert np.array_equal(trace.best_fitness, ref_best_hist)
+    assert np.array_equal(trace.mean_fitness, ref_mean_hist)
+    # advance() alone drops the buffered half, and the searches part
+    monkeypatch.setattr(genetic, "_skip_doubles",
+                        lambda rng, count: rng.bit_generator.advance(count))
+    best, trace = optimize_records(records, cfg)
+    assert not np.array_equal(trace.mean_fitness, ref_mean_hist)

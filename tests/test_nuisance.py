@@ -216,9 +216,9 @@ def test_outcome_constant_per_arm():
     t[:30] = 1
     y = np.where(t == 1, 5.0, -2.0)
     data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
-    model = fit_outcome(data, OutcomeConfig(n_trees=10))
-    assert np.allclose(model.predict(x, 1), 5.0)
-    assert np.allclose(model.predict(x, 0), -2.0)
+    cfg = OutcomeConfig(n_trees=10)
+    assert np.allclose(fit_outcome(data, cfg, 1).predict(x), 5.0)
+    assert np.allclose(fit_outcome(data, cfg, 0).predict(x), -2.0)
 
 
 def test_outcome_ridge_recovers_linear_surface():
@@ -227,12 +227,11 @@ def test_outcome_ridge_recovers_linear_surface():
     t = (rng.random(500) < 0.5).astype(np.int64)
     y = 2.0 * x[:, 1]
     data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
-    model = fit_outcome(data, OutcomeConfig(kind="ridge_linear"))
     for arm in (0, 1):
-        coef = model.arm_models[arm].coef
-        assert abs(coef[0]) < 1e-3
-        assert abs(coef[2] - 2.0) < 1e-3
-        assert np.max(np.abs(model.predict(x, arm) - y)) < 1e-2
+        model = fit_outcome(data, OutcomeConfig(kind="ridge_linear"), arm)
+        assert abs(model.coef[0]) < 1e-3
+        assert abs(model.coef[2] - 2.0) < 1e-3
+        assert np.max(np.abs(model.predict(x) - y)) < 1e-2
 
 
 def test_outcome_min_arm_size_enforced():
@@ -242,8 +241,9 @@ def test_outcome_min_arm_size_enforced():
     t[:4] = 1
     data = ObservationalDataset(covariates=x, treatments=t,
                                 outcomes=rng.standard_normal(30))
+    # both arms are checked, whichever one is fit
     with pytest.raises(FitError, match="arm 1 has 4 units"):
-        fit_outcome(data, OutcomeConfig())
+        fit_outcome(data, OutcomeConfig(), arm=0)
 
 
 def test_outcome_train_rmse_path_is_monotone():
@@ -252,14 +252,21 @@ def test_outcome_train_rmse_path_is_monotone():
     t = (rng.random(200) < 0.5).astype(np.int64)
     y = np.sin(x[:, 0]) + t * x[:, 1] + 0.1 * rng.standard_normal(200)
     data = ObservationalDataset(covariates=x, treatments=t, outcomes=y)
-    model = fit_outcome(data, OutcomeConfig(n_trees=30))
-    paths = [model.arm_models[arm].train_rmse_ for arm in (0, 1)]
-    for rmse in paths:
+    for arm in (0, 1):
+        rmse = fit_outcome(data, OutcomeConfig(n_trees=30), arm).train_rmse_
+        assert rmse.shape == (30,)
         assert (np.diff(rmse) <= 1e-12).all()
-    # the fold diagnostic: the arms' final-round RMSE, averaged in arm order
-    assert model.train_rmse == float(np.mean([paths[0][-1], paths[1][-1]]))
-    ridge = fit_outcome(data, OutcomeConfig(kind="ridge_linear"))
-    assert ridge.train_rmse is None
+
+
+@pytest.mark.parametrize("arm", [2, -1, None])
+def test_outcome_arm_must_be_0_or_1(arm):
+    rng = np.random.default_rng(16)
+    t = np.zeros(40, dtype=np.int64)
+    t[:20] = 1
+    data = ObservationalDataset(covariates=rng.standard_normal((40, 2)),
+                                treatments=t, outcomes=rng.standard_normal(40))
+    with pytest.raises(ValueError, match="^arm must be 0 or 1$"):
+        fit_outcome(data, OutcomeConfig(), arm)
 
 
 def test_outcome_config_validation():

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -173,12 +174,13 @@ class CliError(ValueError):
 
 
 class _Outputs:
-    """Tracks files written by one run so failures can clean up."""
+    """Tracks the files and directories one run makes so failures can clean up."""
 
     def __init__(self, out_dir: Path):
         self.dir = out_dir
         self.inputs: list[Path] = []
         self.written: list[Path] = []
+        self.made: list[Path] = []  # directories, in the order they were made
 
     def path(self, *parts: str) -> Path:
         return self.add(self.dir.joinpath(*parts))
@@ -194,19 +196,24 @@ class _Outputs:
                 raise CliError(f"{path} would be written twice by this run")
 
     def add(self, target: Path) -> Path:
-        """Track a file the run writes, also outside the output directory;
-        a file the run reads or already writes is refused."""
+        """Track a file the run writes, also outside the output directory,
+        and each directory made for it; a file the run reads or already
+        writes is refused."""
         self.check(target)
+        self.made += [d for d in reversed(target.parents) if not d.exists()]
         target.parent.mkdir(parents=True, exist_ok=True)
         self.written.append(target)
         return target
 
     def cleanup(self) -> None:
+        """Remove the files written, then the directories made, deepest
+        first; a directory that holds anything else is kept."""
         for target in reversed(self.written):
-            try:
+            with suppress(OSError):
                 target.unlink(missing_ok=True)
-            except OSError:
-                pass
+        for directory in reversed(self.made):
+            with suppress(OSError):
+                directory.rmdir()
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -217,7 +224,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         path = Path(config_path)
         if not path.exists():
             raise CliError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             try:
                 loaded = json.load(handle)
             except json.JSONDecodeError as err:
@@ -262,14 +269,9 @@ def _flag(key: str) -> str:
 
 
 def _resolve_out(args: argparse.Namespace, command: str) -> Path:
+    """The output directory, which _Outputs.add makes when a file goes in."""
     out = getattr(args, "out", None)
-    if out:
-        directory = Path(out)
-    else:
-        root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
-        directory = Path(root) / command
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    return Path(out) if out else Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / command
 
 
 def _dgp_from(merged: dict, generator: str) -> DgpConfig:

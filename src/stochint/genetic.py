@@ -5,8 +5,8 @@ fitness of a candidate is the sum of the records' influence values
 (UnitRecords.phi), whose delta-free arm terms are built once.  Variation uses
 tournament selection, simulated binary crossover, uniform-redraw mutation,
 and elitism (which makes the best-fitness trace non-decreasing).  The rows
-and fitness are shared with the parallel.lockstep workers that breed and
-score the children; elites carry their fitness forward.
+and fitness are shared with the parallel.pool workers that breed and score
+the children; elites carry their fitness forward.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import UnitRecords
-from .parallel import lockstep, shared_zeros
+from .parallel import blocks, pool, shared_zeros
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +106,7 @@ def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator) -> np.ndar
     return np.clip(draws, *config.bounds, out=draws)
 
 
-def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> list:
+def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Index of each of len(fits) tournament winners.
 
     One integers() call per tournament: numpy buffers 32-bit draws, so
@@ -114,7 +114,7 @@ def _tournament(fits: np.ndarray, size: int, rng: np.random.Generator) -> list:
     stays in the generator's state for its next integers() call.
     """
     entrants = [rng.integers(0, len(fits), size=size) for _ in fits]
-    return [group[np.argmax(fits[group])] for group in entrants]
+    return np.array([group[np.argmax(fits[group])] for group in entrants])
 
 
 def _crossover_rows(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
@@ -156,8 +156,8 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
     """Run the genetic search against precomputed unit records.
 
     Nuisances are whatever the records carry; no fitting happens here.  Each
-    parallel.lockstep rank breeds a block of pairs; the README's Determinism
-    section gives the rng draw order, which does not depend on the ranks.
+    parallel.pool worker breeds a block of pairs; the README's Determinism
+    section gives the rng draw order, which does not depend on the workers.
 
     Returns:
         (best vector of the final generation, per-generation trace).
@@ -173,8 +173,8 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
         fitness[0, i] = np.sum(records.phi(row))
     pair_rng, draws = np.random.default_rng(), np.empty((6, n))
 
-    def breed(pairs, task):
-        gen, state, parents = task
+    def breed(task):
+        pairs, gen, state, parents = task
         population, bred = populations[gen % 2], populations[1 - gen % 2]
         # pair i draws its crossover mask and u, then a mutation mask and
         # redraw per child: 6 n doubles, even for a child past the end
@@ -192,7 +192,8 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
 
     best_hist = np.empty(cfg.generations)
     mean_hist = np.empty(cfg.generations)
-    with lockstep(breed, (m - elites + 1) // 2) as run:
+    split = blocks((m - elites + 1) // 2)
+    with pool(breed, len(split)) as breed_blocks:
         for gen in range(cfg.generations):
             population, fits = populations[gen % 2], fitness[gen % 2]
             if not np.isfinite(fits).all():
@@ -206,7 +207,8 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
             populations[1 - gen % 2, :elites] = population[order[:elites]]
             fitness[1 - gen % 2, :elites] = fits[order[:elites]]
             parents = _tournament(fits, cfg.tournament_size, rng)
-            run((gen, rng.bit_generator.state, parents))
+            state = rng.bit_generator.state
+            breed_blocks([(pairs, gen, state, parents) for pairs in split])
             _skip_doubles(rng, 6 * n * (m // 2))
     best = InterventionVector(population[order[0]].copy(), lo, hi)
     return best, GaTrace(best_hist, mean_hist)

@@ -2,9 +2,9 @@
 
 The workers are forked copies of the calling process: they import nothing,
 are sent only small pickled requests through their own pipe, and reply
-through another.  forked_map hands out independent tasks; lockstep runs one
-step of a loop on every rank at once.  A worker never forks again, so
-workers do not nest.
+through another.  A pool's workers serve every map call made in it;
+forked_map is one such call.  A worker never forks again, so workers do not
+nest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-# set in each forked worker, which then runs any forked_map or lockstep in-process
+# set in each forked worker, which then runs any pool's map in-process
 _in_worker = False
 
 
@@ -74,76 +74,65 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(threads)
 
 
-@_one_blas_thread()
-def forked_map(func, items) -> list:
-    """[func(item) for item in items], computed by forked worker processes.
-
-    One worker per usable CPU, at most one per item.  Item indices are
-    handed out in order, one at a time, each to the first worker free: a
-    worker gets the next index as soon as it sends back the result of its
-    last item, or the exception it raised, through its own pipe.  After a
-    failure no further index is handed out; every earlier item was already
-    handed out, so the first exception in item order is raised here.  Every
-    worker has exited and been reaped when this returns or raises.
-
-    The items are computed in this process inside a worker, with one usable
-    CPU, off Linux, or while another Python thread runs: fork copies only
-    the calling thread.  On both paths they run on one OpenBLAS thread.
-    """
-    items = list(items)
-    count = min(usable_cpus(), len(items))
-    if not _may_fork(count):
-        return [func(item) for item in items]
-    busy = {}  # result pipe -> (worker pid, index of the item it computes)
-    results, failures = [None] * len(items), {}
-    with _workers([lambda i: func(items[i])] * count) as workers:
-        next_item = 0
-        while True:
-            for pid, indices, pipe in workers:
-                if pipe not in busy and next_item < len(items) and not failures:
-                    _send(indices, next_item)
-                    busy[pipe], next_item = (pid, next_item), next_item + 1
-            if not busy:
-                break
-            for pipe in select.select(list(busy), [], [])[0]:
-                pid, i = busy.pop(pipe)
-                failed, value = _receive(pid, pipe)
-                if failed:
-                    failures[i] = value
-                else:
-                    results[i] = value
-    if failures:
-        raise failures[min(failures)]
-    return results
+def blocks(tasks: int) -> list[range]:
+    """range(tasks) split into one contiguous block per worker of a
+    pool(func, len(blocks(tasks))): one per usable CPU, at most one per task."""
+    count = min(usable_cpus(), tasks)
+    return [range(r * tasks // count, (r + 1) * tasks // count) for r in range(count)]
 
 
 @contextmanager
-def lockstep(step, tasks: int):
-    """Yield run(arg), which calls step(block, arg) for each rank's block of
-    range(tasks) and returns once all have returned: one barrier per run.
+def pool(func, tasks: int):
+    """Yield map(items), which returns [func(item) for item in items].
 
-    One rank per usable CPU, at most one per task, each with a contiguous
-    block.  Rank 0 runs here and the others in workers forked on entry, which
-    share results through shared_zeros arrays made before it.  Where
-    forked_map would not fork, every block runs here, in rank order.  run
-    raises the lowest failing rank's exception, or a dead worker's error; on
-    exit every worker's pipes are closed, which ends it, and it is reaped.
+    One worker per usable CPU, at most tasks, is forked on entry and serves
+    every map call until exit, when its pipes are closed, which ends it, and
+    it is reaped.  map hands out the items in order, one at a time, each to
+    the first worker free: a worker gets the next item as soon as it sends
+    back the result of its last, or the exception it raised.  After a failure
+    no further item is handed out, and every earlier one was, so the first
+    exception in item order is raised; a dead worker's error is raised at once.
+
+    Nothing is forked inside a worker, with one usable CPU, off Linux, or
+    while another Python thread runs, since fork copies only the calling
+    thread: map then computes the items in this process.  On both paths they
+    run on one OpenBLAS thread.
     """
-    ranks = min(usable_cpus(), tasks)
-    blocks = [range(r * tasks // ranks, (r + 1) * tasks // ranks) for r in range(ranks)]
-    if not _may_fork(ranks):
-        yield lambda arg: [step(block, arg) for block in blocks]
-        return
-    with _workers([functools.partial(step, block) for block in blocks[1:]]) as workers:
-        def run(arg):
-            for _, requests, _ in workers:
-                _send(requests, arg)
-            step(blocks[0], arg)
-            for pid, _, replies in workers:
-                failed, value = _receive(pid, replies)
-                if failed:
-                    raise value
-        yield run
+    count = min(usable_cpus(), tasks)
+    with _one_blas_thread(), _workers(func, count if _may_fork(count) else 0) as workers:
+        def map_items(items) -> list:
+            items = list(items)
+            if not workers:
+                return [func(item) for item in items]
+            busy = {}  # reply pipe -> (worker pid, index of the item it computes)
+            results, failures = [None] * len(items), {}
+            next_item = 0
+            while True:
+                for pid, requests, replies in workers:
+                    if replies not in busy and next_item < len(items) and not failures:
+                        _send(requests, items[next_item])
+                        busy[replies], next_item = (pid, next_item), next_item + 1
+                if not busy:
+                    break
+                for pipe in select.select(list(busy), [], [])[0]:
+                    pid, i = busy.pop(pipe)
+                    failed, value = _receive(pid, pipe)
+                    if failed:
+                        failures[i] = value
+                    else:
+                        results[i] = value
+            if failures:
+                raise failures[min(failures)]
+            return results
+        yield map_items
+
+
+def forked_map(func, items) -> list:
+    """[func(item) for item in items], computed by one pool's map; the
+    workers are sent item indices, so the items need not pickle."""
+    items = list(items)
+    with pool(lambda i: func(items[i]), len(items)) as map_items:
+        return map_items(range(len(items)))
 
 
 def shared_zeros(shape) -> np.ndarray:
@@ -152,14 +141,14 @@ def shared_zeros(shape) -> np.ndarray:
 
 
 @contextmanager
-def _workers(tasks):
-    """Yield the (pid, request pipe, reply pipe) of a worker forked to serve
-    each task (see _serve), which first closes its copies of the earlier
-    workers' pipes.  On exit, close each worker's pipes, which ends it after
-    its current request, and reap it."""
+def _workers(func, count: int):
+    """Yield the (pid, request pipe, reply pipe) of count workers forked to
+    serve func (see _serve), each of which first closes its copies of the
+    earlier workers' pipes.  On exit, close each worker's pipes, which ends
+    it after its current request, and reap it."""
     workers = []
     try:
-        for task in tasks:
+        for _ in range(count):
             request_read, request_write = os.pipe()
             reply_read, reply_write = os.pipe()
             pid = os.fork()
@@ -169,7 +158,7 @@ def _workers(tasks):
                 for _, *pipes in workers:
                     for pipe in pipes:
                         pipe.close()
-                _serve(task, request_read, reply_write)
+                _serve(func, request_read, reply_write)
             os.close(request_read)
             os.close(reply_write)
             workers.append((pid, os.fdopen(request_write, "wb"),
@@ -196,8 +185,8 @@ def _receive(pid: int, pipe) -> tuple:
         raise RuntimeError(f"worker process {pid} ended without a result") from None
 
 
-def _serve(task, request_fd: int, reply_fd: int) -> None:
-    """For each request unpickled from request_fd, pickle (failed, task(request)
+def _serve(func, request_fd: int, reply_fd: int) -> None:
+    """For each request unpickled from request_fd, pickle (failed, func(request)
     or its exception) to reply_fd, until request_fd is closed; then end the
     process.  Runs in a forked worker and never returns."""
     global _in_worker
@@ -208,7 +197,7 @@ def _serve(task, request_fd: int, reply_fd: int) -> None:
                 os.fdopen(reply_fd, "wb") as replies:
             while requests.peek(1):
                 try:
-                    reply = (False, task(pickle.load(requests)))
+                    reply = (False, func(pickle.load(requests)))
                 except Exception as err:
                     reply = (True, err)
                 _send(replies, reply)

@@ -661,6 +661,43 @@ def test_malformed_config_rejected(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_may_start_with_a_bom(tmp_path):
+    cfg_path = tmp_path / "bom.json"
+    cfg_path.write_text('{"n": 50, "d": 2}', encoding="utf-8-sig")
+    assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "sim") == 0
+    assert (tmp_path / "sim" / "dataset.csv").read_text().count("\n") == 51
+
+
+@pytest.mark.parametrize("argv, made", [
+    (["benchmark", "--out", "ob", "--n", "150", "--d", "3", "--outcome-mode", "oracle"],
+     "ob"),
+    (["estimate", "--data", "missing.csv", "--out", "a/b"], "a"),
+    (["simulate", "--config", "bom.json", "--out", "s"], "s"),
+], ids=["benchmark", "estimate", "simulate"])
+def test_failed_run_leaves_no_directory_it_made(tmp_path, monkeypatch, capsys, argv,
+                                                made):
+    monkeypatch.chdir(tmp_path)
+    Path("bom.json").write_text('{"n": "many"}', encoding="utf-8-sig")
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bom.json"]
+
+
+def test_failed_run_keeps_directories_it_did_not_make(tmp_path, capsys, monkeypatch):
+    # the records' parents are made for the run and removed with the records;
+    # the output directory existed before it and holds another file
+    monkeypatch.setattr("stochint.cli.report_from_records", pytest.fail)
+    data_path = simulate_small(tmp_path / "sim")
+    out, records = tmp_path / "est", tmp_path / "deep" / "er" / "records.csv"
+    (out / "tables").mkdir(parents=True)
+    rc = run_cli("estimate", "--data", data_path, "--out", out, "--folds", "3",
+                 "--save-records", records, *FAST)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "deep").exists()
+    assert [path.name for path in out.rglob("*")] == ["tables"]
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import os
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stochint.effects
@@ -537,6 +538,29 @@ def test_sweep_matches_single_estimates():
     for i, d in enumerate(grid):
         single = estimate_sie(data, float(d), k=3, seed=5, nuisance=FAST_NUISANCE)
         assert swept[i] == single.psi_hat
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_phi_is_equivariant_under_a_permutation_of_units(data, n, seed):
+    records = oracle_records(n, seed)
+    order = np.array(data.draw(st.permutations(range(n))))
+    permuted = UnitRecords(**{f.name: getattr(records, f.name)[order]
+                              for f in fields(records)})
+    deltas = np.array(data.draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)))
+    for got, want in ((permuted.phi(deltas[order]), records.phi(deltas)[order]),
+                      (permuted.phi(deltas[0]), records.phi(deltas[0])[order])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       deltas=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2))
+def test_psi_hat_rises_with_delta_when_m1_exceeds_m0(n, seed, deltas):
+    low, high = sorted(deltas)
+    assume(high - low >= 1e-3)
+    records = oracle_records(n, seed)  # noiseless, so m1 - m0 = mu1 - mu0 > 0
+    assert np.mean(records.phi(low)) < np.mean(records.phi(high))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The genetic search bred on 1, 2 and 3 parallel.lockstep ranks: the same
+"""The genetic search bred on 1, 2 and 3 parallel.pool workers: the same
 bits as in one process, the per-pair rng substreams it rests on, and its
 failures, which end every worker."""
 

@@ -1,5 +1,5 @@
-"""Tests for parallel.forked_map: its dispatch, with a fake CPU count of 2,
-and its OpenBLAS thread pin; and for parallel.lockstep's ranks."""
+"""Tests for parallel.pool and forked_map: their dispatch, with a fake CPU
+count of 2, and their OpenBLAS thread pin; and for parallel.blocks."""
 
 import os
 import signal
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stochint.parallel
-from stochint.parallel import _openblas, forked_map, lockstep, shared_zeros
+from stochint.parallel import _openblas, blocks, forked_map, pool, shared_zeros
 
 
 @pytest.fixture
@@ -102,44 +102,38 @@ def test_tasks_run_on_one_openblas_thread(two_cpus, monkeypatch):
         _openblas().scipy_openblas_set_num_threads64_(caller)
 
 
-def record_pids(tasks):
-    """A shared array and a step that writes each run's arg and its
-    process id at each task of its block."""
-    seen = shared_zeros((tasks, 2))
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_blocks_cover_the_tasks_contiguously_one_per_cpu_at_most(monkeypatch, cpus):
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: cpus)
+    for tasks in range(1, 12):
+        split = blocks(tasks)
+        assert len(split) == min(cpus, tasks)
+        assert [i for block in split for i in block] == list(range(tasks))
+        assert all(len(block) >= 1 and block.step == 1 for block in split)
 
-    def step(block, arg):
-        seen[block] = arg, os.getpid()
-    return seen, step
+
+def test_one_pools_workers_serve_every_map_call(two_cpus):
+    # two items on two free workers: each worker takes one, in either call
+    with pool(lambda arg: (arg, os.getpid()), 5) as map_items:
+        first, second = map_items([1, 2]), map_items([3, 4])
+    assert [arg for arg, _ in first + second] == [1, 2, 3, 4]
+    pids = {pid for _, pid in first}
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert {pid for _, pid in second} == pids
 
 
-def test_lockstep_ranks_take_contiguous_blocks(monkeypatch):
+def test_pool_runs_in_process_while_another_thread_runs(monkeypatch):
     monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 3)
-    seen, step = record_pids(7)
-    with lockstep(step, 7) as run:
-        for arg in (1, 2):
-            run(arg)
-            assert (seen[:, 0] == arg).all()  # every rank stepped
-    pids = seen[:, 1].astype(int)
-    assert pids[0] == pids[1] == os.getpid()
-    assert pids[2] == pids[3] != pids[4] == pids[5] == pids[6]
-    assert os.getpid() not in pids[2:]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_lockstep_runs_in_process_while_another_thread_runs(monkeypatch):
-    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 3)
-    seen, step = record_pids(5)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        with lockstep(step, 5) as run:
-            run(1)
+        with pool(lambda arg: (arg, os.getpid()), 5) as map_items:
+            results = map_items([1, 2, 3])
     finally:
         release.set()
         other.join(timeout=60)
-    assert (seen == (1, os.getpid())).all()
+    assert results == [(arg, os.getpid()) for arg in (1, 2, 3)]
 
 
 def wait_for_exit(pid, timeout=30.0):
@@ -156,20 +150,24 @@ def wait_for_exit(pid, timeout=30.0):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-def test_lockstep_workers_end_when_their_caller_is_killed(monkeypatch):
+def test_pool_workers_end_when_their_caller_is_killed(monkeypatch):
     monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
-    seen, step = record_pids(2)
+    seen = shared_zeros(2)  # the process ids of the caller's two workers
+
+    def record_pid(i):
+        seen[i] = os.getpid()
     caller = os.fork()
     if caller == 0:
         try:
-            with lockstep(step, 2) as run:
-                run(1)
+            with pool(record_pid, 2) as map_items:
+                map_items(range(2))
                 os.kill(os.getpid(), signal.SIGKILL)
         finally:
             os._exit(1)
     _, status = os.waitpid(caller, 0)
     assert os.WIFSIGNALED(status)
-    worker = int(seen[1, 1])
-    assert worker not in (0, os.getpid(), caller)
-    assert wait_for_exit(worker)
-
+    workers = seen.astype(int)
+    assert workers[0] != workers[1]
+    for worker in workers:
+        assert worker not in (0, os.getpid(), caller)
+        assert wait_for_exit(worker)

@@ -68,6 +68,8 @@ MAX_GRID_POINTS = 1000
 # Each command's settings, in --help order, as {config key: (default, kind)}.
 # kind is int, float, str or the tuple of allowed strings.  A key's flag
 # is "--" plus the key with "_" as "-", except for the keys in _FLAGS.
+# A (class, field, kind) declaration fills that field of a library config
+# class and takes its default from it; _FIELDS lists these for _build.
 _DGP = {
     "generator": ("ihdp", GENERATORS),
     "n": (747, int),
@@ -84,18 +86,18 @@ _DGP = {
 _DGP_KEYS = tuple(key for key, (default, _) in _DGP.items() if default is None)
 
 _NUISANCE = {
-    "outcome_kind": ("boosted_trees", OUTCOME_KINDS),
-    "outcome_mode": ("fit", ("fit", "oracle")),
-    "n_trees": (100, int),
-    "max_depth": (3, int),
-    "learning_rate": (0.1, float),
-    "ridge_penalty": (1e-6, float),
-    "min_arm_size": (10, int),
-    "propensity_mode": ("fit", ("fit", "oracle", "constant")),
-    "basis": ("polynomial2", BASIS_KINDS),
-    "clip": (0.01, float),
-    "l2_penalty": (1e-4, float),
-    "constant_propensity": (None, float),
+    "outcome_kind": (OutcomeConfig, "kind", OUTCOME_KINDS),
+    "outcome_mode": (OutcomeSpec, "mode", ("fit", "oracle")),
+    "n_trees": (OutcomeConfig, "n_trees", int),
+    "max_depth": (OutcomeConfig, "max_depth", int),
+    "learning_rate": (OutcomeConfig, "learning_rate", float),
+    "ridge_penalty": (OutcomeConfig, "ridge_penalty", float),
+    "min_arm_size": (OutcomeConfig, "min_arm_size", int),
+    "propensity_mode": (PropensitySpec, "mode", ("fit", "oracle", "constant")),
+    "basis": (PropensitySpec, "basis_kind", BASIS_KINDS),
+    "clip": (PropensitySpec, "clip", float),
+    "l2_penalty": (SolverConfig, "l2_penalty", float),
+    "constant_propensity": (PropensitySpec, "constant", float),
 }
 
 _SCHEMA = {
@@ -107,8 +109,8 @@ _SCHEMA = {
     "propensity_col": (None, str),
 }
 
-SETTINGS = {
-    "simulate": dict(_DGP),
+_DECLARED = {
+    "simulate": _DGP,
     "estimate": {
         "data": (None, str),
         "delta": (1.0, float),
@@ -123,9 +125,9 @@ SETTINGS = {
     "benchmark": {
         **_DGP,
         "methods": ("sie,ols,ipwe", str),
-        "replications": (50, int),
-        "test_fraction": (0.2, float),
-        "folds": (5, int),
+        "replications": (BenchmarkConfig, "replications", int),
+        "test_fraction": (BenchmarkConfig, "test_fraction", float),
+        "folds": (BenchmarkConfig, "folds", int),
         "sizes": (None, str),
         **_NUISANCE,
     },
@@ -135,21 +137,28 @@ SETTINGS = {
         "generator": ("op", GENERATORS),
         "n": (1000, int),
         "folds": (5, int),
-        "population": (50, int),
-        "generations": (100, int),
-        "crossover_rate": (0.9, float),
-        "mutation_rate": (0.05, float),
-        "elitism": (2, int),
-        "tournament": (3, int),
-        "sbx_eta": (15.0, float),
-        "init_mean": (1.0, float),
-        "init_std": (1.0, float),
+        "population": (GaConfig, "population_size", int),
+        "generations": (GaConfig, "generations", int),
+        "crossover_rate": (GaConfig, "crossover_rate", float),
+        "mutation_rate": (GaConfig, "mutation_rate", float),
+        "elitism": (GaConfig, "elitism_count", int),
+        "tournament": (GaConfig, "tournament_size", int),
+        "sbx_eta": (GaConfig, "sbx_eta", float),
+        "init_mean": (GaConfig, "init_mean", float),
+        "init_std": (GaConfig, "init_std", float),
         "bounds": ("0,10", str),
-        "ga_seed": (0, int),
+        "ga_seed": (GaConfig, "seed", int),
         **_SCHEMA,
         **_NUISANCE,
     },
 }
+
+_FIELDS = {key: spec for declared in _DECLARED.values()
+           for key, spec in declared.items() if len(spec) == 3}
+
+SETTINGS = {command: {key: (spec[0].__dataclass_fields__[spec[1]].default, spec[2])
+                      if len(spec) == 3 else spec for key, spec in declared.items()}
+            for command, declared in _DECLARED.items()}
 
 _FLAGS = {"treated_fraction_target": "--treated-fraction"}
 
@@ -274,32 +283,25 @@ def _resolve_out(args: argparse.Namespace, command: str) -> Path:
     return Path(out) if out else Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / command
 
 
-def _dgp_from(merged: dict, generator: str) -> DgpConfig:
-    base = OP_DEFAULTS if generator == "op" else DgpConfig()
+def _dgp_from(merged: dict) -> DgpConfig:
+    base = OP_DEFAULTS if merged["generator"] == "op" else DgpConfig()
     overrides = {key: merged[key] for key in _DGP_KEYS
                  if merged.get(key) is not None}
     return dataclasses.replace(base, **overrides)
 
 
+def _build(cls, merged: dict, **given):
+    """cls(**given), and each field a setting fills, cast to the setting's kind."""
+    for key, (owner, name, kind) in _FIELDS.items():
+        if owner is cls:
+            value = merged[key]
+            given[name] = value if value is None or isinstance(kind, tuple) else kind(value)
+    return cls(**given)
+
+
 def _nuisance_from(merged: dict) -> NuisanceSpec:
-    outcome_cfg = OutcomeConfig(
-        kind=merged["outcome_kind"],
-        n_trees=int(merged["n_trees"]),
-        max_depth=int(merged["max_depth"]),
-        learning_rate=float(merged["learning_rate"]),
-        ridge_penalty=float(merged["ridge_penalty"]),
-        min_arm_size=int(merged["min_arm_size"]),
-    )
-    propensity = PropensitySpec(
-        mode=merged["propensity_mode"],
-        basis_kind=merged["basis"],
-        clip=float(merged["clip"]),
-        constant=merged["constant_propensity"],
-        solver=SolverConfig(l2_penalty=float(merged["l2_penalty"])),
-    )
-    return NuisanceSpec(propensity=propensity,
-                        outcome=OutcomeSpec(mode=merged["outcome_mode"],
-                                            config=outcome_cfg))
+    return NuisanceSpec(_build(PropensitySpec, merged, solver=_build(SolverConfig, merged)),
+                        _build(OutcomeSpec, merged, config=_build(OutcomeConfig, merged)))
 
 
 def _schema_from(merged: dict) -> ColumnSchema:
@@ -312,11 +314,6 @@ def _schema_from(merged: dict) -> ColumnSchema:
         mu1=merged["mu1_col"],
         true_propensity=merged["propensity_col"],
     )
-
-
-def _echo_config(merged: dict, command: str, outputs: _Outputs) -> None:
-    payload = {"command": command, **merged}
-    write_json(payload, outputs.path("config.json"))
 
 
 def _checked_delta(flag: str, spec, delta):
@@ -363,11 +360,8 @@ def _parse_tuple(merged: dict, key: str, caster) -> tuple:
 
 
 def cmd_simulate(merged: dict, outputs: _Outputs) -> None:
-    generator = merged["generator"]
-    dgp = _dgp_from(merged, generator)
-    data = make_dataset(generator, int(merged["n"]), int(merged["d"]),
-                        int(merged["seed"]), dgp)
-    _echo_config(merged, "simulate", outputs)
+    data = make_dataset(merged["generator"], int(merged["n"]), int(merged["d"]),
+                        int(merged["seed"]), _dgp_from(merged))
     write_csv(data, outputs.path("dataset.csv"),
               schema=default_schema(data.n_features, with_truth=False))
     write_truth_csv(data, outputs.path("truth.csv"))
@@ -410,7 +404,6 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
         write_records_csv(records, folds, outputs.add(Path(save_path)))
 
     report = report_from_records(records, delta, k, seed, per_fold=per_fold)
-    _echo_config(merged, "estimate", outputs)
     write_json(report.to_dict(), outputs.path("report.json"))
     write_influence_csv(report.influence, outputs.path("influence.csv"))
     if grid is not None:
@@ -421,23 +414,12 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
 
 
 def cmd_benchmark(merged: dict, outputs: _Outputs) -> None:
-    generator = merged["generator"]
     sizes = _parse_tuple(merged, "sizes", int) if merged["sizes"] else None
-    cfg = BenchmarkConfig(
-        generator=generator,
-        n=int(merged["n"]),
-        d=int(merged["d"]),
-        dgp=_dgp_from(merged, generator),
-        methods=_parse_tuple(merged, "methods", str),
-        replications=int(merged["replications"]),
-        test_fraction=float(merged["test_fraction"]),
-        folds=int(merged["folds"]),
-        seed=int(merged["seed"]),
-        sizes=sizes,
-        nuisance=_nuisance_from(merged),
-    )
+    cfg = _build(BenchmarkConfig, merged, generator=merged["generator"],
+                 n=int(merged["n"]), d=int(merged["d"]), seed=int(merged["seed"]),
+                 sizes=sizes, dgp=_dgp_from(merged), nuisance=_nuisance_from(merged),
+                 methods=_parse_tuple(merged, "methods", str))
     result = run_benchmark(cfg)
-    _echo_config(merged, "benchmark", outputs)
     write_epsilon_table(result, outputs.path("tables", "epsilon_ate.csv"))
     write_replications(result, outputs.path("tables", "replications.csv"))
     if len(cfg.sample_sizes) > 1:
@@ -454,28 +436,14 @@ def cmd_optimize(merged: dict, outputs: _Outputs) -> None:
     if merged["data"]:
         data = load_csv(merged["data"], _schema_from(merged))
     else:
-        generator = merged["generator"]
-        data = make_dataset(generator, int(merged["n"]), int(merged["d"]),
-                            int(merged["seed"]), _dgp_from(merged, generator))
+        data = make_dataset(merged["generator"], int(merged["n"]), int(merged["d"]),
+                            int(merged["seed"]), _dgp_from(merged))
     bounds = _parse_tuple(merged, "bounds", float)
     if len(bounds) != 2:
         raise CliError("--bounds expects lo,hi")
-    ga = GaConfig(
-        population_size=int(merged["population"]),
-        generations=int(merged["generations"]),
-        crossover_rate=float(merged["crossover_rate"]),
-        mutation_rate=float(merged["mutation_rate"]),
-        elitism_count=int(merged["elitism"]),
-        tournament_size=int(merged["tournament"]),
-        sbx_eta=float(merged["sbx_eta"]),
-        init_mean=float(merged["init_mean"]),
-        init_std=float(merged["init_std"]),
-        bounds=bounds,
-        seed=int(merged["ga_seed"]),
-    )
+    ga = _build(GaConfig, merged, bounds=bounds)
     run = run_optimization(data, ga, _nuisance_from(merged),
                            k=int(merged["folds"]), seed=int(merged["seed"]))
-    _echo_config(merged, "optimize", outputs)
     write_best_delta_csv(run.best, outputs.path("best_delta.csv"))
     write_trace_csv(run.trace, outputs.path("trace.csv"))
     write_json(
@@ -549,6 +517,7 @@ def main(argv=None) -> int:
                                                   merged.get("records")) if path]
         outputs.check(outputs.dir / "config.json")  # every command echoes it
         args.func(merged, outputs)
+        write_json({"command": args.command, **merged}, outputs.path("config.json"))
     except Exception as err:  # report, clean partial outputs, fail loudly
         outputs.cleanup()
         print(f"error: {err}", file=sys.stderr)

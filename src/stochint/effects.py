@@ -38,6 +38,7 @@ from .nuisance import (
     RidgeModel,
     SolverConfig,
     _fit_ridge,
+    check_clip,
     check_outcome_arms,
     fit_outcome,
     fit_propensity,
@@ -138,6 +139,7 @@ class PropensitySpec:
             raise ValueError(f"unknown propensity mode {self.mode!r}")
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
+        check_clip(self.clip)
         if self.mode == "constant":
             if self.constant is None or not 0.0 < self.constant < 1.0:
                 raise ValueError("constant mode needs a probability in (0, 1)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ObservationalDataset, sigmoid
-from .trees import GradientBoostedRegressor
+from .trees import GradientBoostedRegressor, check_boosting
 
 BASIS_KINDS = ("raw", "polynomial2")
 # widest polynomial2 basis (d <= 61): each Newton step of the propensity fit
@@ -88,6 +88,12 @@ class BasisExpansion:
 # ---------------------------------------------------------------------------
 
 
+def check_clip(clip: float) -> None:
+    """Refuse a propensity clip outside (0, 0.5)."""
+    if not 0.0 < clip < 0.5:
+        raise ValueError("clip must lie in (0, 0.5)")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton solver settings for the propensity fit."""
@@ -114,8 +120,7 @@ class PropensityModel:
     grad_norm: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.clip < 0.5:
-            raise ValueError("clip must lie in (0, 0.5)")
+        check_clip(self.clip)
         b = np.ascontiguousarray(np.asarray(self.beta, dtype=float))
         if b.shape != (self.basis.output_dim,):
             raise ValueError("beta length must equal basis output_dim")
@@ -235,6 +240,7 @@ class OutcomeConfig:
             raise ValueError("ridge_penalty must be > 0")
         if self.min_arm_size < 1:
             raise ValueError("min_arm_size must be >= 1")
+        check_boosting(self.n_trees, self.max_depth, self.learning_rate)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import mmap
 import os
 import pickle
 import select
@@ -137,6 +136,7 @@ def forked_map(func, items) -> list:
 
 def shared_zeros(shape) -> np.ndarray:
     """Float zeros in anonymous shared memory, seen by workers forked later."""
+    import mmap  # here, so that commands that never search do not load it
     return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), float).reshape(shape)
 
 

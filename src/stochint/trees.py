@@ -18,6 +18,14 @@ import numpy as np
 _GAIN_EPS = 1e-12
 
 
+def check_boosting(n_trees: int, max_depth: int, learning_rate: float) -> None:
+    """Refuse boosting settings that no fit can use."""
+    if n_trees < 1 or max_depth < 1:
+        raise ValueError("n_trees and max_depth must be >= 1")
+    if not 0.0 < learning_rate <= 1.0:
+        raise ValueError("learning_rate must lie in (0, 1]")
+
+
 @dataclass
 class RegressionTree:
     """Array-encoded binary tree; feature == -1 marks a leaf."""
@@ -245,10 +253,7 @@ class GradientBoostedRegressor:
         y = np.asarray(y, dtype=float)
         if x.ndim != 2 or y.shape != (x.shape[0],):
             raise ValueError("x must be (n, d) and y must be (n,)")
-        if self.n_trees < 1 or self.max_depth < 1:
-            raise ValueError("n_trees and max_depth must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must lie in (0, 1]")
+        check_boosting(self.n_trees, self.max_depth, self.learning_rate)
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("x and y must be finite")
         n = x.shape[0]

@@ -16,9 +16,7 @@ from stochint.cli import (
     MAX_GRID_POINTS,
     OUTPUT_ROOT_ENV,
     SETTINGS,
-    _echo_config,
     _merge_config,
-    _Outputs,
     _parse_grid,
     build_parser,
     main,
@@ -31,10 +29,9 @@ from stochint.data import (
     train_test_split,
     write_csv,
 )
-from stochint.effects import OutcomeSpec, PropensitySpec
-from stochint.experiments import METHODS, BenchmarkConfig, make_dataset
+from stochint.experiments import BenchmarkConfig, make_dataset
 from stochint.genetic import GaConfig
-from stochint.nuisance import FitError, OutcomeConfig, SolverConfig
+from stochint.nuisance import FitError
 
 FAST = ["--outcome-kind", "ridge_linear", "--basis", "raw"]
 
@@ -339,6 +336,23 @@ def test_estimate_bad_delta_fails_before_fit(tmp_path, capsys, monkeypatch, delt
     assert not records.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--clip", "0.7", "clip must lie in (0, 0.5)"),
+    ("--clip", "0", "clip must lie in (0, 0.5)"),
+    ("--learning-rate", "2", "learning_rate must lie in (0, 1]"),
+    ("--n-trees", "0", "n_trees and max_depth must be >= 1"),
+    ("--max-depth", "0", "n_trees and max_depth must be >= 1"),
+])
+def test_estimate_bad_nuisance_setting_fails_before_fit(tmp_path, capsys, monkeypatch,
+                                                        flag, value, message):
+    data_path = simulate_small(tmp_path / "sim")
+    monkeypatch.setattr("stochint.cli.cross_fit_records", _fail_if_fitted)
+    out = tmp_path / "est"
+    assert run_cli("estimate", "--data", data_path, "--out", out, flag, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_delta_grid_at_cap_is_allowed():
     assert _parse_grid(f"0:{MAX_GRID_POINTS - 1}:1").size == MAX_GRID_POINTS
 
@@ -562,7 +576,7 @@ def test_config_null_means_unset(tmp_path):
 
 
 @pytest.mark.parametrize("command", sorted(SETTINGS))
-def test_parser_declares_the_settings_table(tmp_path, command):
+def test_parser_declares_the_settings_table(command):
     parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "command")
     sub = commands.choices[command]
@@ -575,44 +589,20 @@ def test_parser_declares_the_settings_table(tmp_path, command):
     for action in sub._actions:
         if action.dest in numbers:
             argv += [action.option_strings[0], "2"]
-    _echo_config(_merge_config(parser.parse_args(argv)), command, _Outputs(tmp_path))
-    echoed = json.loads((tmp_path / "config.json").read_text())
+    echoed = json.loads(json.dumps(_merge_config(parser.parse_args(argv))))
     assert {key: type(echoed[key]) for key in numbers} == numbers
     assert all(echoed[key] == 2 for key in numbers)
 
 
 def test_settings_defaults_are_the_library_defaults():
-    # both modules declare these values; a run without flags must get the
-    # library's defaults
-    outcome, propensity, ga, bench = (OutcomeConfig(), PropensitySpec(),
-                                      GaConfig(), BenchmarkConfig())
-    nuisance = {
-        "outcome_kind": outcome.kind, "outcome_mode": OutcomeSpec().mode,
-        "n_trees": outcome.n_trees, "max_depth": outcome.max_depth,
-        "learning_rate": outcome.learning_rate, "ridge_penalty": outcome.ridge_penalty,
-        "min_arm_size": outcome.min_arm_size, "propensity_mode": propensity.mode,
-        "basis": propensity.basis_kind, "clip": propensity.clip,
-        "constant_propensity": propensity.constant,
-        "l2_penalty": SolverConfig().l2_penalty,
-    }
+    # these settings keep a literal copy of a library default; every other
+    # setting that fills a config field reads the field's default
+    bench = BenchmarkConfig()
     library = {
-        "estimate": nuisance,
-        "benchmark": {
-            **nuisance, "generator": bench.generator, "n": bench.n, "d": bench.d,
-            "seed": bench.seed, "methods": METHODS, "replications": bench.replications,
-            "test_fraction": bench.test_fraction, "folds": bench.folds,
-            "sizes": bench.sizes,
-        },
-        "optimize": {
-            **nuisance, "population": ga.population_size,
-            "generations": ga.generations, "crossover_rate": ga.crossover_rate,
-            "mutation_rate": ga.mutation_rate, "elitism": ga.elitism_count,
-            "tournament": ga.tournament_size, "sbx_eta": ga.sbx_eta,
-            "init_mean": ga.init_mean, "init_std": ga.init_std,
-            "bounds": ga.bounds, "ga_seed": ga.seed,
-        },
+        "benchmark": {"generator": bench.generator, "n": bench.n, "d": bench.d,
+                      "seed": bench.seed, "methods": bench.methods, "sizes": bench.sizes},
+        "optimize": {"bounds": GaConfig().bounds},
     }
-    assert bench.methods == METHODS
     parse = {"methods": lambda spec: tuple(spec.split(",")),
              "bounds": lambda spec: tuple(float(part) for part in spec.split(","))}
     for command, want in library.items():
@@ -634,14 +624,26 @@ def test_config_number_accepts_json_integer(tmp_path):
     assert json.loads((out / "report.json").read_text())["k"] == 3
 
 
-def test_estimate_config_json_replays_the_run(tmp_path):
-    data_path = simulate_small(tmp_path / "sim")
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--n", "60", "--d", "2", "--seed", "4", "--noise-scale", "0.5"]),
+    ("estimate", ["--folds", "3", "--delta", "1.5", "--delta-grid", "0:2:0.5", *FAST]),
+    ("benchmark", ["--n", "150", "--d", "3", "--replications", "2", "--sizes", "150,160",
+                   "--folds", "3", "--treated-fraction", "0.4", "--clip", "0.02", *FAST]),
+    ("optimize", ["--generator", "op", "--n", "80", "--folds", "3", "--population", "8",
+                  "--generations", "5", "--sbx-eta", "3", *FAST]),
+], ids=["simulate", "estimate", "benchmark", "optimize"])
+def test_config_json_replays_the_run(tmp_path, command, flags):
+    if command == "estimate":
+        flags = ["--data", simulate_small(tmp_path / "sim"), *flags]
     first, again = tmp_path / "a", tmp_path / "b"
-    assert run_cli("estimate", "--data", data_path, "--out", first, "--folds", "3",
-                   "--delta", "1.5", "--delta-grid", "0:2:0.5", *FAST) == 0
-    assert run_cli("estimate", "--config", first / "config.json", "--out", again) == 0
-    for name in ("config.json", "report.json", "influence.csv", "sweep.csv"):
-        assert (first / name).read_bytes() == (again / name).read_bytes()
+    assert run_cli(command, "--out", first, *flags) == 0
+    assert run_cli(command, "--config", first / "config.json", "--out", again) == 0
+    written = sorted(path.relative_to(first) for path in first.rglob("*"))
+    assert sorted(path.relative_to(again) for path in again.rglob("*")) == written
+    assert "config.json" in map(str, written)
+    for name in written:
+        if (first / name).is_file():
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_config_json_of_another_command_refused(tmp_path, capsys):
@@ -930,11 +932,12 @@ def test_explicit_out_beats_env_var(tmp_path, monkeypatch):
 
 def test_importing_the_cli_loads_no_process_machinery():
     # the outcome fits fork their workers without the multiprocessing
-    # machinery, so a cold import of the CLI stays as cheap as before
+    # machinery, and only the genetic search maps shared memory, so a cold
+    # import of the CLI stays as cheap as before
     src = Path(stochint.__file__).resolve().parents[1]
     code = ("import sys, stochint.cli; "
-            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
-            "if m in sys.modules])")
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
+            "'mmap') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))

@@ -2,6 +2,7 @@
 
 import os
 import threading
+from contextlib import suppress
 from dataclasses import fields
 
 import numpy as np
@@ -55,11 +56,15 @@ FAST_NUISANCE = NuisanceSpec(
 # ---------------------------------------------------------------------------
 
 
-def test_q_identity_at_delta_one_is_exact():
-    p = np.array([1e-6, 0.01, 0.3, 0.5, 0.77, 0.999999])
-    q = stochastic_propensity(p, 1.0)
-    assert np.array_equal(q, p)
-    assert stochastic_propensity(0.3, 1.0) == 0.3
+@settings(max_examples=200, deadline=None)
+@given(ps=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   min_size=1, max_size=8))
+@example(ps=[1e-6, 0.01, 0.3, 0.5, 0.77, 0.999999])
+def test_q_identity_at_delta_one_is_exact(ps):
+    # q = p / (1 + (1 - 1) p), and 1 + 0 p is exactly 1
+    p = np.array(ps)
+    assert np.array_equal(stochastic_propensity(p, 1.0), p)
+    assert all(stochastic_propensity(value, 1.0) == value for value in ps)
 
 
 def test_q_zero_delta_gives_zero():
@@ -206,15 +211,38 @@ def test_cross_fit_held_out_predictions_ignore_own_fold_outcomes():
     assert not np.array_equal(poisoned.mu0[others], clean.mu0[others])
 
 
-def test_cross_fit_error_names_fold():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((40, 2))
-    t = np.zeros(40, dtype=np.int64)
-    t[:6] = 1  # every training complement has at most 6 treated units
-    data = ObservationalDataset(covariates=x, treatments=t,
-                                outcomes=rng.standard_normal(40))
-    with pytest.raises(FitError, match="fold 0"):
-        cross_fit_records(data, k=2, seed=0)
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(5, 40), k=st.integers(2, 5), treated=st.integers(0, 8),
+       min_arm_size=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+@example(n=40, k=2, treated=6, min_arm_size=10, seed=0)  # OutcomeConfig's default
+def test_cross_fit_error_names_fold(n, k, treated, min_arm_size, seed):
+    rng = np.random.default_rng(seed)
+    t = np.zeros(n, dtype=np.int64)
+    t[rng.permutation(n)[:treated]] = 1
+    data = ObservationalDataset(covariates=rng.standard_normal((n, 2)), treatments=t,
+                                outcomes=rng.standard_normal(n))
+    nuisance = NuisanceSpec(
+        propensity=PropensitySpec(basis_kind="raw"),
+        outcome=OutcomeSpec(config=OutcomeConfig(kind="ridge_linear",
+                                                 min_arm_size=min_arm_size)))
+    folds = split_folds(n, k, seed)
+    short = [fold for fold in range(k)
+             if np.bincount(t[folds.complement(fold)], minlength=2).min() < min_arm_size]
+    maps = []
+
+    def in_process(func, items):
+        maps.append(items)
+        return [func(item) for item in items]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochint.effects, "forked_map", in_process)
+        if short:
+            with pytest.raises(FitError, match=f"^fold {short[0]}: arm"):
+                cross_fit_records(data, k=k, seed=seed, nuisance=nuisance)
+            assert maps == []  # refused before any fit
+        else:
+            with suppress(FitError):  # a fit may still fail; no other error may
+                cross_fit_records(data, k=k, seed=seed, nuisance=nuisance)
 
 
 # The boosted outcome fits of all folds run in forked worker processes when
@@ -714,6 +742,11 @@ def test_epsilon_ate():
 
 
 def test_propensity_spec_validation():
+    for clip in (0.0, 0.5, 0.7, -0.1):
+        for mode, constant in (("fit", None), ("oracle", None), ("constant", 0.5)):
+            with pytest.raises(ValueError) as err:
+                PropensitySpec(mode=mode, clip=clip, constant=constant)
+            assert str(err.value) == "clip must lie in (0, 0.5)"
     with pytest.raises(ValueError, match="mode"):
         PropensitySpec(mode="guess")
     with pytest.raises(ValueError, match="basis"):
@@ -727,6 +760,15 @@ def test_propensity_spec_validation():
 def test_outcome_spec_validation():
     with pytest.raises(ValueError, match="mode"):
         OutcomeSpec(mode="guess")
+    # the outcome learner's settings are checked whatever the kind
+    for kind in ("boosted_trees", "ridge_linear"):
+        for bad, message in ((dict(n_trees=0), "n_trees and max_depth must be >= 1"),
+                             (dict(max_depth=0), "n_trees and max_depth must be >= 1"),
+                             (dict(learning_rate=2.0), "learning_rate must lie in (0, 1]"),
+                             (dict(learning_rate=0.0), "learning_rate must lie in (0, 1]")):
+            with pytest.raises(ValueError) as err:
+                OutcomeSpec(config=OutcomeConfig(kind=kind, **bad))
+            assert str(err.value) == message
 
 
 def test_oracle_mode_requires_truth():

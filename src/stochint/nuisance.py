@@ -134,17 +134,36 @@ class PropensityModel:
 
 
 def _penalized_nll(g: np.ndarray, t: np.ndarray, beta: np.ndarray,
-                   lam: float) -> float:
+                   lam: float) -> tuple[float, np.ndarray]:
     z = g @ beta
-    # mean log(1 + exp(z)) - t z, computed without overflow
-    return float(np.mean(np.logaddexp(0.0, z) - t * z) + 0.5 * lam * np.dot(beta, beta))
+    # mean log(1 + exp(z)) - t z, computed without overflow, and z itself
+    nll = np.mean(np.logaddexp(0.0, z) - t * z)
+    return float(nll + 0.5 * lam * np.dot(beta, beta)), z
 
 
 def propensity_gradient(g: np.ndarray, t: np.ndarray, beta: np.ndarray,
-                        lam: float) -> np.ndarray:
-    """Gradient of the regularized mean negative log-likelihood."""
-    p = sigmoid(g @ beta)
+                        lam: float, p: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the regularized mean NLL; p is sigmoid(g @ beta) unless given."""
+    if p is None:
+        p = sigmoid(g @ beta)
     return g.T @ (p - t) / g.shape[0] + lam * beta
+
+
+# rows per Newton Hessian block: one reused (1024, s) buffer, not an (n, s) copy of g
+_HESSIAN_BLOCK = 1024
+
+
+def _hessian(g: np.ndarray, w: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """g.T @ (g * w[:, None]) as a sum over row blocks of h.T @ h, h = g * sqrt(w)
+    in block; numpy runs h.T @ h as SYRK: half a GEMM's work, exactly symmetric."""
+    hess = np.zeros((g.shape[1], g.shape[1]))
+    root_w = np.sqrt(w)
+    for start in range(0, g.shape[0], _HESSIAN_BLOCK):
+        part = g[start:start + _HESSIAN_BLOCK]
+        h = np.multiply(part, root_w[start:start + _HESSIAN_BLOCK, None],
+                        out=block[:len(part)])
+        hess += h.T @ h
+    return hess
 
 
 def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
@@ -173,20 +192,18 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
     n, s = g.shape
     lam = cfg.l2_penalty
     beta = np.zeros(s)
-    # one buffer for g * w: a fresh (n, s) block per Newton step raised the
-    # peak resident memory of a 10,000-row estimate by about 16 MiB
-    gw = np.empty_like(g)
-    obj = _penalized_nll(g, t, beta, lam)
-    grad = propensity_gradient(g, t, beta, lam)
+    block = np.empty((min(_HESSIAN_BLOCK, n), s))
+    # the accepted iterate's z = g @ beta also gives its gradient and Hessian
+    obj, z = _penalized_nll(g, t, beta, lam)
     n_iter = 0
-    for n_iter in range(1, cfg.max_iter + 1):
+    while True:
+        p = sigmoid(z)
+        grad = propensity_gradient(g, t, beta, lam, p)
         gn = float(np.linalg.norm(grad))
-        if gn <= cfg.tol:
-            n_iter -= 1
+        if gn <= cfg.tol or n_iter == cfg.max_iter:
             break
-        p = sigmoid(g @ beta)
-        w = p * (1.0 - p)
-        hess = g.T @ np.multiply(g, w[:, None], out=gw) / n + lam * np.eye(s)
+        n_iter += 1
+        hess = _hessian(g, p * (1.0 - p), block) / n + lam * np.eye(s)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -194,16 +211,14 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
         alpha = 1.0
         while alpha >= 2.0 ** -40:
             candidate = beta - alpha * step
-            cand_obj = _penalized_nll(g, t, candidate, lam)
+            cand_obj, cand_z = _penalized_nll(g, t, candidate, lam)
             if cand_obj <= obj:
-                beta, obj = candidate, cand_obj
+                beta, z, obj = candidate, cand_z, cand_obj
                 break
             alpha *= 0.5
         else:
             # no decrease found along the Newton direction; stop and report
             break
-        grad = propensity_gradient(g, t, beta, lam)
-    gn = float(np.linalg.norm(grad))
     if gn > cfg.tol:
         raise FitError(
             f"propensity solver did not converge: gradient norm {gn:.3e} "

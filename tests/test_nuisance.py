@@ -1,15 +1,21 @@
 """Tests for basis expansions, the propensity solver, and outcome models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stochint.data import ObservationalDataset
+from stochint.data import ObservationalDataset, generate_ihdp_like, split_folds
 from stochint.nuisance import (
+    _HESSIAN_BLOCK,
     BasisExpansion,
     FitError,
     OutcomeConfig,
     PropensityModel,
     SolverConfig,
+    _hessian,
     fit_outcome,
     fit_propensity,
     propensity_gradient,
@@ -185,6 +191,100 @@ def test_propensity_fit_is_deterministic():
     a = fit_propensity(data, basis)
     b = fit_propensity(data, basis)
     assert np.array_equal(a.beta, b.beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3000), s=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(n=2, s=1, seed=0)
+@example(n=1023, s=40, seed=1)
+@example(n=1024, s=40, seed=2)
+@example(n=1025, s=7, seed=3)
+@example(n=2048, s=13, seed=4)
+@example(n=3000, s=40, seed=5)
+def test_blocked_hessian_matches_one_product(n, s, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, s))
+    p = sigmoid(3.0 * rng.standard_normal(n))
+    w = p * (1.0 - p)
+    hess = _hessian(g, w, np.empty((min(_HESSIAN_BLOCK, n), s)))
+    want = g.T @ (g * w[:, None])
+    assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(hess, hess.T)
+
+
+def reference_fit_propensity(g, t, lam=1e-4, tol=1e-8, max_iter=100):
+    """The Newton solver before the blocked Hessian, kept to pin the fit: a
+    GEMM Hessian through an (n, s) copy of g * w, and four passes over g per
+    step.  Returns (beta, n_iter)."""
+    n, s = g.shape
+
+    def objective(beta):
+        z = g @ beta
+        nll = np.mean(np.logaddexp(0.0, z) - t * z)
+        return float(nll + 0.5 * lam * np.dot(beta, beta))
+
+    def gradient(beta):
+        return g.T @ (sigmoid(g @ beta) - t) / n + lam * beta
+
+    beta = np.zeros(s)
+    obj, grad = objective(beta), gradient(beta)
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        if np.linalg.norm(grad) <= tol:
+            n_iter -= 1
+            break
+        p = sigmoid(g @ beta)
+        hess = g.T @ (g * (p * (1.0 - p))[:, None]) / n + lam * np.eye(s)
+        step = np.linalg.solve(hess, grad)
+        alpha = 1.0
+        while alpha >= 2.0 ** -40:
+            candidate = beta - alpha * step
+            cand_obj = objective(candidate)
+            if cand_obj <= obj:
+                beta, obj = candidate, cand_obj
+                break
+            alpha *= 0.5
+        else:
+            break
+        grad = gradient(beta)
+    return beta, n_iter
+
+
+@pytest.fixture(scope="module")
+def ihdp_fold():
+    """A 10,000-row ihdp sample and the 8,000-row complement of its fold 0."""
+    data = generate_ihdp_like(n=10000, d=25, seed=0)
+    return data, data.subset(split_folds(data.n_units, 5, 0).complement(0))
+
+
+@pytest.mark.parametrize("case", ["ihdp", "logistic"])
+def test_propensity_fit_matches_frozen_solver(case, ihdp_fold):
+    if case == "ihdp":
+        data, train = ihdp_fold
+    else:
+        data = train = logistic_dataset(3000, [0.2, 1.0, -0.6, 0.4], seed=17)
+    basis = BasisExpansion("polynomial2", data.n_features)
+    model = fit_propensity(train, basis)
+    beta, n_iter = reference_fit_propensity(basis.expand(train.covariates),
+                                            train.treatments.astype(float))
+    want = np.clip(sigmoid(basis.expand(data.covariates) @ beta), 0.01, 0.99)
+    got = model.predict(data.covariates)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert model.n_iter == n_iter
+    assert model.grad_norm <= SolverConfig().tol
+
+
+def test_propensity_fit_keeps_no_second_copy_of_the_design(ihdp_fold):
+    _, train = ihdp_fold
+    basis = BasisExpansion("polynomial2", train.n_features)
+    tracemalloc.start()
+    try:
+        fit_propensity(train, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design_bytes = train.n_units * basis.output_dim * 8
+    assert peak <= 1.5 * design_bytes, peak / design_bytes
 
 
 def test_propensity_model_validation():

@@ -38,13 +38,12 @@ from .effects import (
     write_influence_csv,
     write_records_csv,
 )
-from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records
+from .genetic import GaConfig, GaTrace, optimize_records
 from .nuisance import (
     BasisExpansion,
     FitError,
     OutcomeConfig,
     PropensityModel,
-    SolverConfig,
     fit_outcome,
     fit_propensity,
 )

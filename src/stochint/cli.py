@@ -58,7 +58,7 @@ from .experiments import (
     write_trace_csv,
 )
 from .genetic import GaConfig
-from .nuisance import BASIS_KINDS, OUTCOME_KINDS, OutcomeConfig, SolverConfig
+from .nuisance import BASIS_KINDS, OUTCOME_KINDS, OutcomeConfig
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 
@@ -96,7 +96,7 @@ _NUISANCE = {
     "propensity_mode": (PropensitySpec, "mode", ("fit", "oracle", "constant")),
     "basis": (PropensitySpec, "basis_kind", BASIS_KINDS),
     "clip": (PropensitySpec, "clip", float),
-    "l2_penalty": (SolverConfig, "l2_penalty", float),
+    "l2_penalty": (PropensitySpec, "l2_penalty", float),
     "constant_propensity": (PropensitySpec, "constant", float),
 }
 
@@ -300,7 +300,7 @@ def _build(cls, merged: dict, **given):
 
 
 def _nuisance_from(merged: dict) -> NuisanceSpec:
-    return NuisanceSpec(_build(PropensitySpec, merged, solver=_build(SolverConfig, merged)),
+    return NuisanceSpec(_build(PropensitySpec, merged),
                         _build(OutcomeSpec, merged, config=_build(OutcomeConfig, merged)))
 
 

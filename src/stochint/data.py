@@ -142,7 +142,8 @@ class ColumnSchema:
         object.__setattr__(self, "covariates", tuple(self.covariates))
         names = self.all_columns()
         if len(set(names)) != len(names):
-            raise DatasetError("schema binds the same column name to two roles")
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise DatasetError(f"schema binds column {repeated!r} to two roles")
         if (self.mu0 is None) != (self.mu1 is None):
             raise DatasetError("mu0 and mu1 columns must be given together")
 
@@ -207,7 +208,9 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
         if not schema.covariates:
             bound = schema.all_columns()
-            schema = replace(schema, covariates=[c for c in header if c not in bound])
+            # a repeated name is inferred once, then refused below by name
+            schema = replace(schema, covariates=list(dict.fromkeys(
+                c for c in header if c not in bound)))
             if not schema.covariates:
                 raise DatasetError(f"{path}: no column is left for the covariates")
         names = schema.all_columns()

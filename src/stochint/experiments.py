@@ -32,7 +32,7 @@ from .effects import (
     ipwe_from_propensity,
     propensity_predictions,
 )
-from .genetic import GaConfig, GaTrace, InterventionVector, optimize_records
+from .genetic import GaConfig, GaTrace, optimize_records
 from .nuisance import FitError, fit_outcome
 from .parallel import forked_map
 
@@ -207,7 +207,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 class OptimizationRun:
     """Outputs of one genetic search plus reference-policy comparisons."""
 
-    best: InterventionVector
+    best: np.ndarray
     trace: GaTrace
     expected_best: float
     expected_status_quo: float
@@ -219,20 +219,18 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
                      seed: int = 0) -> OptimizationRun:
     """Cross-fit once, search per-unit deltas, and score reference policies.
 
-    The status-quo policy is the all-ones vector (leave every propensity
-    unchanged); the random policy is a fresh draw from the initial-population
-    distribution.
+    The status-quo policy is the all-ones vector, whatever the bounds (leave
+    every propensity unchanged); the random policy is a fresh draw from the
+    initial-population distribution.
     """
     cfg = ga or GaConfig()
     records, _ = cross_fit_records(data, k, seed, nuisance or NuisanceSpec())
     best, trace = optimize_records(records, cfg)
     n = records.n
-    lo, hi = cfg.bounds
-    ones = np.clip(np.ones(n), lo, hi)
     rng = np.random.default_rng([cfg.seed, 1])
-    random_policy = np.clip(rng.normal(cfg.init_mean, cfg.init_std, n), lo, hi)
+    random_policy = np.clip(rng.normal(cfg.init_mean, cfg.init_std, n), *cfg.bounds)
     values = expected_response_from_records(
-        records, np.stack([best.deltas, ones, random_policy]))
+        records, np.stack([best, np.ones(n), random_policy]))
     return OptimizationRun(
         best=best,
         trace=trace,
@@ -280,9 +278,9 @@ def write_sweep_csv(deltas, psi_values, path: str | Path) -> None:
     write_rows(path, ["delta", "psi_hat"], rows)
 
 
-def write_best_delta_csv(vector: InterventionVector, path: str | Path) -> None:
+def write_best_delta_csv(deltas: np.ndarray, path: str | Path) -> None:
     """Best per-unit deltas: unit_index, delta."""
-    rows = enumerate(vector.deltas.tolist())
+    rows = enumerate(np.asarray(deltas, dtype=float).tolist())
     write_rows(path, ["unit_index", "delta"], rows)
 
 

@@ -19,32 +19,6 @@ from .effects import UnitRecords
 from .parallel import blocks, pool, shared_zeros
 
 
-@dataclass(frozen=True, eq=False)
-class InterventionVector:
-    """Per-unit intervention strengths constrained to [lo, hi]."""
-
-    deltas: np.ndarray
-    lo: float = 0.0
-    hi: float = 10.0
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.deltas, dtype=float))
-        if d.ndim != 1 or d.shape[0] < 1:
-            raise ValueError("deltas must be a nonempty 1-d array")
-        if not np.isfinite(d).all():
-            raise ValueError("deltas must be finite")
-        if not (self.lo < self.hi and np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("need finite bounds with lo < hi")
-        if (d < self.lo).any() or (d > self.hi).any():
-            raise ValueError("deltas must lie within [lo, hi]")
-        d.flags.writeable = False
-        object.__setattr__(self, "deltas", d)
-
-    @property
-    def n(self) -> int:
-        return self.deltas.shape[0]
-
-
 @dataclass(frozen=True)
 class GaConfig:
     """Settings for the genetic optimizer.
@@ -152,7 +126,7 @@ def _skip_doubles(rng: np.random.Generator, count: int) -> None:
 
 
 def optimize_records(records: UnitRecords, config: GaConfig | None = None
-                     ) -> tuple[InterventionVector, GaTrace]:
+                     ) -> tuple[np.ndarray, GaTrace]:
     """Run the genetic search against precomputed unit records.
 
     Nuisances are whatever the records carry; no fitting happens here.  Each
@@ -160,10 +134,10 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
     section gives the rng draw order, which does not depend on the workers.
 
     Returns:
-        (best vector of the final generation, per-generation trace).
+        (read-only copy of the final generation's best row, per-generation
+        trace).
     """
     cfg = config or GaConfig()
-    lo, hi = cfg.bounds
     n, m, elites = records.n, cfg.population_size, cfg.elitism_count
     rng = np.random.default_rng(cfg.seed)
     # generation g's rows and fitness are populations[g % 2] and fitness[g % 2]
@@ -210,5 +184,6 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
             state = rng.bit_generator.state
             breed_blocks([(pairs, gen, state, parents) for pairs in split])
             _skip_doubles(rng, 6 * n * (m // 2))
-    best = InterventionVector(population[order[0]].copy(), lo, hi)
+    best = population[order[0]].copy()
+    best.flags.writeable = False
     return best, GaTrace(best_hist, mean_hist)

@@ -94,19 +94,10 @@ def check_clip(clip: float) -> None:
         raise ValueError("clip must lie in (0, 0.5)")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton solver settings for the propensity fit."""
-
-    l2_penalty: float = 1e-4
-    tol: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.l2_penalty <= 0:
-            raise ValueError("l2_penalty must be > 0")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be > 0 and max_iter >= 1")
+def check_l2_penalty(l2_penalty: float) -> None:
+    """Refuse a propensity L2 penalty that is not > 0."""
+    if not l2_penalty > 0:
+        raise ValueError("l2_penalty must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +142,9 @@ def propensity_gradient(g: np.ndarray, t: np.ndarray, beta: np.ndarray,
 
 # rows per Newton Hessian block: one reused (1024, s) buffer, not an (n, s) copy of g
 _HESSIAN_BLOCK = 1024
+# Newton stops at a gradient norm <= _NEWTON_TOL, and fails above it after the cap
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
 
 
 def _hessian(g: np.ndarray, w: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -167,43 +161,42 @@ def _hessian(g: np.ndarray, w: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
-                   solver: SolverConfig | None = None,
-                   clip: float = 0.01) -> PropensityModel:
+                   l2_penalty: float = 1e-4, clip: float = 0.01) -> PropensityModel:
     """Fit the basis-logistic propensity model by damped Newton iterations.
 
     Args:
         data: observational sample; both arms must be present.
         basis: feature map applied to the covariates.
-        solver: penalty/tolerance settings (SolverConfig defaults).
+        l2_penalty: weight of half the squared norm of beta, > 0.
         clip: prediction floor/ceiling, in (0, 0.5).
 
     Returns:
         PropensityModel with convergence diagnostics attached.
 
     Raises:
-        FitError: single-arm data, or gradient norm above tolerance after
-            max_iter iterations.
+        ValueError: l2_penalty is not > 0.
+        FitError: single-arm data, or gradient norm above _NEWTON_TOL after
+            _NEWTON_MAX_ITER iterations.
     """
-    cfg = solver or SolverConfig()
+    check_l2_penalty(l2_penalty)
     t = data.treatments.astype(float)
     if t.min() == t.max():
         raise FitError("propensity fit needs both treated and control units")
     g = basis.expand(data.covariates)
     n, s = g.shape
-    lam = cfg.l2_penalty
     beta = np.zeros(s)
     block = np.empty((min(_HESSIAN_BLOCK, n), s))
     # the accepted iterate's z = g @ beta also gives its gradient and Hessian
-    obj, z = _penalized_nll(g, t, beta, lam)
+    obj, z = _penalized_nll(g, t, beta, l2_penalty)
     n_iter = 0
     while True:
         p = sigmoid(z)
-        grad = propensity_gradient(g, t, beta, lam, p)
+        grad = propensity_gradient(g, t, beta, l2_penalty, p)
         gn = float(np.linalg.norm(grad))
-        if gn <= cfg.tol or n_iter == cfg.max_iter:
+        if gn <= _NEWTON_TOL or n_iter == _NEWTON_MAX_ITER:
             break
         n_iter += 1
-        hess = _hessian(g, p * (1.0 - p), block) / n + lam * np.eye(s)
+        hess = _hessian(g, p * (1.0 - p), block) / n + l2_penalty * np.eye(s)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -211,7 +204,7 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
         alpha = 1.0
         while alpha >= 2.0 ** -40:
             candidate = beta - alpha * step
-            cand_obj, cand_z = _penalized_nll(g, t, candidate, lam)
+            cand_obj, cand_z = _penalized_nll(g, t, candidate, l2_penalty)
             if cand_obj <= obj:
                 beta, z, obj = candidate, cand_z, cand_obj
                 break
@@ -219,10 +212,10 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
         else:
             # no decrease found along the Newton direction; stop and report
             break
-    if gn > cfg.tol:
+    if gn > _NEWTON_TOL:
         raise FitError(
             f"propensity solver did not converge: gradient norm {gn:.3e} "
-            f"after {n_iter} iterations (tol {cfg.tol:.1e})"
+            f"after {n_iter} iterations (tol {_NEWTON_TOL:.1e})"
         )
     return PropensityModel(beta=beta, basis=basis, clip=clip,
                            n_iter=n_iter, grad_norm=gn)

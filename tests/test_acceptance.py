@@ -199,7 +199,7 @@ def test_criterion_7_genetic_optimizer():
     t0 = time.time()
     records = oracle_records(20, seed=0)
     best, trace = optimize_records(records, GaConfig(seed=0))
-    boundary_mean = float(best.deltas.mean())
+    boundary_mean = float(best.mean())
     trace_monotone = bool((np.diff(trace.best_fitness) >= 0).all())
 
     wins = 0

@@ -342,6 +342,7 @@ def test_estimate_bad_delta_fails_before_fit(tmp_path, capsys, monkeypatch, delt
     ("--learning-rate", "2", "learning_rate must lie in (0, 1]"),
     ("--n-trees", "0", "n_trees and max_depth must be >= 1"),
     ("--max-depth", "0", "n_trees and max_depth must be >= 1"),
+    ("--l2-penalty", "0", "l2_penalty must be > 0"),
 ])
 def test_estimate_bad_nuisance_setting_fails_before_fit(tmp_path, capsys, monkeypatch,
                                                         flag, value, message):
@@ -350,6 +351,19 @@ def test_estimate_bad_nuisance_setting_fails_before_fit(tmp_path, capsys, monkey
     out = tmp_path / "est"
     assert run_cli("estimate", "--data", data_path, "--out", out, flag, value) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, flags, message", [
+    ("t,y,x,x", [], "data.csv: duplicated column 'x'"),
+    ("t,y,x0,x1", ["--covariate-cols", "x0,x0"], "schema binds column 'x0' to two roles"),
+])
+def test_estimate_names_a_repeated_column(tmp_path, capsys, header, flags, message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n1,2.0,0.5,0.5\n0,1.0,0.1,0.2\n")
+    out = tmp_path / "est"
+    assert run_cli("estimate", "--data", path, "--out", out, *flags) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -421,6 +421,16 @@ def test_missing_oracle_truth_fails_before_any_propensity_fit(monkeypatch):
     with pytest.raises(ValueError, match="oracle outcome requested but ground truth"):
         cross_fit_records(bare, k=3, seed=0, nuisance=spec)
     assert fits == []
+    # a missing propensity truth fails first too: before the arm check that
+    # min_arm_size would fail, and before any fork or outcome fit
+    spec = NuisanceSpec(propensity=PropensitySpec(mode="oracle"),
+                        outcome=OutcomeSpec(config=OutcomeConfig(min_arm_size=10**6)))
+    monkeypatch.setattr(stochint.parallel, "usable_cpus", lambda: 2)
+    forks = counting(monkeypatch, os, "fork")
+    outcome_fits = counting(monkeypatch, stochint.effects, "fit_outcome")
+    with pytest.raises(ValueError, match="oracle propensity requested but ground truth"):
+        cross_fit_records(bare, k=3, seed=0, nuisance=spec)
+    assert fits == forks == outcome_fits == []
 
 
 def test_worker_that_dies_is_reported_and_reaped(monkeypatch):

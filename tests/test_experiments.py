@@ -9,7 +9,13 @@ import pytest
 import stochint.experiments
 import stochint.parallel
 from stochint.data import DatasetError, DgpConfig
-from stochint.effects import NuisanceSpec, OutcomeSpec, PropensitySpec
+from stochint.effects import (
+    NuisanceSpec,
+    OutcomeSpec,
+    PropensitySpec,
+    cross_fit_records,
+    expected_response_from_records,
+)
 from stochint.experiments import (
     BenchmarkConfig,
     make_dataset,
@@ -221,8 +227,8 @@ def test_run_optimization_outputs():
     data = make_dataset("op", 80, 11, seed=1, dgp=None)
     ga = GaConfig(population_size=16, generations=20, seed=2)
     run = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0)
-    assert run.best.n == 80
-    assert run.best.deltas.min() >= 0.0 and run.best.deltas.max() <= 10.0
+    assert run.best.shape == (80,)
+    assert run.best.min() >= 0.0 and run.best.max() <= 10.0
     assert run.trace.generations == 20
     # the searched policy beats leaving every propensity unchanged
     assert run.expected_best > run.expected_status_quo
@@ -231,12 +237,21 @@ def test_run_optimization_outputs():
     assert np.isfinite(run.expected_random)
 
 
+def test_status_quo_is_delta_one_whatever_the_bounds():
+    data = make_dataset("op", 80, 11, seed=1, dgp=None)
+    ga = GaConfig(population_size=8, generations=3, bounds=(2.0, 10.0), seed=2)
+    run = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0)
+    records, _ = cross_fit_records(data, 3, 0, FAST_NUISANCE)
+    assert run.expected_status_quo == expected_response_from_records(records, np.ones(80))
+    assert run.expected_status_quo != expected_response_from_records(records, np.full(80, 2.0))
+
+
 def test_run_optimization_is_deterministic():
     data = make_dataset("op", 60, 11, seed=3, dgp=None)
     ga = GaConfig(population_size=8, generations=6, seed=4)
     a = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0)
     b = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0)
-    assert np.array_equal(a.best.deltas, b.best.deltas)
+    assert np.array_equal(a.best, b.best)
     assert a.expected_best == b.expected_best
     assert a.expected_random == b.expected_random
 
@@ -277,10 +292,9 @@ def test_small_writers(tmp_path):
     sweep = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert sweep == ["delta,psi_hat", "0.0,2.5", "1.0,3.5"]
 
-    from stochint.genetic import GaTrace, InterventionVector
+    from stochint.genetic import GaTrace
 
-    write_best_delta_csv(InterventionVector(np.array([1.5, 2.0])),
-                         tmp_path / "best.csv")
+    write_best_delta_csv(np.array([1.5, 2.0]), tmp_path / "best.csv")
     best = (tmp_path / "best.csv").read_text().strip().splitlines()
     assert best == ["unit_index,delta", "0,1.5", "1,2.0"]
 

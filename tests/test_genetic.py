@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochint.effects
 import stochint.parallel
@@ -16,7 +18,6 @@ from stochint.effects import (
 from stochint.experiments import run_optimization
 from stochint.genetic import (
     GaConfig,
-    InterventionVector,
     _crossover_rows,
     _initial_rows,
     _mutate_into,
@@ -26,10 +27,6 @@ from stochint.genetic import (
 from stochint.nuisance import OutcomeConfig
 
 from conftest import oracle_records
-
-
-def vec(values, lo=0.0, hi=10.0):
-    return InterventionVector(np.asarray(values, dtype=float), lo, hi)
 
 
 # the search's row operators, each fed the 2 n doubles the search draws for it
@@ -46,27 +43,6 @@ def mutated_copy(child, cfg, rng):
 # ---------------------------------------------------------------------------
 # containers and configuration
 # ---------------------------------------------------------------------------
-
-
-def test_intervention_vector_validation():
-    v = vec([0.0, 5.0, 10.0])
-    assert v.n == 3
-    with pytest.raises(ValueError, match="within"):
-        vec([-0.1, 5.0])
-    with pytest.raises(ValueError, match="within"):
-        vec([10.5])
-    with pytest.raises(ValueError, match="finite"):
-        InterventionVector(np.array([np.nan]))
-    with pytest.raises(ValueError, match="1-d"):
-        InterventionVector(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="lo < hi"):
-        InterventionVector(np.array([1.0]), lo=2.0, hi=1.0)
-
-
-def test_intervention_vector_is_read_only():
-    v = vec([1.0, 2.0])
-    with pytest.raises(ValueError):
-        v.deltas[0] = 9.0
 
 
 def test_ga_config_validation():
@@ -246,10 +222,29 @@ def test_optimizer_pushes_monotone_records_to_upper_bound():
     records = oracle_records(10, seed=16)
     cfg = GaConfig(population_size=20, generations=50, seed=1)
     best, trace = optimize_records(records, cfg)
-    assert best.deltas.mean() >= 8.5
+    assert best.mean() >= 8.5
     searched, status_quo = expected_response_from_records(
-        records, np.stack([best.deltas, np.ones(10)]))
+        records, np.stack([best, np.ones(10)]))
     assert searched >= status_quo
+
+
+@settings(max_examples=20, deadline=None, database=None)  # each example forks a pool
+@given(n=st.integers(1, 30), pairs=st.integers(2, 5), generations=st.integers(1, 4),
+       lo=st.floats(0.0, 5.0), width=st.floats(0.01, 10.0),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_search_returns_its_best_row_read_only_and_in_bounds(n, pairs, generations, lo,
+                                                            width, seed, data):
+    records = oracle_records(n, seed)
+    elitism = data.draw(st.integers(0, 2 * pairs - 1), label="elitism")
+    hi = lo + width
+    cfg = GaConfig(population_size=2 * pairs, generations=generations,
+                   elitism_count=elitism, bounds=(lo, hi), seed=seed)
+    best, trace = optimize_records(records, cfg)
+    assert best.shape == (n,) and np.isfinite(best).all()
+    assert ((lo <= best) & (best <= hi)).all()
+    assert not best.flags.writeable
+    # the row the final generation scored best, bit for bit
+    assert np.sum(records.phi(best)) == trace.best_fitness[-1]
 
 
 def test_elitism_makes_best_fitness_non_decreasing():
@@ -266,7 +261,7 @@ def test_optimizer_is_deterministic():
     cfg = GaConfig(population_size=10, generations=15, seed=3)
     best_a, trace_a = optimize_records(records, cfg)
     best_b, trace_b = optimize_records(records, cfg)
-    assert np.array_equal(best_a.deltas, best_b.deltas)
+    assert np.array_equal(best_a, best_b)
     assert np.array_equal(trace_a.best_fitness, trace_b.best_fitness)
     assert np.array_equal(trace_a.mean_fitness, trace_b.mean_fitness)
 
@@ -298,7 +293,7 @@ def test_optimize_fits_nuisances_once_per_fold(monkeypatch):
     )
     cfg = GaConfig(population_size=6, generations=8, seed=5)
     run = run_optimization(data, cfg, nuisance=spec, k=3, seed=0)
-    assert run.best.n == 60
+    assert run.best.shape == (60,)
     assert run.trace.generations == 8
     # one outcome fit per (fold, arm): each arm's model is its own task
     assert calls == {"outcome": 2 * 3, "propensity": 3}

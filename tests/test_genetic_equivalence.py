@@ -112,7 +112,7 @@ def test_array_search_matches_per_individual_reference(setting, records_seed):
     records = oracle_records(n, seed=records_seed, gap_lo=-1.0, gap_hi=1.0)
     best, trace = optimize_records(records, cfg)
     ref_best, ref_best_hist, ref_mean_hist = reference_search(records, cfg)
-    assert np.array_equal(best.deltas, ref_best)
+    assert np.array_equal(best, ref_best)
     assert np.array_equal(trace.best_fitness, ref_best_hist)
     assert np.array_equal(trace.mean_fitness, ref_mean_hist)
 
@@ -142,7 +142,7 @@ def test_long_searches_match_reference_for_each_elitism():
                        mutation_rate=0.2, bounds=(0.2, 4.0), seed=elitism)
         best, trace = optimize_records(records, cfg)
         ref_best, ref_best_hist, ref_mean_hist = reference_search(records, cfg)
-        assert np.array_equal(best.deltas, ref_best)
+        assert np.array_equal(best, ref_best)
         assert np.array_equal(trace.best_fitness, ref_best_hist)
         assert np.array_equal(trace.mean_fitness, ref_mean_hist)
 
@@ -167,7 +167,7 @@ def test_buffered_half_of_an_odd_tournament_draw_matches_reference(monkeypatch):
                                                               extra_draw=True)
     best, trace = optimize_records(records, cfg)
     assert any(buffered)
-    assert np.array_equal(best.deltas, ref_best)
+    assert np.array_equal(best, ref_best)
     assert np.array_equal(trace.best_fitness, ref_best_hist)
     assert np.array_equal(trace.mean_fitness, ref_mean_hist)
     # advance() alone drops the buffered half, and the searches part

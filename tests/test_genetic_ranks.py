@@ -35,7 +35,7 @@ def cpus(monkeypatch):
 
 def search(records, cfg):
     best, trace = optimize_records(records, cfg)
-    return best.deltas, trace.best_fitness, trace.mean_fitness
+    return best, trace.best_fitness, trace.mean_fitness
 
 
 def assert_same(got, want):

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stochint.nuisance
 from stochint.data import ObservationalDataset, generate_ihdp_like, split_folds
+from stochint.effects import PropensitySpec
 from stochint.nuisance import (
     _HESSIAN_BLOCK,
+    _NEWTON_TOL,
     BasisExpansion,
     FitError,
     OutcomeConfig,
     PropensityModel,
-    SolverConfig,
     _hessian,
     fit_outcome,
     fit_propensity,
@@ -178,11 +180,12 @@ def test_propensity_single_arm_raises():
         fit_propensity(data, BasisExpansion(kind="raw", n_inputs=2))
 
 
-def test_propensity_reports_non_convergence():
+def test_propensity_reports_non_convergence(monkeypatch):
     data = logistic_dataset(500, np.array([0.2, 1.5]), seed=8)
     basis = BasisExpansion(kind="raw", n_inputs=1)
+    monkeypatch.setattr(stochint.nuisance, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(FitError, match="did not converge"):
-        fit_propensity(data, basis, solver=SolverConfig(max_iter=1))
+        fit_propensity(data, basis)
 
 
 def test_propensity_fit_is_deterministic():
@@ -271,7 +274,7 @@ def test_propensity_fit_matches_frozen_solver(case, ihdp_fold):
     got = model.predict(data.covariates)
     assert np.max(np.abs(got - want) / want) <= 1e-12
     assert model.n_iter == n_iter
-    assert model.grad_norm <= SolverConfig().tol
+    assert model.grad_norm <= _NEWTON_TOL
 
 
 def test_propensity_fit_keeps_no_second_copy_of_the_design(ihdp_fold):
@@ -295,13 +298,16 @@ def test_propensity_model_validation():
         PropensityModel(beta=np.zeros(5), basis=basis)
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(l2_penalty=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
+def test_l2_penalty_validation():
+    data = logistic_dataset(100, np.array([0.2, 1.0]), seed=3)
+    basis = BasisExpansion(kind="raw", n_inputs=1)
+    for penalty in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="l2_penalty must be > 0"):
+            PropensitySpec(l2_penalty=penalty)
+        with pytest.raises(ValueError, match="l2_penalty must be > 0"):
+            fit_propensity(data, basis, l2_penalty=penalty)
+    assert PropensitySpec().l2_penalty == 1e-4
+    assert fit_propensity(data, basis, l2_penalty=1e-2).n_iter > 0
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,8 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
         outputs.check(Path(save_path), planned=artifacts)
     folds = split_folds(data.n_units, k, seed)
     if records_path:
+        for key in _NUISANCE:  # checked above but unused, so not echoed
+            del merged[key]
         try:
             records = read_records_csv(records_path, data, folds)
             records.arm_terms  # the records' p_hat check, here where the file is known

@@ -197,6 +197,7 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
             or non-finite cells (reported with row and column), or a treatment
             value other than 0/1.
     """
+    from array import array  # here, so that commands that read no CSV do not load it
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
@@ -214,19 +215,20 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
             if not schema.covariates:
                 raise DatasetError(f"{path}: no column is left for the covariates")
         names = schema.all_columns()
+        where = {col: i for i, col in enumerate(header)}  # a name's last position
+        repeated = {col for i, col in enumerate(header) if where[col] != i}
         positions = []
         for name in names:
-            hits = [i for i, col in enumerate(header) if col == name]
-            if not hits:
+            if name not in where:
                 raise DatasetError(f"{path}: missing column '{name}'")
-            if len(hits) > 1:
+            if name in repeated:
                 raise DatasetError(f"{path}: duplicated column '{name}'")
-            positions.append(hits[0])
+            positions.append(where[name])
 
         # one row of bound values per data row, in all_columns() order: the
         # treatment cell comes first and is checked before the others parse
         others = list(zip(positions, names))[1:]
-        rows: list[list[float]] = []
+        values = array("d")
         for row_number, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DatasetError(
@@ -238,11 +240,11 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
                     f"row {row_number}, column '{schema.treatment}': "
                     f"treatment must be 0 or 1, got {t_val!r}"
                 )
-            rows.append([t_val] + [_parse_cell(row[i], row_number, name)
-                                   for i, name in others])
-    if not rows:
+            values.append(t_val)
+            values.extend([_parse_cell(row[i], row_number, name) for i, name in others])
+    if not values:
         raise DatasetError(f"{path}: no data rows")
-    column = dict(zip(names, np.array(rows).T))
+    column = dict(zip(names, np.frombuffer(values).reshape(-1, len(names)).T))
     truth = None
     if schema.mu0 is not None:
         truth = GroundTruth(

@@ -60,8 +60,10 @@ class BasisExpansion:
         d = self.n_inputs
         return 1 + d + d * (d + 1) // 2
 
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Map (n, d) covariates to the (n, output_dim) design matrix."""
+    def expand(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map (n, d) covariates to the (n, output_dim) design matrix, or fill
+        out, (output_dim, n), with its basis rows and return out.T; products
+        are exact, so the bits are those of stacking the pieces."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -69,18 +71,16 @@ class BasisExpansion:
             raise ValueError(f"expected (n, {self.n_inputs}) input, got {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("basis input must be finite")
-        n, d = x.shape
-        # one matrix filled in place: products are exact, so the bits are
-        # those of stacking the pieces
-        out = np.empty((n, self.output_dim))
-        out[:, 0] = 1.0
-        out[:, 1:d + 1] = x
+        d = self.n_inputs
+        rows = np.empty((len(x), self.output_dim)).T if out is None else out
+        rows[0] = 1.0
+        rows[1:d + 1] = x.T
         if self.kind == "polynomial2":
             col = d + 1
-            for i in range(d):
-                np.multiply(x[:, i:], x[:, i][:, None], out=out[:, col:col + d - i])
-                col += d - i
-        return out
+            for i in range(1, d + 1):
+                np.multiply(rows[i:d + 1], rows[i], out=rows[col:col + d + 1 - i])
+                col += d + 1 - i
+        return rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -120,43 +120,57 @@ class PropensityModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Clipped treatment probabilities for covariate rows x."""
-        p = sigmoid(self.basis.expand(x) @ self.beta)
+        a = BasisExpansion("raw", self.basis.n_inputs).expand(x)
+        p = sigmoid(_linear_predictor(self.basis, a, self.beta))
         return np.clip(p, self.clip, 1.0 - self.clip)
 
 
-def _penalized_nll(g: np.ndarray, t: np.ndarray, beta: np.ndarray,
-                   lam: float) -> tuple[float, np.ndarray]:
-    z = g @ beta
+def _linear_predictor(basis: BasisExpansion, a: np.ndarray,
+                      beta: np.ndarray) -> np.ndarray:
+    """z = g @ beta from a = [1, x], the raw basis: a row's polynomial2 basis is
+    a^T a's upper triangle read row by row, so z = a U a^T with U holding beta."""
+    if basis.kind == "raw":
+        return a @ beta
+    u = np.zeros((a.shape[1], a.shape[1]))
+    u[np.triu_indices(a.shape[1])] = beta
+    return np.einsum("ij,ij->i", a @ u, a)
+
+
+def _penalized_nll(basis: BasisExpansion, a: np.ndarray, t: np.ndarray,
+                   beta: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    z = _linear_predictor(basis, a, beta)
     # mean log(1 + exp(z)) - t z, computed without overflow, and z itself
     nll = np.mean(np.logaddexp(0.0, z) - t * z)
     return float(nll + 0.5 * lam * np.dot(beta, beta)), z
 
 
-def propensity_gradient(g: np.ndarray, t: np.ndarray, beta: np.ndarray,
-                        lam: float, p: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the regularized mean NLL; p is sigmoid(g @ beta) unless given."""
-    if p is None:
-        p = sigmoid(g @ beta)
-    return g.T @ (p - t) / g.shape[0] + lam * beta
+def _gradient(basis: BasisExpansion, a: np.ndarray, r: np.ndarray,
+              beta: np.ndarray, lam: float) -> np.ndarray:
+    """The regularized mean NLL's gradient g^T r / n + lam beta, r = p - t."""
+    if basis.kind == "raw":
+        sums = a.T @ r
+    else:
+        sums = ((a.T * r) @ a)[np.triu_indices(a.shape[1])]
+    return sums / len(r) + lam * beta
 
 
-# rows per Newton Hessian block: one reused (1024, s) buffer, not an (n, s) copy of g
+# rows per Newton Hessian block: one reused (s, 1024) buffer of basis rows
 _HESSIAN_BLOCK = 1024
 # Newton stops at a gradient norm <= _NEWTON_TOL, and fails above it after the cap
 _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
 
 
-def _hessian(g: np.ndarray, w: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """g.T @ (g * w[:, None]) as a sum over row blocks of h.T @ h, h = g * sqrt(w)
-    in block; numpy runs h.T @ h as SYRK: half a GEMM's work, exactly symmetric."""
-    hess = np.zeros((g.shape[1], g.shape[1]))
-    root_w = np.sqrt(w)
-    for start in range(0, g.shape[0], _HESSIAN_BLOCK):
-        part = g[start:start + _HESSIAN_BLOCK]
-        h = np.multiply(part, root_w[start:start + _HESSIAN_BLOCK, None],
-                        out=block[:len(part)])
-        hess += h.T @ h
+def _hessian(basis: BasisExpansion, x: np.ndarray, root_w: np.ndarray,
+             buffer: np.ndarray) -> np.ndarray:
+    """g.T @ (g * root_w[:, None]**2), summed over row blocks as h @ h.T, h the
+    basis rows times root_w in buffer: SYRK, half a GEMM, exactly symmetric."""
+    hess = np.zeros((len(buffer), len(buffer)))
+    for start in range(0, len(x), _HESSIAN_BLOCK):
+        part = root_w[start:start + _HESSIAN_BLOCK]
+        h = basis.expand(x[start:start + len(part)], out=buffer[:, :len(part)]).T
+        h *= part
+        hess += h @ h.T
     return hess
 
 
@@ -182,21 +196,23 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
     t = data.treatments.astype(float)
     if t.min() == t.max():
         raise FitError("propensity fit needs both treated and control units")
-    g = basis.expand(data.covariates)
-    n, s = g.shape
+    x = data.covariates
+    a = BasisExpansion("raw", basis.n_inputs).expand(x)
+    n, s = len(t), basis.output_dim
     beta = np.zeros(s)
-    block = np.empty((min(_HESSIAN_BLOCK, n), s))
+    buffer = np.empty((s, min(_HESSIAN_BLOCK, n)))
     # the accepted iterate's z = g @ beta also gives its gradient and Hessian
-    obj, z = _penalized_nll(g, t, beta, l2_penalty)
+    obj, z = _penalized_nll(basis, a, t, beta, l2_penalty)
     n_iter = 0
     while True:
         p = sigmoid(z)
-        grad = propensity_gradient(g, t, beta, l2_penalty, p)
+        grad = _gradient(basis, a, p - t, beta, l2_penalty)
         gn = float(np.linalg.norm(grad))
         if gn <= _NEWTON_TOL or n_iter == _NEWTON_MAX_ITER:
             break
         n_iter += 1
-        hess = _hessian(g, p * (1.0 - p), block) / n + l2_penalty * np.eye(s)
+        hess = _hessian(basis, x, np.sqrt(p * (1.0 - p)), buffer) / n
+        hess += l2_penalty * np.eye(s)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -204,7 +220,7 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
         alpha = 1.0
         while alpha >= 2.0 ** -40:
             candidate = beta - alpha * step
-            cand_obj, cand_z = _penalized_nll(g, t, candidate, l2_penalty)
+            cand_obj, cand_z = _penalized_nll(basis, a, t, candidate, l2_penalty)
             if cand_obj <= obj:
                 beta, z, obj = candidate, cand_z, cand_obj
                 break
@@ -263,12 +279,11 @@ class RidgeModel:
 
 
 def _fit_ridge(x: np.ndarray, y: np.ndarray, penalty: float) -> RidgeModel:
-    n = x.shape[0]
-    a = np.hstack([np.ones((n, 1)), x])
+    a = BasisExpansion("raw", x.shape[1]).expand(x)
     d = np.eye(a.shape[1])
     d[0, 0] = 0.0
-    lhs = a.T @ a / n + penalty * d
-    rhs = a.T @ y / n
+    lhs = a.T @ a / len(a) + penalty * d
+    rhs = a.T @ y / len(a)
     try:
         coef = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:

@@ -47,17 +47,17 @@ class RegressionTree:
 class PresortedColumns:
     """The columns of one covariate matrix in sorted order, shared by many trees.
 
-    ``order`` is ``argsort(x, axis=0, kind="stable").T``.  ``tied`` lists the
-    features whose sorted values are not strictly increasing.  A node's rows
-    keep that order, so only these features can hold a tie inside a node and
-    need the split search's tie mask.  The rest holds the split search's
-    scratch space, and ``leaf``, into which ``fit_tree`` writes each training
-    row's leaf id.
+    ``order`` is ``argsort(x, axis=0, kind="stable").T``, C-contiguous so that
+    the root's ``ravel`` is a view.  ``tied`` lists the features whose sorted
+    values are not strictly increasing.  A node's rows keep that order, so only
+    these features can hold a tie inside a node and need the split search's tie
+    mask.  The rest holds the split search's scratch space, and ``leaf``, into
+    which ``fit_tree`` writes each training row's leaf id.
     """
 
     def __init__(self, x: np.ndarray):
         n, d = x.shape
-        self.order = np.argsort(x, axis=0, kind="stable").T
+        self.order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
         xs = x[self.order, np.arange(d)[:, None]]
         self.tied = np.flatnonzero(~(xs[:, 1:] > xs[:, :-1]).all(axis=1))
         self.leaf = np.zeros(n, dtype=np.int64)
@@ -102,8 +102,8 @@ def _best_split(x: np.ndarray, ys: np.ndarray, order: np.ndarray,
 
     flat = int(gain.argmax())
     best = gain.item(flat)
-    # y[order] keeps order's memory layout, and with it the summation order
-    # np.dot uses here
+    # every node's order, the root's included, is C-contiguous, so np.dot sums
+    # a contiguous row; mean_square feeds only this threshold test
     row = ys[0]
     mean_square = float(np.dot(row, row)) / m
     if not math.isfinite(best) or best <= _GAIN_EPS * max(1.0, mean_square):

@@ -28,8 +28,9 @@ from stochint.genetic import GaConfig, optimize_records
 from stochint.nuisance import (
     BasisExpansion,
     OutcomeConfig,
+    _gradient,
     fit_propensity,
-    propensity_gradient,
+    sigmoid,
 )
 from stochint.trees import GradientBoostedRegressor
 
@@ -232,7 +233,8 @@ def test_criterion_8_nuisance_checks():
         z = g @ b
         return float(np.mean(np.logaddexp(0.0, z) - t * z) + 0.5 * lam * b @ b)
 
-    grad = propensity_gradient(g, t, beta, lam)
+    # g is the raw basis, [1, x]: the a that _gradient sums over
+    grad = _gradient(basis, g, sigmoid(g @ beta) - t, beta, lam)
     h = 1e-6
     worst_rel = 0.0
     for j in range(6):

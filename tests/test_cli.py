@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import stochint
+import stochint.cli
 import stochint.experiments
 import stochint.parallel
 from stochint.cli import (
@@ -175,6 +176,23 @@ def test_estimate_records_report_no_model_fields(tmp_path):
                for f in saved["per_fold"])
     assert all(f[key] is None for f in loaded["per_fold"] for key in MODEL_FIELDS)
     assert saved["psi_hat"] == loaded["psi_hat"]
+
+
+def test_estimate_records_echo_no_nuisance_setting(tmp_path, capsys):
+    data_path, records = save_records(tmp_path, *FAST)
+    common = ["estimate", "--data", data_path, "--folds", "3", "--records", records]
+    # read, not fit: the nuisance settings are range-checked, then left out
+    assert run_cli(*common, "--out", tmp_path / "b", "--propensity-mode", "oracle",
+                   "--outcome-mode", "oracle", "--clip", "0.05") == 0
+    echoed = json.loads((tmp_path / "b" / "config.json").read_text())
+    assert not set(echoed) & set(stochint.cli._NUISANCE)
+    assert echoed["records"] == str(records)
+    assert run_cli("estimate", "--config", tmp_path / "b" / "config.json",
+                   "--out", tmp_path / "c") == 0
+    assert (tmp_path / "b" / "influence.csv").read_bytes() == \
+        (tmp_path / "c" / "influence.csv").read_bytes()
+    assert run_cli(*common, "--out", tmp_path / "d", "--clip", "0.7") == 1
+    assert "clip must lie in (0, 0.5)" in capsys.readouterr().err
 
 
 def truth_data(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for dataset containers, generators, CSV round-trips, and folds."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,21 @@ def test_load_csv_without_covariates_takes_every_unbound_column(tmp_path):
     path.write_text("t,y\n1,2.0\n")
     with pytest.raises(DatasetError, match="no column is left for the covariates"):
         load_csv(path, ColumnSchema(treatment="t", outcome="y", covariates=()))
+
+
+def test_load_csv_width_costs_linear_time(tmp_path):
+    # 16,000 inferred covariates: one header map, not one header scan per name
+    d = 16000
+    path = tmp_path / "wide.csv"
+    cells = ",".join(str(0.5 * j) for j in range(d))
+    path.write_text("t,y," + ",".join(f"x{j}" for j in range(d)) + "\n"
+                    + f"1,2.0,{cells}\n0,-1.0,{cells}\n")
+    start = time.perf_counter()
+    loaded = load_csv(path, ColumnSchema(treatment="t", outcome="y", covariates=()))
+    assert time.perf_counter() - start < 2.0
+    assert np.array_equal(loaded.covariates, np.tile(0.5 * np.arange(d), (2, 1)))
+    assert np.array_equal(loaded.treatments, [1, 0])
+    assert np.array_equal(loaded.outcomes, [2.0, -1.0])
 
 
 def test_load_csv_rejects_empty_and_header_only(tmp_path):

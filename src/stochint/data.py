@@ -273,13 +273,12 @@ def write_csv(data: ObservationalDataset, path: str | Path,
     if schema.true_propensity is not None and (
             data.truth is None or data.truth.true_propensity is None):
         raise DatasetError("schema requests a propensity column but none is available")
-    columns = [data.treatments.tolist(), data.outcomes.tolist(),
-               *data.covariates.T.tolist()]
+    columns = [data.treatments, data.outcomes, *data.covariates.T]
     if schema.mu0 is not None:
-        columns += [data.truth.mu0.tolist(), data.truth.mu1.tolist()]
+        columns += [data.truth.mu0, data.truth.mu1]
     if schema.true_propensity is not None:
-        columns.append(data.truth.true_propensity.tolist())
-    write_rows(path, schema.all_columns(), zip(*columns))
+        columns.append(data.truth.true_propensity)
+    write_columns(path, schema.all_columns(), columns)
 
 
 def write_truth_csv(data: ObservationalDataset, path: str | Path) -> None:
@@ -287,11 +286,11 @@ def write_truth_csv(data: ObservationalDataset, path: str | Path) -> None:
     if data.truth is None:
         raise DatasetError("dataset carries no ground truth")
     header = ["unit_index", "mu0", "mu1"]
-    columns = [range(data.n_units), data.truth.mu0.tolist(), data.truth.mu1.tolist()]
+    columns = [np.arange(data.n_units), data.truth.mu0, data.truth.mu1]
     if data.truth.true_propensity is not None:
         header.append("true_propensity")
-        columns.append(data.truth.true_propensity.tolist())
-    write_rows(path, header, zip(*columns))
+        columns.append(data.truth.true_propensity)
+    write_columns(path, header, columns)
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:
@@ -305,6 +304,22 @@ def write_rows(path: str | Path, header: list[str], rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# rows per block in write_columns: a block's Python numbers are written and
+# dropped before the next block is converted
+_WRITE_BLOCK = 1024
+
+
+def write_columns(path: str | Path, header: list[str], columns) -> None:
+    """write_rows of the rows of equal-length 1-d arrays, converted to
+    Python numbers by .tolist() one block of rows at a time."""
+    def rows():
+        for start in range(0, len(columns[0]), _WRITE_BLOCK):
+            yield from zip(*(column[start:start + _WRITE_BLOCK].tolist()
+                             for column in columns))
+
+    write_rows(path, header, rows())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .data import (
     ObservationalDataset,
     load_csv,
     split_folds,
-    write_rows,
+    write_columns,
 )
 from .nuisance import (
     BASIS_KINDS,
@@ -361,10 +361,9 @@ def write_records_csv(records: UnitRecords, folds: FoldAssignment,
     Floats are written in their shortest round-trip form, so
     read_records_csv gets every value back bit for bit.
     """
-    columns = (folds.fold_of_unit, records.treatments, records.outcomes,
-               records.p_hat, records.mu0, records.mu1)
-    write_rows(path, RECORD_COLUMNS,
-               zip(range(records.n), *(column.tolist() for column in columns)))
+    write_columns(path, RECORD_COLUMNS,
+                  [np.arange(records.n), folds.fold_of_unit, records.treatments,
+                   records.outcomes, records.p_hat, records.mu0, records.mu1])
 
 
 def read_records_csv(path: str | Path, data: ObservationalDataset,
@@ -443,9 +442,9 @@ class EstimateReport:
 
 def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
     """Write the per-unit influence table as a CSV side-file."""
-    columns = (table.q, table.m1, table.m0, table.phi, table.tau_plugin)
-    write_rows(path, ["unit_index", "q", "m1", "m0", "phi", "tau_plugin"],
-               zip(range(table.q.shape[0]), *(column.tolist() for column in columns)))
+    write_columns(path, ["unit_index", "q", "m1", "m0", "phi", "tau_plugin"],
+                  [np.arange(table.q.shape[0]), table.q, table.m1, table.m0,
+                   table.phi, table.tau_plugin])
 
 
 def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
@@ -513,7 +512,8 @@ def expected_response_from_records(records: UnitRecords, deltas):
     deltas is either a per-unit vector of shape (n,), which gives a float, or
     a 2-d array with one policy per row, which gives one mean per row: a
     (P, n) stack of per-unit vectors, or a (G, 1) column of scalar deltas.
-    m1 and m0 are built once per records.
+    m1 and m0 are built once per records, and the rows are taken one at a
+    time, so memory is O(n) whatever the number of rows.
     """
     d = _check_delta(deltas)
     n = records.n
@@ -522,8 +522,11 @@ def expected_response_from_records(records: UnitRecords, deltas):
             f"expected {n} per-unit deltas, a (P, {n}) stack or a (G, 1) "
             f"grid, got shape {d.shape}"
         )
-    means = np.mean(records.phi(d), axis=-1)
-    return float(means) if d.ndim == 1 else means
+    if d.ndim == 1:
+        return float(np.mean(records.phi(d)))
+    # a row's pairwise sum is the one a reduction along a 2-d array's last
+    # axis makes, so the means keep their bits
+    return np.array([np.mean(records.phi(row)) for row in d])
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,16 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
         if gn <= _NEWTON_TOL or n_iter == _NEWTON_MAX_ITER:
             break
         n_iter += 1
-        hess = _hessian(basis, x, np.sqrt(p * (1.0 - p)), buffer) / n
-        hess += l2_penalty * np.eye(s)
+        hess = _hessian(basis, x, np.sqrt(p * (1.0 - p)), buffer)
+        hess /= n
+        hess.flat[::s + 1] += l2_penalty
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        # freed before the next step sums its Hessian, which then has no
+        # other s x s matrix beside it but one block's product
+        del hess
         alpha = 1.0
         while alpha >= 2.0 ** -40:
             candidate = beta - alpha * step

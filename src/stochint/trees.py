@@ -44,82 +44,106 @@ class RegressionTree:
         return self.feature.shape[0]
 
 
+# cells (features x node rows) per block of the split search, at least one
+# feature: its scratch arrays and gathered targets stay near 128 KiB each
+_SPLIT_BLOCK = 16384
+
+
 class PresortedColumns:
     """The columns of one covariate matrix in sorted order, shared by many trees.
 
-    ``order`` is ``argsort(x, axis=0, kind="stable").T``, C-contiguous so that
+    ``order`` is ``argsort(x.T, axis=1, kind="stable")``, C-contiguous so that
     the root's ``ravel`` is a view.  ``tied`` lists the features whose sorted
     values are not strictly increasing.  A node's rows keep that order, so only
     these features can hold a tie inside a node and need the split search's tie
-    mask.  The rest holds the split search's scratch space, and ``leaf``, into
-    which ``fit_tree`` writes each training row's leaf id.
+    mask.  The rest holds the split search's scratch space, one block of
+    features, and ``leaf``, into which ``fit_tree`` writes each training row's
+    leaf id.
     """
 
     def __init__(self, x: np.ndarray):
         n, d = x.shape
-        self.order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+        self.order = np.argsort(x.T, axis=1, kind="stable")
         xs = x[self.order, np.arange(d)[:, None]]
         self.tied = np.flatnonzero(~(xs[:, 1:] > xs[:, :-1]).all(axis=1))
+        # tied[tied_below[a]:tied_below[b]] are the tied features in [a, b)
+        self.tied_below = np.searchsorted(self.tied, np.arange(d + 1)).tolist()
         self.leaf = np.zeros(n, dtype=np.int64)
         self.go_left = np.zeros(n, dtype=bool)
         # an m-row node's m - 1 cut points leave count_left[:m - 1] rows on
         # the left and count_right[1 - m:] on the right
         self.count_left = np.arange(1, n, dtype=float)
         self.count_right = np.arange(n - 1, 0, -1, dtype=float)
-        self.csum = np.empty(d * n)
-        self.gain = np.empty(d * n)
-        self.tmp = np.empty(d * n)
+        # a block holds all d features of a small node, one of an n-row node
+        size = min(d * n, max(n, _SPLIT_BLOCK))
+        self.csum = np.empty(size)
+        self.gain = np.empty(size)
+        self.tmp = np.empty(size)
 
 
-def _best_split(x: np.ndarray, ys: np.ndarray, order: np.ndarray,
+def _best_split(x: np.ndarray, y: np.ndarray, order: np.ndarray,
                 cols: PresortedColumns):
-    """Best (feature, threshold) by squared-error reduction, or None.
+    """The node's mean target, and its best (feature, threshold) by
+    squared-error reduction, or None.
 
-    order holds, per feature, the node's row indices sorted by that feature,
-    and ys is y[order].
+    order holds, per feature, the node's row indices sorted by that feature.
+    Features are searched in blocks of at most _SPLIT_BLOCK cells, each on
+    its own targets y[order[block]].  A later block's best cut replaces the
+    earlier one only if its gain is strictly greater, so the best cut is the
+    first maximum in feature-major order, as one argmax over all features.
     """
     d, m = order.shape
-    if m < 2:
-        return None
-    csum = np.add.accumulate(ys, axis=1, out=cols.csum[:d * m].reshape(d, m))
-    total = csum[:, -1]
-    s_left = csum[:, :-1]
-    parent = (total * total) / m
-    gain = cols.gain[:d * (m - 1)].reshape(d, m - 1)
-    tmp = cols.tmp[:d * (m - 1)].reshape(d, m - 1)
-    np.multiply(s_left, s_left, out=gain)
-    np.divide(gain, cols.count_left[:m - 1], out=gain)
-    np.subtract(total[:, None], s_left, out=tmp)
-    np.square(tmp, out=tmp)
-    np.divide(tmp, cols.count_right[1 - m:], out=tmp)
-    gain += tmp
-    gain -= parent[:, None]
-    if cols.tied.size:
-        xt = x[order[cols.tied], cols.tied[:, None]]
-        gt = gain[cols.tied]
-        gt[xt[:, 1:] <= xt[:, :-1]] = -np.inf
-        gain[cols.tied] = gt
+    step = _SPLIT_BLOCK // m or 1
+    best = -math.inf
+    for start in range(0, d, step):
+        ys = y[order[start:start + step]]
+        if start == 0:
+            # the node's targets in feature 0's order, a contiguous row
+            row = ys[0]
+            value = float(np.add.reduce(row)) / m
+            if m < 2:
+                return value, None
+        k = ys.shape[0]
+        csum = np.add.accumulate(ys, axis=1, out=cols.csum[:k * m].reshape(k, m))
+        total = csum[:, -1:]
+        s_left = csum[:, :-1]
+        parent = (total * total) / m
+        gain = cols.gain[:k * (m - 1)].reshape(k, m - 1)
+        tmp = cols.tmp[:k * (m - 1)].reshape(k, m - 1)
+        np.multiply(s_left, s_left, out=gain)
+        np.divide(gain, cols.count_left[:m - 1], out=gain)
+        np.subtract(total, s_left, out=tmp)
+        np.square(tmp, out=tmp)
+        np.divide(tmp, cols.count_right[1 - m:], out=tmp)
+        gain += tmp
+        gain -= parent
+        lo, hi = cols.tied_below[start], cols.tied_below[start + k]
+        if hi > lo:
+            t = cols.tied[lo:hi]
+            xt = x[order[t], t[:, None]]
+            t_block = t - start if start else t
+            gt = gain[t_block]
+            gt[xt[:, 1:] <= xt[:, :-1]] = -np.inf
+            gain[t_block] = gt
 
-    flat = int(gain.argmax())
-    best = gain.item(flat)
-    # every node's order, the root's included, is C-contiguous, so np.dot sums
-    # a contiguous row; mean_square feeds only this threshold test
-    row = ys[0]
+        flat = int(gain.argmax())
+        gain_max = gain.item(flat)
+        if gain_max > best:
+            best, (j, pos) = gain_max, divmod(flat, m - 1)
+            j += start
+        elif gain_max != gain_max:
+            # NaN: one argmax over all features would pick it, and not split
+            return value, None
+    # mean_square feeds only this threshold test
     mean_square = float(np.dot(row, row)) / m
     if not math.isfinite(best) or best <= _GAIN_EPS * max(1.0, mean_square):
-        return None
-    j, pos = divmod(flat, m - 1)
+        return value, None
     a = x.item(order.item(j, pos), j)
     b = x.item(order.item(j, pos + 1), j)
     thr = 0.5 * (a + b)
     if thr >= b:
         thr = a
-    return j, thr
-
-
-def _node_value(ys: np.ndarray) -> float:
-    """np.mean(ys[0]), the node's mean target, without np.mean's overhead."""
-    return float(np.add.reduce(ys[0])) / ys.shape[1]
+    return value, (j, thr)
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
@@ -135,17 +159,20 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
     y = np.asarray(y, dtype=float)
     cols = presorted if presorted is not None else PresortedColumns(x)
 
-    ys = y[cols.order]
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    value = [_node_value(ys)]
-    stack = [(0, cols.order, ys, 0)]
+    value = [0.0]
+    stack = [(0, cols.order, 0)]
     while stack:
-        node_id, order, ys, depth = stack.pop()
+        node_id, order, depth = stack.pop()
         rows = order[0]
-        found = None if depth >= max_depth else _best_split(x, ys, order, cols)
+        if depth >= max_depth:
+            value[node_id] = float(np.add.reduce(y[rows])) / rows.shape[0]
+            cols.leaf[rows] = node_id
+            continue
+        value[node_id], found = _best_split(x, y, order, cols)
         if found is None:
             cols.leaf[rows] = node_id
             continue
@@ -162,8 +189,6 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
             continue
         order_left = part.compress(mask).reshape(-1, n_left)
         order_right = part.compress(~mask).reshape(-1, m - n_left)
-        ys_left = y[order_left]
-        ys_right = y[order_right]
         left_id = len(feature)
         feature[node_id] = j
         threshold[node_id] = thr
@@ -173,9 +198,9 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         threshold += (0.0, 0.0)
         left += (-1, -1)
         right += (-1, -1)
-        value += (_node_value(ys_left), _node_value(ys_right))
-        stack.append((left_id + 1, order_right, ys_right, depth + 1))
-        stack.append((left_id, order_left, ys_left, depth + 1))
+        value += (0.0, 0.0)
+        stack.append((left_id + 1, order_right, depth + 1))
+        stack.append((left_id, order_left, depth + 1))
 
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),

@@ -17,7 +17,9 @@ from stochint.data import (
     load_csv,
     split_folds,
     train_test_split,
+    write_columns,
     write_csv,
+    write_rows,
     write_truth_csv,
 )
 
@@ -290,6 +292,23 @@ def test_truth_side_file(tmp_path):
     assert len(lines) == 31
     first = lines[1].split(",")
     assert float(first[1]) == float(data.truth.mu0[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 2500])
+def test_write_columns_matches_whole_column_rows(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.integers(-320, 308, (3, n))
+    special = [-0.0, 0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308]
+    for column in floats:
+        hit = rng.random(n) < 0.2
+        column[hit] = rng.choice(special, hit.sum())
+    single = rng.standard_normal(n).astype(np.float32)
+    columns = [np.arange(n), rng.integers(-5, 5, n), *floats, single]
+    header = ["unit_index", "flag", "a", "b", "c", "single"]
+    write_columns(tmp_path / "blocks.csv", header, columns)
+    write_rows(tmp_path / "whole.csv", header,
+               zip(*(column.tolist() for column in columns)))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,23 @@ def test_propensity_fit_keeps_no_second_copy_of_the_design():
     assert peak <= 0.4 * design_bytes, peak / design_bytes
 
 
+def test_propensity_fit_keeps_one_hessian_live():
+    train = generate_ihdp_like(n=3000, d=40, seed=0)
+    basis = BasisExpansion("polynomial2", train.n_features)
+    s = basis.output_dim
+    assert s >= 800
+    tracemalloc.start()
+    try:
+        fit_propensity(train, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Hessian being summed, one h @ h.T product and the (s, 1,024) block
+    # buffer make about 3.4 s*s*8 bytes; the previous step's Hessian kept
+    # live beside them would make about 4.4
+    assert peak <= 3.75 * s * s * 8, peak / (s * s * 8)
+
+
 def test_propensity_model_validation():
     basis = BasisExpansion(kind="raw", n_inputs=2)
     with pytest.raises(ValueError, match="clip"):

@@ -7,6 +7,8 @@ own call.  They are kept here only to pin the batched function bit for bit;
 nothing in the package uses them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,3 +101,22 @@ def test_invalid_deltas_raise():
         expected_response_from_records(records, np.full((2, 1), -1.0))
     with pytest.raises(ValueError, match="finite and >= 0"):
         expected_response_from_records(records, np.full((2, 10), np.nan))
+
+
+def test_sweep_memory_is_linear_in_n():
+    n = 20000
+    records = random_records(n, 0)
+    records.arm_terms  # built once per records, before the sweep
+    grid = np.linspace(0.0, 5.0, 50)[:, None]
+    stack = np.random.default_rng(1).uniform(0.0, 10.0, (3, n))
+    for deltas in (grid, stack):
+        want = np.mean(records.phi(deltas), axis=-1)
+        tracemalloc.start()
+        try:
+            got = expected_response_from_records(records, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few (n,) temporaries of one row, never a (rows, n) array
+        assert peak < 10 * n * 8, (deltas.shape, peak / (n * 8))
+        assert np.array_equal(got, want)

@@ -7,10 +7,14 @@ reference prediction steps one tree at a time.  They are kept here only to
 pin the learner's output bit for bit; nothing in the package uses them.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochint import trees
 from stochint.trees import (
     _PREDICT_BLOCK,
     GradientBoostedRegressor,
@@ -264,3 +268,71 @@ def test_predict_with_single_leaf_trees_matches_per_tree_loop():
     step.fit(x, np.array([0.0, 0.0, 1.0, 1.0]))
     assert [tree.n_nodes for tree in step.trees_] == [3, 1, 1, 1]
     assert np.array_equal(step.predict(x_new), reference_predict(step, x_new))
+
+
+# split blocks of a few cells, so that every node of more than a few rows
+# spans several blocks, most of them one feature wide
+BLOCKS = st.integers(1, 24)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(problem=problems(), max_depth=st.integers(1, 5),
+       given_order=st.booleans(), block=BLOCKS)
+def test_fit_tree_in_small_split_blocks_matches_reference(problem, max_depth,
+                                                          given_order, block):
+    with mock.patch.object(trees, "_SPLIT_BLOCK", block):
+        test_fit_tree_matches_reference.hypothesis.inner_test(
+            problem, max_depth, given_order)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(problem=problems(), max_depth=st.integers(1, 5),
+       n_trees=st.integers(1, 10),
+       learning_rate=st.sampled_from([0.1, 0.5, 1.0]), block=BLOCKS)
+def test_boosting_in_small_split_blocks_matches_reference(
+        problem, max_depth, n_trees, learning_rate, block):
+    with mock.patch.object(trees, "_SPLIT_BLOCK", block):
+        test_boosting_matches_reference.hypothesis.inner_test(
+            problem, max_depth, n_trees, learning_rate)
+
+
+def block_edge_problems():
+    """(name, x, y, features per block at the root)."""
+    rng = np.random.default_rng(5)
+    step = np.arange(8.0)
+    shuffled = np.array([3.0, 0.0, 6.0, 1.0, 7.0, 2.0, 5.0, 4.0])
+    # features 1 and 3 cut y perfectly at the same gain, in different blocks
+    twin = np.column_stack([shuffled, step, shuffled[::-1], step])
+    twin_y = (step >= 4).astype(float)
+    # features 1 and 2, tied, end block 0 and start block 1
+    n = 60
+    tied = np.column_stack([rng.standard_normal(n), rng.integers(0, 3, n),
+                            rng.integers(-2, 2, n), rng.standard_normal(n)])
+    tied_y = tied[:, 2] + 0.5 * tied[:, 1] + 0.1 * rng.standard_normal(n)
+    # 5 features in blocks of 2, 2 and 1; the best is the last, alone
+    odd = rng.standard_normal((n, 5))
+    odd_y = np.where(odd[:, 4] > 0.3, 2.0, -1.0) + 0.1 * odd[:, 0]
+    return [
+        ("equal-gains-one-feature-blocks", twin, twin_y, 1),
+        ("equal-gains-two-feature-blocks", twin, twin_y, 2),
+        ("tied-at-block-edge", tied.astype(float), tied_y, 2),
+        ("constant-target", odd, np.full(n, 0.1), 2),
+        ("d-not-a-block-multiple", odd, odd_y, 2),
+    ]
+
+
+@pytest.mark.parametrize("name, x, y, per_block", block_edge_problems(),
+                         ids=[case[0] for case in block_edge_problems()])
+def test_split_blocks_at_their_edges_match_reference(name, x, y, per_block):
+    want = reference_fit_tree(x, y, max_depth=3)
+    with mock.patch.object(trees, "_SPLIT_BLOCK", per_block * x.shape[0]):
+        got = fit_tree(x, y, max_depth=3)
+    assert_same_tree(got, want)
+    if name.startswith("equal-gains"):
+        assert got.feature[0] == 1
+    if name == "tied-at-block-edge":
+        assert set(PresortedColumns(x).tied.tolist()) >= {1, 2}
+    if name == "constant-target":
+        assert got.n_nodes == 1
+    if name == "d-not-a-block-multiple":
+        assert got.feature[0] == 4

@@ -1,5 +1,7 @@
 """Tests for the deterministic regression trees and gradient boosting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,22 @@ def test_boosting_fits_smooth_surface():
     model = GradientBoostedRegressor(n_trees=100, max_depth=3).fit(x, y)
     pred = model.predict(x)
     assert np.sqrt(np.mean((pred - y) ** 2)) < 0.2
+
+
+def test_boosting_memory_is_a_few_copies_of_x():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6400, 25))
+    x[:, :10] = np.round(x[:, :10])
+    y = np.sin(x[:, 0]) + x[:, 1] * x[:, 12] + 0.1 * rng.standard_normal(6400)
+    tracemalloc.start()
+    try:
+        GradientBoostedRegressor(n_trees=100).fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the presorted order and two levels of child orders, each x.nbytes of
+    # int64, and one block of split scratch: no d x n float arrays
+    assert peak <= 6 * x.nbytes, peak / x.nbytes
 
 
 def test_boosting_is_deterministic():

@@ -62,7 +62,9 @@ from .nuisance import BASIS_KINDS, OUTCOME_KINDS, OutcomeConfig
 
 OUTPUT_ROOT_ENV = "STOCHINT_OUTPUT_ROOT"
 
-# The sweep holds a few (points, n) arrays at once, so the grid is bounded.
+# The sweep needs O(n) memory, one delta at a time, but the grid itself is
+# bounded: it stops a spec such as 0:1e300:1 from allocating its grid, and
+# bounds sweep.csv's size.
 MAX_GRID_POINTS = 1000
 
 # Each command's settings, in --help order, as {config key: (default, kind)}.

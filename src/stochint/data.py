@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .parallel import pool, usable_cpus
+
 
 class DatasetError(ValueError):
     """Raised for malformed input files or invalid dataset construction."""
@@ -294,7 +296,8 @@ def write_truth_csv(data: ObservationalDataset, path: str | Path) -> None:
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:
-    """Write a header line and then rows as CSV; every CSV output goes here.
+    """Write a header line and then rows as CSV through csv.writer, for
+    tables with string cells; write_columns writes numeric columns.
 
     Values are written by str(), so a Python float gets its shortest
     round-trip form.  Pass Python numbers (e.g. from .tolist()): the str of
@@ -306,20 +309,34 @@ def write_rows(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# rows per block in write_columns: a block's Python numbers are written and
-# dropped before the next block is converted
+# rows per block in write_columns: each pool worker formats one block per
+# round, so the calling process holds one round of text at a time
 _WRITE_BLOCK = 1024
 
 
 def write_columns(path: str | Path, header: list[str], columns) -> None:
-    """write_rows of the rows of equal-length 1-d arrays, converted to
-    Python numbers by .tolist() one block of rows at a time."""
-    def rows():
-        for start in range(0, len(columns[0]), _WRITE_BLOCK):
-            yield from zip(*(column[start:start + _WRITE_BLOCK].tolist()
-                             for column in columns))
+    """Write a header line and the rows of equal-length 1-d int, float or
+    bool arrays as CSV, in the bytes write_rows gives their .tolist() rows.
 
-    write_rows(path, header, rows())
+    A block of rows is formatted column by column, one str() per cell:
+    csv.writer formats such a number by str() too, and never quotes it,
+    since it holds no comma, quote or line break.  Each round, every
+    parallel.pool worker formats one block, and the round is written in
+    block order.
+    """
+    starts = range(0, len(columns[0]), _WRITE_BLOCK)
+
+    def block_text(start: int) -> str:
+        cells = [map(str, column[start:start + _WRITE_BLOCK].tolist())
+                 for column in columns]
+        return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        with pool(block_text, len(starts)) as format_blocks:
+            step = usable_cpus()
+            for first in range(0, len(starts), step):
+                handle.writelines(format_blocks(starts[first:first + step]))
 
 
 # ---------------------------------------------------------------------------

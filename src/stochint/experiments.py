@@ -20,6 +20,7 @@ from .data import (
     generate_ihdp_like,
     generate_op_like,
     train_test_split,
+    write_columns,
     write_rows,
 )
 from .effects import (
@@ -273,22 +274,21 @@ def write_replications(result: BenchmarkResult, path: str | Path) -> None:
 
 def write_sweep_csv(deltas, psi_values, path: str | Path) -> None:
     """Delta-grid sweep table: delta, psi_hat."""
-    rows = zip(np.asarray(deltas, dtype=float).tolist(),
-               np.asarray(psi_values, dtype=float).tolist())
-    write_rows(path, ["delta", "psi_hat"], rows)
+    write_columns(path, ["delta", "psi_hat"], [np.asarray(deltas, dtype=float),
+                                               np.asarray(psi_values, dtype=float)])
 
 
 def write_best_delta_csv(deltas: np.ndarray, path: str | Path) -> None:
     """Best per-unit deltas: unit_index, delta."""
-    rows = enumerate(np.asarray(deltas, dtype=float).tolist())
-    write_rows(path, ["unit_index", "delta"], rows)
+    deltas = np.asarray(deltas, dtype=float)
+    write_columns(path, ["unit_index", "delta"], [np.arange(len(deltas)), deltas])
 
 
 def write_trace_csv(trace: GaTrace, path: str | Path) -> None:
     """Fitness history: generation, best_fitness, mean_fitness."""
-    rows = zip(range(trace.generations), trace.best_fitness.tolist(),
-               trace.mean_fitness.tolist())
-    write_rows(path, ["generation", "best_fitness", "mean_fitness"], rows)
+    write_columns(path, ["generation", "best_fitness", "mean_fitness"],
+                  [np.arange(trace.generations), trace.best_fitness,
+                   trace.mean_fitness])
 
 
 def write_json(payload: dict, path: str | Path) -> None:

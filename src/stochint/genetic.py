@@ -73,10 +73,16 @@ class GaTrace:
         return self.best_fitness.shape[0]
 
 
-def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator) -> np.ndarray:
+def _initial_rows(n: int, config: GaConfig, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The clipped rng.normal(init_mean, init_std, (population_size, n)) rows,
+    drawn into out: normal() computes loc + scale * z from the same standard
+    normal stream, so rows and rng state match it bit for bit."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    draws = rng.normal(config.init_mean, config.init_std, (config.population_size, n))
+    draws = rng.standard_normal((config.population_size, n), out=out)
+    draws *= config.init_std
+    draws += config.init_mean
     return np.clip(draws, *config.bounds, out=draws)
 
 
@@ -142,7 +148,7 @@ def optimize_records(records: UnitRecords, config: GaConfig | None = None
     rng = np.random.default_rng(cfg.seed)
     # generation g's rows and fitness are populations[g % 2] and fitness[g % 2]
     populations, fitness = shared_zeros((2, m, n)), shared_zeros((2, m))
-    populations[0] = _initial_rows(n, cfg, rng)
+    _initial_rows(n, cfg, rng, out=populations[0])
     for i, row in enumerate(populations[0]):
         fitness[0, i] = np.sum(records.phi(row))
     pair_rng, draws = np.random.default_rng(), np.empty((6, n))

@@ -1,9 +1,20 @@
 """Tests for dataset containers, generators, CSV round-trips, and folds."""
 
+import csv
+import io
+import os
 import time
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stochint.data
+import stochint.parallel
 
 from stochint.data import (
     ColumnSchema,
@@ -309,6 +320,76 @@ def test_write_columns_matches_whole_column_rows(tmp_path, n):
     write_rows(tmp_path / "whole.csv", header,
                zip(*(column.tolist() for column in columns)))
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@contextmanager
+def _two_workers():
+    """Make write_columns fork two pool workers on any host; yields the list
+    of forks made."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with mock.patch.object(stochint.parallel, "usable_cpus", lambda: 2), \
+            mock.patch.object(stochint.data, "usable_cpus", lambda: 2), \
+            mock.patch.object(os, "fork", counted_fork):
+        yield forks
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+            float("nan"), float("inf"), float("-inf")]
+_SPECIAL32 = [0.0, -0.0, 1e-45, -1e-40, 3.4e38, -3.4e38,
+              float("nan"), float("inf"), float("-inf")]
+_CELLS = {
+    np.int64: st.integers(-2 ** 63, 2 ** 63 - 1),
+    np.float64: st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+    np.float32: st.one_of(st.sampled_from(_SPECIAL32), st.floats(width=32)),
+    np.bool_: st.booleans(),
+}
+
+
+@st.composite
+def _numeric_columns(draw):
+    n = draw(st.integers(0, 16))
+    dtypes = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=4))
+    return [np.array(draw(st.lists(_CELLS[dtype], min_size=n, max_size=n)), dtype=dtype)
+            for dtype in dtypes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_numeric_columns())
+def test_write_columns_matches_csv_writer_in_forked_blocks(tmp_path_factory, columns):
+    # blocks of 3 rows on 2 workers: 16 rows take 3 rounds of forked blocks
+    header = [f"c{i}" for i in range(len(columns) - 1)] + ["needs, quotes"]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(zip(*(column.tolist() for column in columns)))
+    path = tmp_path_factory.mktemp("columns") / "columns.csv"
+    with mock.patch.object(stochint.data, "_WRITE_BLOCK", 3), _two_workers() as forks:
+        write_columns(path, header, columns)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert len(forks) == (2 if len(columns[0]) > 3 else 0)
+
+
+def test_write_columns_holds_one_round_of_text(tmp_path):
+    # 200,000 rows of 4 columns make a file of about 10 MB; two workers
+    # format rounds of two 1,024-row blocks, about 100 kB of text
+    n = 200_000
+    rng = np.random.default_rng(0)
+    columns = [np.arange(n), rng.standard_normal(n), rng.random(n), rng.random(n) < 0.5]
+    path = tmp_path / "big.csv"
+    with _two_workers() as forks:
+        tracemalloc.start()
+        try:
+            write_columns(path, ["unit_index", "a", "b", "flag"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(forks) == 2
+    assert peak < path.stat().st_size / 10
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,27 @@ def test_initialize_population_clamps_at_zero():
     assert stacked.max() <= 10.0
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_initial_rows_drawn_in_place_match_rng_normal(seed):
+    # normal(loc, scale) is loc + scale * z on the standard normal stream, so
+    # drawing z into the population and scaling it in place changes no bit
+    pick = np.random.default_rng(1000 + seed)
+    cfg = GaConfig(population_size=6, init_mean=float(pick.uniform(-2.0, 12.0)),
+                   init_std=float(pick.uniform(0.01, 5.0)), bounds=(0.0, 10.0), seed=seed)
+    n = 7 + seed
+    in_place, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    reference.integers(0, 9)  # leaves a buffered 32-bit half in both
+    in_place.integers(0, 9)
+    out = np.empty((cfg.population_size, n))
+    rows = _initial_rows(n, cfg, in_place, out=out)
+    expected = np.clip(reference.normal(cfg.init_mean, cfg.init_std,
+                                        (cfg.population_size, n)), *cfg.bounds)
+    assert rows is out
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    assert in_place.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(in_place.integers(0, 50, size=5), reference.integers(0, 50, size=5))
+
+
 def test_tournament_prefers_high_fitness():
     rng = np.random.default_rng(5)
     fits = np.arange(10, dtype=float)  # individual 9 dominates

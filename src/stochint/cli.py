@@ -1,8 +1,8 @@
 """Command-line interface: simulate | estimate | benchmark | optimize.
 
 Settings come from built-in defaults, then an optional JSON --config file,
-then explicit flags (highest precedence).  Each run echoes its resolved
-configuration to config.json in the output directory, and output files
+then explicit flags (highest precedence).  Each run echoes the settings it
+used to config.json in the output directory, and output files
 contain no timestamps, so re-running a configuration reproduces every file
 byte for byte.  On failure all files written by the run are removed and the
 exit code is nonzero.
@@ -259,6 +259,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _echo(command: str, merged: dict) -> dict:
+    """config.json's contents: the command and the settings its run used."""
+    if command == "estimate":  # --records reads p_hat, mu0 and mu1 instead
+        unused = _NUISANCE if merged["records"] else {}
+    elif merged.get("data"):  # optimize --data generates no data
+        unused = {"generator", "n", "d", *_DGP_KEYS}
+    else:  # op has 11 covariates whatever d is; only op draws an uplift
+        unused = {*_SCHEMA, {"op": "d", "ihdp": "uplift_fraction"}[merged["generator"]]}
+    return {"command": command, **{k: v for k, v in merged.items() if k not in unused}}
+
+
 def _check_config_value(key: str, value, default, kind) -> None:
     """Refuse a config-file value whose JSON type does not fit its kind.
 
@@ -394,8 +405,6 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
         outputs.check(Path(save_path), planned=artifacts)
     folds = split_folds(data.n_units, k, seed)
     if records_path:
-        for key in _NUISANCE:  # checked above but unused, so not echoed
-            del merged[key]
         try:
             records = read_records_csv(records_path, data, folds)
             records.arm_terms  # the records' p_hat check, here where the file is known
@@ -521,7 +530,7 @@ def main(argv=None) -> int:
                                                   merged.get("records")) if path]
         outputs.check(outputs.dir / "config.json")  # every command echoes it
         args.func(merged, outputs)
-        write_json({"command": args.command, **merged}, outputs.path("config.json"))
+        write_json(_echo(args.command, merged), outputs.path("config.json"))
     except Exception as err:  # report, clean partial outputs, fail loudly
         outputs.cleanup()
         print(f"error: {err}", file=sys.stderr)

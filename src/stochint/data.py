@@ -295,34 +295,21 @@ def write_truth_csv(data: ObservationalDataset, path: str | Path) -> None:
     write_columns(path, header, columns)
 
 
-def write_rows(path: str | Path, header: list[str], rows) -> None:
-    """Write a header line and then rows as CSV through csv.writer, for
-    tables with string cells; write_columns writes numeric columns.
-
-    Values are written by str(), so a Python float gets its shortest
-    round-trip form.  Pass Python numbers (e.g. from .tolist()): the str of
-    a numpy scalar need not match.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # rows per block in write_columns: each pool worker formats one block per
 # round, so the calling process holds one round of text at a time
 _WRITE_BLOCK = 1024
 
 
 def write_columns(path: str | Path, header: list[str], columns) -> None:
-    """Write a header line and the rows of equal-length 1-d int, float or
-    bool arrays as CSV, in the bytes write_rows gives their .tolist() rows.
+    """Write a header line and the rows of equal-length 1-d arrays as CSV,
+    in the bytes csv.writer gives their .tolist() rows.
 
-    A block of rows is formatted column by column, one str() per cell:
-    csv.writer formats such a number by str() too, and never quotes it,
-    since it holds no comma, quote or line break.  Each round, every
-    parallel.pool worker formats one block, and the round is written in
-    block order.
+    Cells are ints, floats, bools or strings that csv.writer never quotes:
+    the only strings written are the method names of experiments.METHODS
+    and the splits "train" and "test".  A block of rows is formatted column
+    by column, one str() per cell, as csv.writer formats a number, which it
+    never quotes, since it holds no comma, quote or line break.  Each round,
+    every parallel.pool worker formats one block, written in block order.
     """
     starts = range(0, len(columns[0]), _WRITE_BLOCK)
 

@@ -535,7 +535,7 @@ def expected_response_from_records(records: UnitRecords, deltas):
 
 
 def _ls_fit(x: np.ndarray, y: np.ndarray) -> RidgeModel:
-    a = np.hstack([np.ones((x.shape[0], 1)), x])
+    a = BasisExpansion("raw", x.shape[1]).expand(x)
     coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank == a.shape[1]:
         return RidgeModel(coef=coef)

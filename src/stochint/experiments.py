@@ -8,7 +8,7 @@ reproduces each output byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .data import (
     generate_op_like,
     train_test_split,
     write_columns,
-    write_rows,
 )
 from .effects import (
     NuisanceSpec,
@@ -246,30 +245,33 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
+_EPSILON_HEADER = ["size", "method", "split", "mean_epsilon", "std_epsilon"]
+
+
+def _epsilon_columns(result: BenchmarkResult, sizes) -> list[np.ndarray]:
+    """The _EPSILON_HEADER columns of aggregate(size), size by size."""
+    rows = [(size, a["method"], a["split"], a["mean_epsilon"], a["std_epsilon"])
+            for size in sizes for a in result.aggregate(size)]
+    return [np.array(column) for column in zip(*rows)]
+
+
 def write_epsilon_table(result: BenchmarkResult, path: str | Path) -> None:
     """Error table at the first size: method, split, mean_epsilon, std_epsilon."""
-    rows = [(a["method"], a["split"], a["mean_epsilon"], a["std_epsilon"])
-            for a in result.aggregate(result.config.sample_sizes[0])]
-    write_rows(path, ["method", "split", "mean_epsilon", "std_epsilon"], rows)
+    write_columns(path, _EPSILON_HEADER[1:],
+                  _epsilon_columns(result, result.config.sample_sizes[:1])[1:])
 
 
 def write_epsilon_by_size(result: BenchmarkResult, path: str | Path) -> None:
     """Per-size aggregated error table for data-size sensitivity runs."""
-    rows = []
-    for size in result.config.sample_sizes:
-        for a in result.aggregate(size):
-            rows.append((size, a["method"], a["split"],
-                         a["mean_epsilon"], a["std_epsilon"]))
-    write_rows(path, ["size", "method", "split", "mean_epsilon", "std_epsilon"],
-               rows)
+    write_columns(path, _EPSILON_HEADER,
+                  _epsilon_columns(result, result.config.sample_sizes))
 
 
 def write_replications(result: BenchmarkResult, path: str | Path) -> None:
-    """Raw per-replication error rows."""
-    rows = [(r.size, r.replication, r.method, r.split,
-             r.estimate, r.truth, r.epsilon) for r in result.rows]
-    write_rows(path, ["size", "replication", "method", "split",
-                      "estimate", "truth", "epsilon"], rows)
+    """Raw per-replication error rows, one column per ReplicationRow field."""
+    header = [f.name for f in fields(ReplicationRow)]
+    write_columns(path, header, [np.array([getattr(r, name) for r in result.rows])
+                                 for name in header])
 
 
 def write_sweep_csv(deltas, psi_values, path: str | Path) -> None:

@@ -678,6 +678,47 @@ def test_config_json_replays_the_run(tmp_path, command, flags):
             assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
+_GENERATOR_KEYS = ["generator", "n", "d", "noise_scale", "treated_fraction_target",
+                   "propensity_clip", "nonlinearity", "uplift_fraction"]
+_SCHEMA_KEYS = ["treatment_col", "outcome_col", "covariate_cols", "mu0_col", "mu1_col",
+                "propensity_col"]
+_SEARCH = ["--folds", "2", "--population", "6", "--generations", "2", *FAST]
+_BENCH = ["--n", "100", "--replications", "2", "--methods", "ols,ipwe", "--folds", "3",
+          *FAST]
+
+
+@pytest.mark.parametrize("command, flags, absent, kept", [
+    ("optimize", ["--data", "DATA", "--n", "5", "--generator", "ihdp",
+                  "--noise-scale", "3", *_SEARCH], _GENERATOR_KEYS, ["seed", "folds"]),
+    ("optimize", ["--n", "80", "--d", "40", *_SEARCH], [*_SCHEMA_KEYS, "d"],
+     ["generator", "n", "seed", "uplift_fraction"]),
+    ("simulate", ["--generator", "op", "--n", "60", "--d", "40"], ["d"],
+     ["n", "uplift_fraction"]),
+    ("benchmark", ["--generator", "op", "--d", "40", *_BENCH], ["d"],
+     ["n", "uplift_fraction"]),
+    ("simulate", ["--n", "60", "--d", "3", "--uplift-fraction", "0.3"],
+     ["uplift_fraction"], ["n", "d"]),
+    ("benchmark", ["--d", "3", "--uplift-fraction", "0.3", *_BENCH],
+     ["uplift_fraction"], ["n", "d"]),
+], ids=["optimize-data", "optimize-generated", "simulate-op-d", "benchmark-op-d",
+        "simulate-ihdp-uplift", "benchmark-ihdp-uplift"])
+def test_config_json_leaves_out_unused_settings(tmp_path, command, flags, absent, kept):
+    data_path = str(simulate_small(tmp_path / "sim")) if "DATA" in flags else None
+    flags = [data_path if flag == "DATA" else flag for flag in flags]
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert run_cli(command, "--out", first, *flags) == 0
+    echoed = json.loads((first / "config.json").read_text())
+    assert not set(absent) & set(echoed)
+    assert set(kept) <= set(echoed)
+    # the settings left out change nothing: the echo replays the run
+    assert run_cli(command, "--config", first / "config.json", "--out", again) == 0
+    written = sorted(path.relative_to(first) for path in first.rglob("*") if path.is_file())
+    assert sorted(path.relative_to(again) for path in again.rglob("*")
+                  if path.is_file()) == written
+    for name in written:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
 def test_config_json_of_another_command_refused(tmp_path, capsys):
     simulate_small(tmp_path / "sim")
     out = tmp_path / "opt"

@@ -20,7 +20,6 @@ from .data import (
 from .effects import (
     EstimateReport,
     FoldDiagnostics,
-    InfluenceTable,
     NuisanceSpec,
     OutcomeSpec,
     PropensitySpec,

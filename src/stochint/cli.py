@@ -271,19 +271,20 @@ def _echo(command: str, merged: dict) -> dict:
 
 
 def _check_config_value(key: str, value, default, kind) -> None:
-    """Refuse a config-file value whose JSON type does not fit its kind.
+    """Refuse a config-file value whose JSON type does not fit its kind, or
+    a choice outside its declared tuple, whether or not the run uses it.
 
-    null stands for a default of None.  A choice must be a string here; its
-    value is checked where it is used.  Flags need no check: argparse already
-    converts them.
+    null stands for a default of None.  Flags need no check: argparse already
+    converts them and checks their choices.
     """
     if value is None and default is None:
         return
-    if isinstance(kind, tuple):
-        kind = str
-    types, wanted = _WANTED[kind]
+    types, wanted = _WANTED[str if isinstance(kind, tuple) else kind]
     if not isinstance(value, types) or isinstance(value, bool):
         raise CliError(f"config key {key} must be {wanted}, not {json.dumps(value)}")
+    if isinstance(kind, tuple) and value not in kind:
+        raise CliError(f"config key {key} must be one of {', '.join(kind)}, "
+                       f"not {json.dumps(value)}")
 
 
 def _flag(key: str) -> str:
@@ -417,8 +418,8 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
         write_records_csv(records, folds, outputs.add(Path(save_path)))
 
     report = report_from_records(records, delta, k, seed, per_fold=per_fold)
-    write_json(report.to_dict(), outputs.path("report.json"))
-    write_influence_csv(report.influence, outputs.path("influence.csv"))
+    write_json(dataclasses.asdict(report), outputs.path("report.json"))
+    write_influence_csv(records, report.delta, outputs.path("influence.csv"))
     if grid is not None:
         psis = expected_response_from_records(records, grid[:, None])
         write_sweep_csv(grid, psis, outputs.path("sweep.csv"))

@@ -16,7 +16,7 @@ saw it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -195,6 +195,12 @@ class UnitRecords:
         m1 = m_term(self.treatments, self.outcomes, self.mu1, p, 1)
         m0 = m_term(self.treatments, self.outcomes, self.mu0, p, 0)
         return p, m1, m0
+
+    @cached_property
+    def tau_plugin(self) -> np.ndarray:
+        """Per-unit plug-in p mu1 + (1 - p) mu0, with the checked p_hat."""
+        p = self.arm_terms[0]
+        return p * self.mu1 + (1.0 - p) * self.mu0
 
     def phi(self, deltas) -> np.ndarray:
         """Per-unit influence values q m1 + (1 - q) m0 under deltas, which
@@ -402,20 +408,11 @@ def read_records_csv(path: str | Path, data: ObservationalDataset,
 
 
 @dataclass(frozen=True, eq=False)
-class InfluenceTable:
-    """Per-unit influence components; row i is unit i of the sample."""
-
-    q: np.ndarray
-    m1: np.ndarray
-    m0: np.ndarray
-    phi: np.ndarray
-    tau_plugin: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Cross-fitted stochastic-intervention estimates for one delta.
 
+    Its fields are report.json's keys; the per-unit values behind them come
+    from the records (UnitRecords.phi, arm_terms and tau_plugin).
     tau_ate_alg1 is the propensity-weighted average of predicted outcomes,
     mean(p mu1 + (1 - p) mu0); it is not the treated-minus-control contrast
     (see estimate_ate_difference for that).  tau_sie = psi_hat - mean(y).
@@ -430,45 +427,41 @@ class EstimateReport:
     n_units: int
     mean_outcome: float
     per_fold: tuple[FoldDiagnostics, ...]
-    influence: InfluenceTable
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary; the per-unit table is written separately."""
-        summary = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "influence"}
-        summary["per_fold"] = [asdict(d) for d in self.per_fold]
-        return summary
 
 
-def write_influence_csv(table: InfluenceTable, path: str | Path) -> None:
-    """Write the per-unit influence table as a CSV side-file."""
+def _check_scalar_delta(delta) -> float:
+    d = _check_delta(delta)
+    if d.ndim != 0:
+        raise ValueError("a scalar delta is required here")
+    return float(d)
+
+
+def write_influence_csv(records: UnitRecords, delta: float,
+                        path: str | Path) -> None:
+    """Write each unit's influence terms under a scalar delta as a CSV."""
+    delta = _check_scalar_delta(delta)
+    p, m1, m0 = records.arm_terms
     write_columns(path, ["unit_index", "q", "m1", "m0", "phi", "tau_plugin"],
-                  [np.arange(table.q.shape[0]), table.q, table.m1, table.m0,
-                   table.phi, table.tau_plugin])
+                  [np.arange(records.n), _q(p, delta), m1, m0,
+                   records.phi(delta), records.tau_plugin])
 
 
 def report_from_records(records: UnitRecords, delta: float, k: int, seed: int,
                         per_fold: tuple[FoldDiagnostics, ...] = (),
                         ) -> EstimateReport:
     """Assemble an EstimateReport from already cross-fitted records."""
-    d = _check_delta(delta)
-    if d.ndim != 0:
-        raise ValueError("a scalar delta is required here")
-    p, m1, m0 = records.arm_terms
-    q = _q(p, float(d))
-    phi = records.phi(float(d))
-    tau_plugin = p * records.mu1 + (1.0 - p) * records.mu0
+    d = _check_scalar_delta(delta)
+    phi = records.phi(d)
     return EstimateReport(
-        tau_ate_alg1=float(np.mean(tau_plugin)),
+        tau_ate_alg1=float(np.mean(records.tau_plugin)),
         tau_sie=float(np.mean(phi - records.outcomes)),
         psi_hat=float(np.mean(phi)),
-        delta=float(d),
+        delta=d,
         k=k,
         seed=seed,
         n_units=records.n,
         mean_outcome=float(np.mean(records.outcomes)),
         per_fold=per_fold,
-        influence=InfluenceTable(q=q, m1=m1, m0=m0, phi=phi, tau_plugin=tau_plugin),
     )
 
 
@@ -485,8 +478,8 @@ def estimate_sie(data: ObservationalDataset, delta: float, k: int = 5,
         nuisance: propensity/outcome settings; defaults fit both.
 
     Returns:
-        EstimateReport carrying the three aggregates, per-fold diagnostics,
-        and the per-unit influence table.
+        EstimateReport carrying the three aggregates and per-fold
+        diagnostics; per-unit values come from cross_fit_records' records.
     """
     records, diagnostics = cross_fit_records(data, k, seed, nuisance)
     return report_from_records(records, delta, k, seed, per_fold=diagnostics)

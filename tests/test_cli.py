@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import stochint
 import stochint.cli
+import stochint.effects
 import stochint.experiments
 import stochint.parallel
 from stochint.cli import (
@@ -30,6 +32,7 @@ from stochint.data import (
     train_test_split,
     write_csv,
 )
+from stochint.effects import EstimateReport
 from stochint.experiments import BenchmarkConfig, make_dataset
 from stochint.genetic import GaConfig
 from stochint.nuisance import FitError
@@ -102,6 +105,23 @@ def test_estimate_round_trip(tmp_path):
     influence_lines = (out / "influence.csv").read_text().strip().splitlines()
     assert influence_lines[0] == "unit_index,q,m1,m0,phi,tau_plugin"
     assert len(influence_lines) == 121
+
+
+def test_report_json_is_the_report_fields(tmp_path, monkeypatch):
+    data_path = simulate_small(tmp_path / "sim")
+    out = tmp_path / "est"
+    reports = []
+
+    def keep(*args, **kwargs):
+        reports.append(stochint.effects.report_from_records(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("stochint.cli.report_from_records", keep)
+    assert run_cli("estimate", "--data", data_path, "--out", out,
+                   "--delta", "2.0", "--folds", "3", *FAST) == 0
+    written = json.loads((out / "report.json").read_text())
+    assert set(written) == {f.name for f in fields(EstimateReport)}
+    assert written == json.loads(json.dumps(asdict(reports[0])))
 
 
 def test_estimate_delta_grid_writes_sweep(tmp_path):
@@ -595,6 +615,26 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, val
     assert rc == 1
     assert f"config key {key} must be {wanted}" in capsys.readouterr().err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("command, key, choices", [
+    ("optimize", "generator", "ihdp, op"),  # --data: the run uses no generator
+    ("simulate", "generator", "ihdp, op"),
+    ("estimate", "basis", "raw, polynomial2"),
+    ("benchmark", "outcome_kind", "boosted_trees, ridge_linear"),
+])
+def test_config_choice_outside_its_declaration_rejected(tmp_path, capsys, command,
+                                                        key, choices):
+    data = (["--data", simulate_small(tmp_path / "sim")]
+            if "data" in SETTINGS[command] else [])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: "bogus"}))
+    out = tmp_path / "run" / "out"
+    rc = run_cli(command, "--config", cfg_path, "--out", out, *data)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f'error: config key {key} must be one of {choices}, not "bogus"\n')
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_null_means_unset(tmp_path):

@@ -37,6 +37,7 @@ from stochint.effects import (
     read_records_csv,
     report_from_records,
     stochastic_propensity,
+    write_influence_csv,
     write_records_csv,
 )
 from stochint.nuisance import FitError, OutcomeConfig, fit_outcome
@@ -478,21 +479,24 @@ def test_report_identity_psi_equals_tau_plus_mean_outcome():
     assert abs(report.psi_hat - (report.tau_sie + report.mean_outcome)) <= 1e-12
 
 
-def test_report_aggregates_match_influence_table():
+def test_report_aggregates_match_the_records():
     data = make_cross_fit_data(n=150, seed=7)
     report = estimate_sie(data, 1.5, k=3, seed=2, nuisance=FAST_NUISANCE)
-    table = report.influence
-    assert report.psi_hat == np.mean(table.phi)
-    assert report.tau_ate_alg1 == np.mean(table.tau_plugin)
-    assert np.array_equal(table.phi,
-                          table.q * table.m1 + (1.0 - table.q) * table.m0)
+    records, _ = cross_fit_records(data, k=3, seed=2, nuisance=FAST_NUISANCE)
+    p, m1, m0 = records.arm_terms
+    q = stochastic_propensity(p, 1.5)
+    phi = records.phi(1.5)
+    assert report.psi_hat == np.mean(phi)
+    assert report.tau_ate_alg1 == np.mean(records.tau_plugin)
+    assert np.array_equal(phi, q * m1 + (1.0 - q) * m0)
 
 
-def test_delta_one_uses_fitted_propensity_exactly():
+def test_delta_one_uses_fitted_propensity_exactly(tmp_path):
     data = make_cross_fit_data(n=120, seed=8)
-    report = estimate_sie(data, 1.0, k=3, seed=3, nuisance=FAST_NUISANCE)
     records, _ = cross_fit_records(data, k=3, seed=3, nuisance=FAST_NUISANCE)
-    assert np.array_equal(report.influence.q, records.p_hat)
+    write_influence_csv(records, 1.0, tmp_path / "influence.csv")
+    q = np.loadtxt(tmp_path / "influence.csv", delimiter=",", skiprows=1, usecols=1)
+    assert np.array_equal(q, records.p_hat)
 
 
 def test_estimate_is_deterministic():
@@ -501,7 +505,9 @@ def test_estimate_is_deterministic():
     b = estimate_sie(data, 2.0, k=3, seed=4, nuisance=FAST_NUISANCE)
     assert a.psi_hat == b.psi_hat
     assert a.tau_sie == b.tau_sie
-    assert np.array_equal(a.influence.phi, b.influence.phi)
+    records_a, _ = cross_fit_records(data, k=3, seed=4, nuisance=FAST_NUISANCE)
+    records_b, _ = cross_fit_records(data, k=3, seed=4, nuisance=FAST_NUISANCE)
+    assert np.array_equal(records_a.phi(2.0), records_b.phi(2.0))
 
 
 def test_estimate_rejects_array_delta():
@@ -509,6 +515,20 @@ def test_estimate_rejects_array_delta():
     with pytest.raises(ValueError, match="scalar"):
         estimate_sie(data, np.array([1.0, 2.0]), k=3, seed=0,
                      nuisance=FAST_NUISANCE)
+
+
+def test_influence_csv_holds_the_records_values(tmp_path):
+    data = make_cross_fit_data(n=150, seed=7)
+    records, _ = cross_fit_records(data, k=3, seed=2, nuisance=FAST_NUISANCE)
+    write_influence_csv(records, 1.5, tmp_path / "influence.csv")
+    table = np.loadtxt(tmp_path / "influence.csv", delimiter=",", skiprows=1)
+    p, m1, m0 = records.arm_terms
+    assert np.array_equal(table.T, [np.arange(records.n), stochastic_propensity(p, 1.5),
+                                    m1, m0, records.phi(1.5), records.tau_plugin])
+    for delta, message in ((-1.0, "finite"), (np.array([1.0, 2.0]), "scalar")):
+        with pytest.raises(ValueError, match=message):
+            write_influence_csv(records, delta, tmp_path / "refused.csv")
+    assert not (tmp_path / "refused.csv").exists()
 
 
 def test_residual_terms_are_mean_zero_under_true_nuisances():

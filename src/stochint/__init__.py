@@ -29,7 +29,6 @@ from .effects import (
     estimate_ate_difference,
     estimate_sie,
     expected_response_from_records,
-    influence,
     m_term,
     read_records_csv,
     report_from_records,

@@ -105,15 +105,6 @@ def m_term(treatments, outcomes, mu_arm, p_hat, arm: int):
     return out
 
 
-def influence(q, m1, m0):
-    """Influence value phi = q m1 + (1 - q) m0."""
-    q = np.asarray(q, dtype=float)
-    out = q * np.asarray(m1, dtype=float) + (1.0 - q) * np.asarray(m0, dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nuisance wiring
 # ---------------------------------------------------------------------------
@@ -184,6 +175,8 @@ class UnitRecords:
     def n(self) -> int:
         return self.treatments.shape[0]
 
+    # only perfbench/exact.py calls this; ROADMAP items 1 and 14 delete the two
+    # together, so removing it alone breaks the benchmark's quality check
     def require_p_hat(self) -> np.ndarray:
         return self.p_hat
 
@@ -204,9 +197,11 @@ class UnitRecords:
 
     def phi(self, deltas) -> np.ndarray:
         """Per-unit influence values q m1 + (1 - q) m0 under deltas, which
-        are checked already and broadcast against the units."""
+        are checked already and broadcast against the units.  This is the
+        one place the influence value is computed."""
         p, m1, m0 = self.arm_terms
-        return influence(_q(p, deltas), m1, m0)
+        q = _q(p, deltas)
+        return q * m1 + (1.0 - q) * m0
 
 
 @dataclass(frozen=True)

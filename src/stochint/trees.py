@@ -28,12 +28,12 @@ def check_boosting(n_trees: int, max_depth: int, learning_rate: float) -> None:
 
 @dataclass
 class RegressionTree:
-    """Array-encoded binary tree; feature == -1 marks a leaf."""
+    """Array-encoded binary tree; feature == -1 marks a leaf.  Children are
+    made in pairs, so no array stores the right child: it is left + 1."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -162,7 +162,6 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
     feature = [-1]
     threshold = [0.0]
     left = [-1]
-    right = [-1]
     value = [0.0]
     stack = [(0, cols.order, 0)]
     while stack:
@@ -193,11 +192,9 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         feature[node_id] = j
         threshold[node_id] = thr
         left[node_id] = left_id
-        right[node_id] = left_id + 1
         feature += (-1, -1)
         threshold += (0.0, 0.0)
         left += (-1, -1)
-        right += (-1, -1)
         value += (0.0, 0.0)
         stack.append((left_id + 1, order_right, depth + 1))
         stack.append((left_id, order_left, depth + 1))
@@ -206,7 +203,6 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
     )
 
@@ -232,8 +228,7 @@ class _StackedTrees:
         offset = np.repeat(self.roots, sizes)
         self.left = np.where(
             internal, np.concatenate([t.left for t in trees]) + offset, ids)
-        self.right = np.where(
-            internal, np.concatenate([t.right for t in trees]) + offset, ids)
+        self.right = np.where(internal, self.left + 1, ids)
         self.feature = np.where(internal, feature, 0)
         self.threshold = np.concatenate([tree.threshold for tree in trees])
         self.value = np.concatenate([tree.value for tree in trees])

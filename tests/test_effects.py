@@ -30,7 +30,6 @@ from stochint.effects import (
     expected_response_from_records,
     fit_per_arm_linear,
     fold_diagnostics,
-    influence,
     ipwe_from_propensity,
     m_term,
     propensity_predictions,
@@ -151,9 +150,13 @@ def test_m_term_rejects_bad_arm():
 
 
 def test_influence_worked_value():
-    assert influence(0.5, 3.0, 1.0) == 2.0
-    assert influence(0.0, 3.0, 1.0) == 1.0
-    assert influence(1.0, 3.0, 1.0) == 3.0
+    # one treated unit with y = mu1 = 3, mu0 = 1, p_hat = 0.5: m1 = 3, m0 = 1
+    records = UnitRecords(treatments=np.array([1]), outcomes=np.array([3.0]),
+                          mu0=np.array([1.0]), mu1=np.array([3.0]),
+                          p_hat=np.array([0.5]))
+    # q = 0.5, 0 and 0.75
+    for delta, phi in ((1.0, 2.0), (0.0, 1.0), (3.0, 2.5)):
+        assert records.phi(delta).tolist() == [phi]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochint.effects import influence, m_term, stochastic_propensity
+from stochint.effects import m_term, stochastic_propensity
 from stochint import genetic
 from stochint.genetic import (
     GaConfig,
@@ -27,7 +27,7 @@ def reference_fitness(deltas, records):
     q = stochastic_propensity(p, deltas)
     m1 = m_term(records.treatments, records.outcomes, records.mu1, p, 1)
     m0 = m_term(records.treatments, records.outcomes, records.mu0, p, 0)
-    return float(np.sum(influence(q, m1, m0)))
+    return float(np.sum(q * m1 + (1.0 - q) * m0))
 
 
 def reference_crossover(a, b, cfg, rng):

@@ -24,7 +24,7 @@ from stochint.trees import (
 )
 
 _GAIN_EPS = 1e-12
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+TREE_ARRAYS = ("feature", "threshold", "left", "value")
 
 
 def reference_best_split(x, y, order):
@@ -93,6 +93,7 @@ def reference_fit_tree(x, y, max_depth, presorted=None):
         threshold[node_id] = thr
         left_id = new_node(order_left)
         right_id = new_node(order_right)
+        assert right_id == left_id + 1
         left[node_id] = left_id
         right[node_id] = right_id
         stack.append((right_id, order_right, depth + 1))
@@ -102,7 +103,6 @@ def reference_fit_tree(x, y, max_depth, presorted=None):
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
     )
 
@@ -117,7 +117,7 @@ def reference_tree_predict(tree, x):
             return tree.value[node]
         rows = np.flatnonzero(internal)
         go_left = x[rows, feat[rows]] <= tree.threshold[node[rows]]
-        node[rows] = np.where(go_left, tree.left[node[rows]], tree.right[node[rows]])
+        node[rows] = np.where(go_left, tree.left[node[rows]], tree.left[node[rows]] + 1)
 
 
 def reference_predict(model, x):

@@ -21,7 +21,7 @@ def tree_depth(tree: RegressionTree) -> int:
         best = max(best, depth)
         if tree.feature[node] >= 0:
             stack.append((int(tree.left[node]), depth + 1))
-            stack.append((int(tree.right[node]), depth + 1))
+            stack.append((int(tree.left[node]) + 1, depth + 1))
     return best
 
 
@@ -95,7 +95,7 @@ def test_fit_tree_is_deterministic():
     y = rng.standard_normal(150)
     a = fit_tree(x, y, max_depth=3)
     b = fit_tree(x, y, max_depth=3)
-    for name in ("feature", "threshold", "left", "right", "value"):
+    for name in ("feature", "threshold", "left", "value"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -106,7 +106,7 @@ def test_presorted_matches_fresh_sort():
     pre = PresortedColumns(x)
     a = fit_tree(x, y, max_depth=3)
     b = fit_tree(x, y, max_depth=3, presorted=pre)
-    for name in ("feature", "threshold", "left", "right", "value"):
+    for name in ("feature", "threshold", "left", "value"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -123,7 +123,7 @@ def test_predict_matches_scalar_descent():
             if x[i, j] <= tree.threshold[node]:
                 node = int(tree.left[node])
             else:
-                node = int(tree.right[node])
+                node = int(tree.left[node]) + 1
         assert got[i] == tree.value[node]
 
 

@@ -24,7 +24,6 @@ from .data import (
     OP_DEFAULTS,
     ColumnSchema,
     DgpConfig,
-    default_schema,
     load_csv,
     split_folds,
     write_csv,
@@ -376,8 +375,7 @@ def _parse_tuple(merged: dict, key: str, caster) -> tuple:
 def cmd_simulate(merged: dict, outputs: _Outputs) -> None:
     data = make_dataset(merged["generator"], int(merged["n"]), int(merged["d"]),
                         int(merged["seed"]), _dgp_from(merged))
-    write_csv(data, outputs.path("dataset.csv"),
-              schema=default_schema(data.n_features, with_truth=False))
+    write_csv(dataclasses.replace(data, truth=None), outputs.path("dataset.csv"))
     write_truth_csv(data, outputs.path("truth.csv"))
     print(f"simulate: wrote {data.n_units} units, {data.n_features} covariates, "
           f"treated fraction {data.treatments.mean():.3f}, "

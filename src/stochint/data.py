@@ -262,24 +262,17 @@ def load_csv(path: str | Path, schema: ColumnSchema) -> ObservationalDataset:
     )
 
 
-def write_csv(data: ObservationalDataset, path: str | Path,
-              schema: ColumnSchema | None = None) -> None:
-    """Write a dataset as CSV; floats use shortest round-trip formatting."""
-    if schema is None:
-        with_truth = data.truth is not None
-        schema = default_schema(data.n_features, with_truth=with_truth)
-    if len(schema.covariates) != data.n_features:
-        raise DatasetError("schema covariate count does not match dataset")
-    if schema.mu0 is not None and data.truth is None:
-        raise DatasetError("schema requests truth columns but dataset has no truth")
-    if schema.true_propensity is not None and (
-            data.truth is None or data.truth.true_propensity is None):
-        raise DatasetError("schema requests a propensity column but none is available")
+def write_csv(data: ObservationalDataset, path: str | Path) -> None:
+    """Write a dataset in default_schema's layout, with the mu0, mu1 and p
+    columns exactly when it carries ground truth; floats use shortest
+    round-trip formatting."""
+    truth = data.truth
     columns = [data.treatments, data.outcomes, *data.covariates.T]
-    if schema.mu0 is not None:
-        columns += [data.truth.mu0, data.truth.mu1]
-    if schema.true_propensity is not None:
-        columns.append(data.truth.true_propensity)
+    if truth is not None:
+        if truth.true_propensity is None:
+            raise DatasetError("dataset truth has no propensity to write")
+        columns += [truth.mu0, truth.mu1, truth.true_propensity]
+    schema = default_schema(data.n_features, with_truth=truth is not None)
     write_columns(path, schema.all_columns(), columns)
 
 
@@ -337,7 +330,8 @@ class DgpConfig:
 
     noise_scale: outcome noise level; 0 makes observed outcomes exactly equal
         to the chosen arm's mean.
-    treated_fraction_target: mean of the (clipped) assignment probabilities.
+    treated_fraction_target: mean of the clipped assignment probabilities,
+        so it lies in (propensity_clip, 1 - propensity_clip).
     propensity_clip: floor/ceiling applied to assignment probabilities.
     nonlinearity: scales the interaction and smooth nonlinear response terms;
         0 yields response surfaces that are exactly linear in the covariates.
@@ -353,10 +347,12 @@ class DgpConfig:
     def __post_init__(self):
         if self.noise_scale < 0:
             raise DatasetError("noise_scale must be >= 0")
-        if not 0.0 < self.treated_fraction_target < 1.0:
-            raise DatasetError("treated_fraction_target must lie in (0, 1)")
-        if not 0.0 < self.propensity_clip < 0.5:
+        clip = self.propensity_clip
+        if not 0.0 < clip < 0.5:
             raise DatasetError("propensity_clip must lie in (0, 0.5)")
+        if not clip < self.treated_fraction_target < 1.0 - clip:
+            raise DatasetError("treated_fraction_target must lie in (propensity_clip, "
+                               f"1 - propensity_clip) = ({clip:g}, {1 - clip:g})")
         if self.nonlinearity < 0:
             raise DatasetError("nonlinearity must be >= 0")
         if not 0.0 < self.uplift_fraction < 1.0:
@@ -385,21 +381,29 @@ def _bisect(below, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _calibrate_intercept(z: np.ndarray, target: float, clip: float) -> float:
-    """Bisect the assignment intercept so mean clipped probability hits target."""
-    return _bisect(
-        lambda a: np.clip(sigmoid(a + z), clip, 1.0 - clip).mean() < target,
-        -30.0, 30.0)
-
-
-def _draw_treatments(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
+def _observe(rng: np.random.Generator, x: np.ndarray, mu0: np.ndarray,
+             mu1: np.ndarray, z: np.ndarray, cfg: DgpConfig,
+             noisy) -> ObservationalDataset:
+    """Assign and observe: bisect the intercept of p = clip(sigmoid(alpha + z))
+    so that mean p hits the treated-fraction target, draw the treatments, then
+    the outcomes noisy(mu) from the chosen arms' means mu."""
+    clip = cfg.propensity_clip
+    alpha = _bisect(
+        lambda a: np.clip(sigmoid(a + z), clip, 1.0 - clip).mean()
+        < cfg.treated_fraction_target, -30.0, 30.0)
+    p = np.clip(sigmoid(alpha + z), clip, 1.0 - clip)
     t = (rng.random(p.shape[0]) < p).astype(np.int64)
     if t.min() == t.max():
         raise DatasetError(
             "degenerate draw: all units landed in one arm; "
             "increase n or move treated_fraction_target away from the boundary"
         )
-    return t
+    return ObservationalDataset(
+        covariates=x,
+        treatments=t,
+        outcomes=noisy(np.where(t == 1, mu1, mu0)),
+        truth=GroundTruth(mu0=mu0, mu1=mu1, true_propensity=p),
+    )
 
 
 def generate_ihdp_like(n: int, d: int, seed: int,
@@ -452,19 +456,8 @@ def generate_ihdp_like(n: int, d: int, seed: int,
     mu1 = mu0 + tau
 
     z = 1.2 * (0.9 * c0 + 0.7 * c1 + 0.5 * (xa @ w_assign))
-    alpha = _calibrate_intercept(z, cfg.treated_fraction_target, cfg.propensity_clip)
-    p = np.clip(sigmoid(alpha + z), cfg.propensity_clip, 1.0 - cfg.propensity_clip)
-    t = _draw_treatments(rng, p)
-
-    noise = rng.standard_normal(n)
-    y = np.where(t == 1, mu1, mu0) + cfg.noise_scale * noise
-
-    return ObservationalDataset(
-        covariates=x,
-        treatments=t,
-        outcomes=y,
-        truth=GroundTruth(mu0=mu0, mu1=mu1, true_propensity=p),
-    )
+    return _observe(rng, x, mu0, mu1, z, cfg,
+                    lambda mu: mu + cfg.noise_scale * rng.standard_normal(n))
 
 
 def _norm_quantile(q: float) -> float:
@@ -528,23 +521,11 @@ def generate_op_like(n: int, seed: int,
     mu1 = mu0 * np.exp(effect)
 
     z = 0.7 * x[:, 0] + 0.5 * x[:, 1] - 0.4 * x[:, 9]
-    alpha = _calibrate_intercept(z, cfg.treated_fraction_target, cfg.propensity_clip)
-    p = np.clip(sigmoid(alpha + z), cfg.propensity_clip, 1.0 - cfg.propensity_clip)
-    t = _draw_treatments(rng, p)
-
-    mu_obs = np.where(t == 1, mu1, mu0)
     if cfg.noise_scale == 0:
-        y = mu_obs.copy()
-    else:
-        shape = 1.0 / (cfg.noise_scale ** 2)
-        y = mu_obs * rng.gamma(shape, 1.0 / shape, n)
-
-    return ObservationalDataset(
-        covariates=x,
-        treatments=t,
-        outcomes=y,
-        truth=GroundTruth(mu0=mu0, mu1=mu1, true_propensity=p),
-    )
+        return _observe(rng, x, mu0, mu1, z, cfg, lambda mu: mu)
+    shape = 1.0 / (cfg.noise_scale ** 2)
+    return _observe(rng, x, mu0, mu1, z, cfg,
+                    lambda mu: mu * rng.gamma(shape, 1.0 / shape, n))
 
 
 # ---------------------------------------------------------------------------

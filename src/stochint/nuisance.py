@@ -65,8 +65,6 @@ class BasisExpansion:
         out, (output_dim, n), with its basis rows and return out.T; products
         are exact, so the bits are those of stacking the pieces."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.n_inputs:
             raise ValueError(f"expected (n, {self.n_inputs}) input, got {x.shape}")
         if not np.isfinite(x).all():
@@ -188,11 +186,12 @@ def fit_propensity(data: ObservationalDataset, basis: BasisExpansion,
         PropensityModel with convergence diagnostics attached.
 
     Raises:
-        ValueError: l2_penalty is not > 0.
+        ValueError: l2_penalty is not > 0, or clip is outside (0, 0.5).
         FitError: single-arm data, or gradient norm above _NEWTON_TOL after
             _NEWTON_MAX_ITER iterations.
     """
     check_l2_penalty(l2_penalty)
+    check_clip(clip)
     t = data.treatments.astype(float)
     if t.min() == t.max():
         raise FitError("propensity fit needs both treated and control units")

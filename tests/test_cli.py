@@ -218,7 +218,7 @@ def test_estimate_records_echo_no_nuisance_setting(tmp_path, capsys):
 def truth_data(tmp_path):
     data = generate_ihdp_like(120, 3, seed=3, config=DgpConfig(treated_fraction_target=0.4))
     data_path = tmp_path / "with_truth.csv"
-    write_csv(data, data_path, schema=default_schema(3, with_truth=True))
+    write_csv(data, data_path)
     return data_path
 
 
@@ -302,7 +302,7 @@ def test_estimate_oracle_modes_via_truth_columns(tmp_path):
     # oracle average q mu1 + (1 - q) mu0
     data = generate_ihdp_like(80, 3, seed=2, config=DgpConfig(noise_scale=0.0))
     data_path = tmp_path / "with_truth.csv"
-    write_csv(data, data_path, schema=default_schema(3, with_truth=True))
+    write_csv(data, data_path)
     out = tmp_path / "est"
     rc = run_cli("estimate", "--data", data_path, "--out", out,
                  "--folds", "2", "--delta", "2.0",

@@ -6,6 +6,7 @@ import os
 import time
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,14 @@ def test_csv_without_truth_columns(tmp_path):
     loaded = load_csv(path, default_schema(3))
     assert loaded.truth is None
     assert np.array_equal(loaded.outcomes, data.outcomes)
+
+
+def test_write_csv_refuses_truth_without_a_propensity(tmp_path):
+    data = small_dataset()
+    truth = GroundTruth(mu0=data.outcomes, mu1=data.outcomes + 1.0)
+    with pytest.raises(DatasetError, match="no propensity"):
+        write_csv(replace(data, truth=truth), tmp_path / "data.csv")
+    assert not (tmp_path / "data.csv").exists()
 
 
 def test_load_csv_missing_file(tmp_path):
@@ -455,6 +464,10 @@ def test_dgp_config_validation():
         DgpConfig(nonlinearity=-0.1)
     with pytest.raises(DatasetError):
         DgpConfig(uplift_fraction=0.0)
+    # a clipped mean cannot leave (clip, 1 - clip)
+    for target, clip in ((0.3, 0.4), (0.995, 0.01)):
+        with pytest.raises(DatasetError, match="treated_fraction_target"):
+            DgpConfig(treated_fraction_target=target, propensity_clip=clip)
 
 
 def test_op_like_shapes_and_nonnegative_revenue():

@@ -84,6 +84,8 @@ def test_basis_rejects_bad_input():
     basis = BasisExpansion(kind="raw", n_inputs=2)
     with pytest.raises(ValueError, match="expected"):
         basis.expand(np.zeros((3, 5)))
+    with pytest.raises(ValueError, match=r"expected \(n, 2\) input, got \(2,\)"):
+        basis.expand(np.zeros(2))
     with pytest.raises(ValueError, match="finite"):
         basis.expand(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="unknown basis"):
@@ -351,6 +353,16 @@ def test_l2_penalty_validation():
             fit_propensity(data, basis, l2_penalty=penalty)
     assert PropensitySpec().l2_penalty == 1e-4
     assert fit_propensity(data, basis, l2_penalty=1e-2).n_iter > 0
+
+
+def test_fit_propensity_refuses_a_bad_clip_before_fitting(monkeypatch):
+    def hessian(*args):
+        pytest.fail("a Hessian was built for a fit with a bad clip")
+
+    monkeypatch.setattr(stochint.nuisance, "_hessian", hessian)
+    data = logistic_dataset(100, np.array([0.2, 1.0]), seed=3)
+    with pytest.raises(ValueError, match=r"clip must lie in \(0, 0.5\)"):
+        fit_propensity(data, BasisExpansion(kind="raw", n_inputs=1), clip=0.7)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .experiments import (
     run_benchmark,
     run_optimization,
     write_best_delta_csv,
-    write_epsilon_by_size,
     write_epsilon_table,
     write_json,
     write_replications,
@@ -129,7 +128,6 @@ _DECLARED = {
         "replications": (BenchmarkConfig, "replications", int),
         "test_fraction": (BenchmarkConfig, "test_fraction", float),
         "folds": (BenchmarkConfig, "folds", int),
-        "sizes": (None, str),
         **_NUISANCE,
     },
     "optimize": {
@@ -169,7 +167,6 @@ _HELP = {
     "records": "read held-out records instead of cross-fitting",
     "covariate_cols": "comma-separated; default: every other column",
     "methods": "comma-separated from sie,ols,ipwe",
-    "sizes": "comma-separated sample sizes",
     "bounds": "lo,hi box for deltas",
 }
 
@@ -426,17 +423,14 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
 
 
 def cmd_benchmark(merged: dict, outputs: _Outputs) -> None:
-    sizes = _parse_tuple(merged, "sizes", int) if merged["sizes"] else None
     cfg = _build(BenchmarkConfig, merged, generator=merged["generator"],
                  n=int(merged["n"]), d=int(merged["d"]), seed=int(merged["seed"]),
-                 sizes=sizes, dgp=_dgp_from(merged), nuisance=_nuisance_from(merged),
+                 dgp=_dgp_from(merged), nuisance=_nuisance_from(merged),
                  methods=_parse_tuple(merged, "methods", str))
     result = run_benchmark(cfg)
     write_epsilon_table(result, outputs.path("tables", "epsilon_ate.csv"))
     write_replications(result, outputs.path("tables", "replications.csv"))
-    if len(cfg.sample_sizes) > 1:
-        write_epsilon_by_size(result, outputs.path("tables", "epsilon_by_size.csv"))
-    for entry in result.aggregate(cfg.sample_sizes[0]):
+    for entry in result.aggregate():
         print(f"benchmark: {entry['method']:>4} {entry['split']:<5} "
               f"mean_epsilon {entry['mean_epsilon']:.6f} "
               f"std {entry['std_epsilon']:.6f}")

@@ -345,16 +345,15 @@ class DgpConfig:
     uplift_fraction: float = 0.85
 
     def __post_init__(self):
-        if self.noise_scale < 0:
-            raise DatasetError("noise_scale must be >= 0")
+        for name in ("noise_scale", "nonlinearity"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DatasetError(f"{name} must be finite and >= 0")
         clip = self.propensity_clip
         if not 0.0 < clip < 0.5:
             raise DatasetError("propensity_clip must lie in (0, 0.5)")
         if not clip < self.treated_fraction_target < 1.0 - clip:
             raise DatasetError("treated_fraction_target must lie in (propensity_clip, "
                                f"1 - propensity_clip) = ({clip:g}, {1 - clip:g})")
-        if self.nonlinearity < 0:
-            raise DatasetError("nonlinearity must be >= 0")
         if not 0.0 < self.uplift_fraction < 1.0:
             raise DatasetError("uplift_fraction must lie in (0, 1)")
 

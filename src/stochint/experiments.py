@@ -69,7 +69,6 @@ class BenchmarkConfig:
     test_fraction: float = 0.2
     folds: int = 5
     seed: int = 0
-    sizes: tuple[int, ...] | None = None
     nuisance: NuisanceSpec = field(default_factory=NuisanceSpec)
 
     def __post_init__(self):
@@ -85,19 +84,10 @@ class BenchmarkConfig:
         if self.nuisance.outcome.mode == "oracle":
             raise ValueError("benchmark refuses outcome mode 'oracle': sie's "
                              "test-split estimate comes from fitted models")
-        if self.sizes is not None:
-            object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
-        for name in ("methods", "sizes"):
-            values = getattr(self, name) or ()
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:  # a repeat would run, and write, its rows twice
-                raise ValueError(f"{name} lists {repeated[0]} more than once")
-
-    @property
-    def sample_sizes(self) -> tuple[int, ...]:
-        """The sizes run: sizes, or n alone when sizes is unset."""
-        return self.sizes or (self.n,)
+        repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if repeated:  # a repeat would run, and write, its rows twice
+            raise ValueError(f"methods lists {repeated[0]} more than once")
 
 
 @dataclass(frozen=True)
@@ -120,12 +110,12 @@ class BenchmarkResult:
     config: BenchmarkConfig
     rows: tuple[ReplicationRow, ...]
 
-    def aggregate(self, size: int) -> list[dict]:
+    def aggregate(self) -> list[dict]:
         out = []
         for method in self.config.methods:
             for split in ("train", "test"):
                 eps = [r.epsilon for r in self.rows
-                       if r.size == size and r.method == method and r.split == split]
+                       if r.method == method and r.split == split]
                 out.append({
                     "method": method,
                     "split": split,
@@ -135,11 +125,11 @@ class BenchmarkResult:
         return out
 
 
-def _split_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
+def _split_estimates(method: str, seed: int, train: ObservationalDataset,
+                     test: ObservationalDataset, cfg: BenchmarkConfig,
                      ) -> tuple[float, float]:
-    """Fit on the train side of one (size, replication, seed, train, test)
-    split; estimate the average effect on both sides."""
-    _, _, seed, train, test = split
+    """Fit on the train side of one replication's split; estimate the
+    average effect on both sides."""
     if method == "sie":
         ate_train = estimate_ate_difference(train, cfg.folds, seed, cfg.nuisance)
         model0, model1 = (fit_outcome(train, cfg.nuisance.outcome.config, arm)
@@ -158,23 +148,23 @@ def _split_estimates(method: str, split: tuple, cfg: BenchmarkConfig,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _replication_rows(cfg: BenchmarkConfig, size: int, rep: int,
-                      ) -> list[ReplicationRow]:
+def _replication_rows(cfg: BenchmarkConfig, rep: int) -> list[ReplicationRow]:
     """Draw one replication's data, split it, and score every method on it."""
     seed = cfg.seed + 1 + rep
-    data = make_dataset(cfg.generator, size, cfg.d, seed, cfg.dgp)
-    split = (size, rep, seed, *train_test_split(data, cfg.test_fraction, seed))
-    truth = {"train": split[3].truth.ate, "test": split[4].truth.ate}
+    data = make_dataset(cfg.generator, cfg.n, cfg.d, seed, cfg.dgp)
+    train, test = train_test_split(data, cfg.test_fraction, seed)
+    truth = {"train": train.truth.ate, "test": test.truth.ate}
     rows = []
     try:
         for method in cfg.methods:
-            for side, est in zip(("train", "test"), _split_estimates(method, split, cfg)):
-                rows.append(ReplicationRow(size, rep, method, side, est, truth[side],
+            for side, est in zip(("train", "test"),
+                                 _split_estimates(method, seed, train, test, cfg)):
+                rows.append(ReplicationRow(cfg.n, rep, method, side, est, truth[side],
                                            epsilon_ate(est, truth[side])))
     except FitError as err:  # the message names the replication
-        raise FitError(f"size {size} replication {rep}: {err}") from None
+        raise FitError(f"size {cfg.n} replication {rep}: {err}") from None
     except ValueError as err:
-        raise ValueError(f"size {size} replication {rep}: {err}") from None
+        raise ValueError(f"size {cfg.n} replication {rep}: {err}") from None
     return rows
 
 
@@ -182,19 +172,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Replicated benchmark of absolute ATE error per method and split.
 
     Within a replication every method sees the same data and the same
-    train/test split, so methods are compared pairwise.  Each (size,
-    replication) is one parallel.forked_map task, whose rows are placed in
-    (size, replication, method) order, so no row depends on the worker
-    count.
+    train/test split, so methods are compared pairwise.  Each replication
+    is one parallel.forked_map task, whose rows are placed in (replication,
+    method) order, so no row depends on the worker count.
 
     Raises:
-        FitError, ValueError: the first failing replication in (size,
-            replication) order, with methods in cfg.methods order; the
-            message names the size and replication.
+        FitError, ValueError: the first failing replication, with methods
+            in cfg.methods order; the message names the size and
+            replication.
     """
-    tasks = [(size, rep) for size in cfg.sample_sizes
-             for rep in range(cfg.replications)]
-    rows = forked_map(lambda task: _replication_rows(cfg, *task), tasks)
+    rows = forked_map(lambda rep: _replication_rows(cfg, rep),
+                      range(cfg.replications))
     return BenchmarkResult(config=cfg, rows=tuple(row for rep in rows for row in rep))
 
 
@@ -245,26 +233,11 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-_EPSILON_HEADER = ["size", "method", "split", "mean_epsilon", "std_epsilon"]
-
-
-def _epsilon_columns(result: BenchmarkResult, sizes) -> list[np.ndarray]:
-    """The _EPSILON_HEADER columns of aggregate(size), size by size."""
-    rows = [(size, a["method"], a["split"], a["mean_epsilon"], a["std_epsilon"])
-            for size in sizes for a in result.aggregate(size)]
-    return [np.array(column) for column in zip(*rows)]
-
-
 def write_epsilon_table(result: BenchmarkResult, path: str | Path) -> None:
-    """Error table at the first size: method, split, mean_epsilon, std_epsilon."""
-    write_columns(path, _EPSILON_HEADER[1:],
-                  _epsilon_columns(result, result.config.sample_sizes[:1])[1:])
-
-
-def write_epsilon_by_size(result: BenchmarkResult, path: str | Path) -> None:
-    """Per-size aggregated error table for data-size sensitivity runs."""
-    write_columns(path, _EPSILON_HEADER,
-                  _epsilon_columns(result, result.config.sample_sizes))
+    """Error table: method, split, mean_epsilon, std_epsilon."""
+    header = ["method", "split", "mean_epsilon", "std_epsilon"]
+    table = result.aggregate()
+    write_columns(path, header, [np.array([a[key] for a in table]) for key in header])
 
 
 def write_replications(result: BenchmarkResult, path: str | Path) -> None:
@@ -294,7 +267,7 @@ def write_trace_csv(trace: GaTrace, path: str | Path) -> None:
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    """Sorted-key JSON with a trailing newline; deterministic bytes."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    """Sorted-key JSON with a trailing newline; deterministic bytes.  A payload
+    holding NaN or infinity, which are not JSON, is refused before any write."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")

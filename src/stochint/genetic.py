@@ -51,10 +51,11 @@ class GaConfig:
             raise ValueError("elitism_count must lie in [0, population_size)")
         if not 2 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament_size must lie in [2, population_size]")
-        if self.sbx_eta <= 0:
-            raise ValueError("sbx_eta must be > 0")
-        if self.init_std <= 0:
-            raise ValueError("init_std must be > 0")
+        for name in ("sbx_eta", "init_std"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not np.isfinite(self.init_mean):
+            raise ValueError("init_mean must be finite")
         lo, hi = self.bounds
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
             raise ValueError("bounds must be finite with 0 <= lo < hi")

@@ -93,9 +93,9 @@ def check_clip(clip: float) -> None:
 
 
 def check_l2_penalty(l2_penalty: float) -> None:
-    """Refuse a propensity L2 penalty that is not > 0."""
-    if not l2_penalty > 0:
-        raise ValueError("l2_penalty must be > 0")
+    """Refuse a propensity L2 penalty that is not finite and > 0."""
+    if not 0 < l2_penalty < np.inf:
+        raise ValueError("l2_penalty must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +263,8 @@ class OutcomeConfig:
     def __post_init__(self):
         if self.kind not in OUTCOME_KINDS:
             raise ValueError(f"unknown outcome kind {self.kind!r}")
-        if self.ridge_penalty <= 0:
-            raise ValueError("ridge_penalty must be > 0")
+        if not 0 < self.ridge_penalty < np.inf:
+            raise ValueError("ridge_penalty must be finite and > 0")
         if self.min_arm_size < 1:
             raise ValueError("min_arm_size must be >= 1")
         check_boosting(self.n_trees, self.max_depth, self.learning_rate)

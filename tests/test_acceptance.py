@@ -144,7 +144,7 @@ def test_criterion_4_error_ordering():
     result = run_benchmark(cfg)
     means = {
         (a["method"], a["split"]): a["mean_epsilon"]
-        for a in result.aggregate(747)
+        for a in result.aggregate()
     }
     sie = means[("sie", "test")]
     ols = means[("ols", "test")]

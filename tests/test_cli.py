@@ -380,7 +380,9 @@ def test_estimate_bad_delta_fails_before_fit(tmp_path, capsys, monkeypatch, delt
     ("--learning-rate", "2", "learning_rate must lie in (0, 1]"),
     ("--n-trees", "0", "n_trees and max_depth must be >= 1"),
     ("--max-depth", "0", "n_trees and max_depth must be >= 1"),
-    ("--l2-penalty", "0", "l2_penalty must be > 0"),
+    ("--l2-penalty", "0", "l2_penalty must be finite and > 0"),
+    ("--l2-penalty", "inf", "l2_penalty must be finite and > 0"),
+    ("--ridge-penalty", "nan", "ridge_penalty must be finite and > 0"),
 ])
 def test_estimate_bad_nuisance_setting_fails_before_fit(tmp_path, capsys, monkeypatch,
                                                         flag, value, message):
@@ -558,10 +560,12 @@ def _echoed_before_removal(command, **removed):
     ("estimate", {"rbf_centers": 20}, []),
     ("optimize", {"crossover_op": "sbx"}, []),
     ("benchmark", {"replicate": "dgp"}, []),
+    ("benchmark", {"sizes": "150,160"}, []),
     ("estimate", _echoed_before_removal("estimate", joint_outcome=False,
                                         rbf_centers=20), []),
     ("benchmark", _echoed_before_removal("benchmark", joint_outcome=False,
-                                         rbf_centers=20, replicate="dgp"), []),
+                                         rbf_centers=20, replicate="dgp",
+                                         sizes=None), []),
     ("optimize", _echoed_before_removal("optimize", joint_outcome=False,
                                         rbf_centers=20, crossover_op="sbx"), []),
     ("estimate", None, ["--joint-outcome"]),
@@ -569,9 +573,10 @@ def _echoed_before_removal(command, **removed):
     ("estimate", None, ["--basis", "rbf"]),
     ("optimize", None, ["--crossover-op", "uniform"]),
     ("benchmark", None, ["--replicate", "seed"]),
-], ids=["joint_outcome", "rbf_centers", "crossover_op", "replicate",
+    ("benchmark", None, ["--sizes", "150,160"]),
+], ids=["joint_outcome", "rbf_centers", "crossover_op", "replicate", "sizes",
         "estimate-echo", "benchmark-echo", "optimize-echo", "--joint-outcome",
-        "--rbf-centers", "--basis-rbf", "--crossover-op", "--replicate"])
+        "--rbf-centers", "--basis-rbf", "--crossover-op", "--replicate", "--sizes"])
 def test_removed_options_are_refused(tmp_path, capsys, command, config, flags):
     out = tmp_path / "run"
     argv = [command, "--out", out, *flags]
@@ -591,7 +596,7 @@ def test_removed_options_are_refused(tmp_path, capsys, command, config, flags):
 
 @pytest.mark.parametrize("command, key, value, wanted", [
     ("estimate", "min_arm_size", "false", "an integer"),
-    ("benchmark", "sizes", 200, "a string"),
+    ("benchmark", "methods", 200, "a string"),
     ("estimate", "folds", 2.9, "an integer"),
     ("estimate", "folds", True, "an integer"),
     ("estimate", "delta", "2", "a number"),
@@ -672,7 +677,7 @@ def test_settings_defaults_are_the_library_defaults():
     bench = BenchmarkConfig()
     library = {
         "benchmark": {"generator": bench.generator, "n": bench.n, "d": bench.d,
-                      "seed": bench.seed, "methods": bench.methods, "sizes": bench.sizes},
+                      "seed": bench.seed, "methods": bench.methods},
         "optimize": {"bounds": GaConfig().bounds},
     }
     parse = {"methods": lambda spec: tuple(spec.split(",")),
@@ -699,7 +704,7 @@ def test_config_number_accepts_json_integer(tmp_path):
 @pytest.mark.parametrize("command, flags", [
     ("simulate", ["--n", "60", "--d", "2", "--seed", "4", "--noise-scale", "0.5"]),
     ("estimate", ["--folds", "3", "--delta", "1.5", "--delta-grid", "0:2:0.5", *FAST]),
-    ("benchmark", ["--n", "150", "--d", "3", "--replications", "2", "--sizes", "150,160",
+    ("benchmark", ["--n", "150", "--d", "3", "--replications", "2",
                    "--folds", "3", "--treated-fraction", "0.4", "--clip", "0.02", *FAST]),
     ("optimize", ["--generator", "op", "--n", "80", "--folds", "3", "--population", "8",
                   "--generations", "5", "--sbx-eta", "3", *FAST]),
@@ -839,17 +844,6 @@ def test_benchmark_outputs_and_reruns_byte_identical(tmp_path):
     assert len(rep_lines) == 1 + 8
 
 
-def test_benchmark_sizes_writes_by_size_table(tmp_path):
-    out = tmp_path / "bench"
-    rc = run_cli("benchmark", "--out", out, "--generator", "ihdp",
-                 "--n", "150", "--d", "3", "--replications", "1",
-                 "--methods", "ols", "--sizes", "100,150",
-                 "--treated-fraction", "0.4", *FAST)
-    assert rc == 0
-    lines = (out / "tables" / "epsilon_by_size.csv").read_text().strip().splitlines()
-    assert {line.split(",")[0] for line in lines[1:]} == {"100", "150"}
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_benchmark_error_names_the_failing_replication(tmp_path, capsys,
                                                        monkeypatch, workers):
@@ -975,20 +969,11 @@ def test_optimize_artifact_onto_data_refused_before_the_search(tmp_path, capsys,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("argv, config, message", [
-    (["optimize", "--bounds", "a,b"], None, "--bounds a,b: every part must be a number"),
-    (["benchmark", "--sizes", "50,x"], None,
-     "--sizes 50,x: every part must be an integer"),
-    (["benchmark"], {"sizes": [100, 200]},
-     "config key sizes must be a string, not [100, 200]"),
-    (["benchmark", "--sizes", "60,40,60"], None, "sizes lists 60 more than once"),
-    (["benchmark", "--methods", "ols,ols"], None, "methods lists ols more than once"),
-], ids=["bounds", "sizes", "sizes-config-list", "sizes-repeated", "methods-repeated"])
-def test_list_option_error_names_its_flag(tmp_path, capsys, argv, config, message):
-    if config is not None:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        argv = [*argv, "--config", cfg_path]
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--bounds", "a,b"], "--bounds a,b: every part must be a number"),
+    (["benchmark", "--methods", "ols,ols"], "methods lists ols more than once"),
+], ids=["bounds", "methods-repeated"])
+def test_list_option_error_names_its_flag(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
     rc = run_cli(*argv, "--out", out, "--n", "60", *FAST)
     assert rc == 1

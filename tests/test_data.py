@@ -464,6 +464,10 @@ def test_dgp_config_validation():
         DgpConfig(nonlinearity=-0.1)
     with pytest.raises(DatasetError):
         DgpConfig(uplift_fraction=0.0)
+    for name in ("noise_scale", "nonlinearity"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DatasetError, match=f"^{name} must be finite and >= 0$"):
+                DgpConfig(**{name: value})
     # a clipped mean cannot leave (clip, 1 - clip)
     for target, clip in ((0.3, 0.4), (0.995, 0.01)):
         with pytest.raises(DatasetError, match="treated_fraction_target"):

@@ -22,7 +22,6 @@ from stochint.experiments import (
     run_benchmark,
     run_optimization,
     write_best_delta_csv,
-    write_epsilon_by_size,
     write_epsilon_table,
     write_json,
     write_replications,
@@ -113,7 +112,7 @@ def test_run_benchmark_row_layout():
 
 def test_aggregate_matches_manual_mean_std():
     result = run_benchmark(small_benchmark())
-    table = result.aggregate(160)
+    table = result.aggregate()
     assert [(a["method"], a["split"]) for a in table] == [
         ("sie", "train"), ("sie", "test"), ("ols", "train"), ("ols", "test"),
     ]
@@ -131,9 +130,8 @@ def test_each_replication_draws_its_own_dataset():
 
 
 @pytest.mark.parametrize("overrides, message", [
-    (dict(sizes=(100, 160, 100)), "sizes lists 100 more than once"),
     (dict(methods=("ols", "sie", "ols")), "methods lists ols more than once"),
-], ids=["sizes", "methods"])
+], ids=["methods"])
 def test_benchmark_config_refuses_a_repeat(overrides, message):
     # a repeat would run its replications twice and write each row twice
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -181,17 +179,16 @@ def assert_no_child_processes():
 
 
 @pytest.mark.parametrize("overrides, forks", [
-    (dict(sizes=(100, 160), methods=("sie", "ols", "ipwe")), 2),
+    (dict(methods=("sie", "ols", "ipwe")), 2),
     (dict(nuisance=FAST_NUISANCE), 2),
     (dict(methods=("ols", "ipwe")), 2),
-], ids=["sizes", "ridge", "no-sie"])
+], ids=["all-methods", "ridge", "no-sie"])
 def test_replication_workers_match_in_process(monkeypatch, overrides, forks):
     cfg = small_benchmark(**{"nuisance": BOOSTED_NUISANCE, **overrides})
     serial, serial_forks = benchmark_with_workers(monkeypatch, 1, cfg)
     forked, forked_forks = benchmark_with_workers(monkeypatch, 2, cfg)
     assert serial == forked
-    assert len(serial) == 2 * len(cfg.methods) * cfg.replications * len(
-        cfg.sample_sizes)
+    assert len(serial) == 2 * len(cfg.methods) * cfg.replications
     assert (serial_forks, forked_forks) == (0, forks)
     assert_no_child_processes()
 
@@ -209,8 +206,8 @@ def test_replication_worker_failure_names_it_and_reaps_workers(monkeypatch):
 
 
 def test_non_finite_estimate_names_its_replication(monkeypatch):
-    def estimates(method, split, cfg):
-        return (np.nan if split[2] == cfg.seed + 2 else 0.0), 0.0
+    def estimates(method, seed, train, test, cfg):
+        return (np.nan if seed == cfg.seed + 2 else 0.0), 0.0
 
     monkeypatch.setattr(stochint.experiments, "_split_estimates", estimates)
     with pytest.raises(ValueError, match="^size 160 replication 1: epsilon_ate "
@@ -276,17 +273,6 @@ def test_benchmark_writers_deterministic_bytes(tmp_path):
     assert len(rep_lines) == 1 + 8
 
 
-def test_epsilon_by_size_layout(tmp_path):
-    cfg = small_benchmark(methods=("ols",), replications=1, sizes=(120, 160))
-    result = run_benchmark(cfg)
-    path = tmp_path / "by_size.csv"
-    write_epsilon_by_size(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "size,method,split,mean_epsilon,std_epsilon"
-    assert len(lines) == 1 + 4  # two sizes x one method x two splits
-    assert {line.split(",")[0] for line in lines[1:]} == {"120", "160"}
-
-
 def test_small_writers(tmp_path):
     write_sweep_csv([0.0, 1.0], [2.5, 3.5], tmp_path / "sweep.csv")
     sweep = (tmp_path / "sweep.csv").read_text().strip().splitlines()
@@ -313,3 +299,11 @@ def test_write_json_is_sorted_with_trailing_newline(tmp_path):
     assert text.endswith("\n")
     assert text.index('"alpha"') < text.index('"zeta"')
     assert json.loads(text) == {"zeta": 1, "alpha": 2}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # NaN and Infinity are not JSON; a strict reader would refuse the file
+    with pytest.raises(ValueError):
+        write_json({"a": 1, "x": value}, tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()

@@ -64,6 +64,12 @@ def test_ga_config_validation():
         GaConfig(sbx_eta=0.0)
     with pytest.raises(ValueError, match="bounds"):
         GaConfig(bounds=(5.0, 5.0))
+    for value in (float("nan"), float("inf"), -float("inf")):
+        for name in ("sbx_eta", "init_std"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+                GaConfig(**{name: value})
+        with pytest.raises(ValueError, match="^init_mean must be finite$"):
+            GaConfig(init_mean=value)
 
 
 # ---------------------------------------------------------------------------

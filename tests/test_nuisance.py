@@ -346,10 +346,10 @@ def test_propensity_model_validation():
 def test_l2_penalty_validation():
     data = logistic_dataset(100, np.array([0.2, 1.0]), seed=3)
     basis = BasisExpansion(kind="raw", n_inputs=1)
-    for penalty in (0.0, -1e-4, float("nan")):
-        with pytest.raises(ValueError, match="l2_penalty must be > 0"):
+    for penalty in (0.0, -1e-4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="l2_penalty must be finite and > 0"):
             PropensitySpec(l2_penalty=penalty)
-        with pytest.raises(ValueError, match="l2_penalty must be > 0"):
+        with pytest.raises(ValueError, match="l2_penalty must be finite and > 0"):
             fit_propensity(data, basis, l2_penalty=penalty)
     assert PropensitySpec().l2_penalty == 1e-4
     assert fit_propensity(data, basis, l2_penalty=1e-2).n_iter > 0
@@ -433,8 +433,9 @@ def test_outcome_arm_must_be_0_or_1(arm):
 def test_outcome_config_validation():
     with pytest.raises(ValueError, match="unknown outcome"):
         OutcomeConfig(kind="forest")
-    with pytest.raises(ValueError):
-        OutcomeConfig(ridge_penalty=0.0)
+    for penalty in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^ridge_penalty must be finite and > 0$"):
+            OutcomeConfig(ridge_penalty=penalty)
     with pytest.raises(ValueError):
         OutcomeConfig(min_arm_size=0)
 

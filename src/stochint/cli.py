@@ -45,6 +45,7 @@ from .effects import (
 from .experiments import (
     BenchmarkConfig,
     GENERATORS,
+    aggregate,
     make_dataset,
     run_benchmark,
     run_optimization,
@@ -347,6 +348,8 @@ def _parse_grid(spec) -> np.ndarray:
         raise CliError(f"--delta-grid {spec}: lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise CliError("--delta-grid needs step > 0 and hi >= lo")
+    if not np.isfinite(hi + 0.5 * step):  # np.arange's stop, below
+        raise CliError(f"--delta-grid {spec}: hi + step/2 overflows")
     # the quotient bounds what is allocated; the grid's own size is exact
     if (hi - lo) / step < MAX_GRID_POINTS:
         grid = np.arange(lo, hi + 0.5 * step, step)
@@ -427,10 +430,10 @@ def cmd_benchmark(merged: dict, outputs: _Outputs) -> None:
                  n=int(merged["n"]), d=int(merged["d"]), seed=int(merged["seed"]),
                  dgp=_dgp_from(merged), nuisance=_nuisance_from(merged),
                  methods=_parse_tuple(merged, "methods", str))
-    result = run_benchmark(cfg)
-    write_epsilon_table(result, outputs.path("tables", "epsilon_ate.csv"))
-    write_replications(result, outputs.path("tables", "replications.csv"))
-    for entry in result.aggregate():
+    rows = run_benchmark(cfg)
+    write_epsilon_table(rows, outputs.path("tables", "epsilon_ate.csv"))
+    write_replications(rows, outputs.path("tables", "replications.csv"))
+    for entry in aggregate(rows):
         print(f"benchmark: {entry['method']:>4} {entry['split']:<5} "
               f"mean_epsilon {entry['mean_epsilon']:.6f} "
               f"std {entry['std_epsilon']:.6f}")
@@ -452,17 +455,8 @@ def cmd_optimize(merged: dict, outputs: _Outputs) -> None:
                            k=int(merged["folds"]), seed=int(merged["seed"]))
     write_best_delta_csv(run.best, outputs.path("best_delta.csv"))
     write_trace_csv(run.trace, outputs.path("trace.csv"))
-    write_json(
-        {
-            "expected_best": run.expected_best,
-            "expected_status_quo": run.expected_status_quo,
-            "expected_random": run.expected_random,
-            "fitness_best": float(run.trace.best_fitness[-1]),
-            "improvement_vs_status_quo":
-                run.expected_best - run.expected_status_quo,
-        },
-        outputs.path("comparison.json"),
-    )
+    comparison = {k: v for k, v in vars(run).items() if k not in ("best", "trace")}
+    write_json(comparison, outputs.path("comparison.json"))
     print(f"optimize: expected outcome {run.expected_best:.6f} "
           f"(status quo {run.expected_status_quo:.6f}, "
           f"random {run.expected_random:.6f})")

@@ -81,6 +81,10 @@ class BenchmarkConfig:
             raise ValueError("need at least one method")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.folds < 2:  # refused even where no method cross-fits
+            raise ValueError("folds must be >= 2")
+        if not 0.0 < self.test_fraction < 1.0:  # NaN included
+            raise ValueError("test_fraction must lie in (0, 1)")
         if self.nuisance.outcome.mode == "oracle":
             raise ValueError("benchmark refuses outcome mode 'oracle': sie's "
                              "test-split estimate comes from fitted models")
@@ -103,26 +107,20 @@ class ReplicationRow:
     epsilon: float
 
 
-@dataclass(frozen=True, eq=False)
-class BenchmarkResult:
-    """Raw per-replication rows plus aggregated mean/std error tables."""
-
-    config: BenchmarkConfig
-    rows: tuple[ReplicationRow, ...]
-
-    def aggregate(self) -> list[dict]:
-        out = []
-        for method in self.config.methods:
-            for split in ("train", "test"):
-                eps = [r.epsilon for r in self.rows
-                       if r.method == method and r.split == split]
-                out.append({
-                    "method": method,
-                    "split": split,
-                    "mean_epsilon": float(np.mean(eps)),
-                    "std_epsilon": float(np.std(eps)),
-                })
-        return out
+def aggregate(rows: tuple[ReplicationRow, ...]) -> list[dict]:
+    """Mean and std error per method and split, with methods in row order,
+    which run_benchmark makes cfg.methods order."""
+    out = []
+    for method in dict.fromkeys(r.method for r in rows):
+        for split in ("train", "test"):
+            eps = [r.epsilon for r in rows if r.method == method and r.split == split]
+            out.append({
+                "method": method,
+                "split": split,
+                "mean_epsilon": float(np.mean(eps)),
+                "std_epsilon": float(np.std(eps)),
+            })
+    return out
 
 
 def _split_estimates(method: str, seed: int, train: ObservationalDataset,
@@ -151,11 +149,11 @@ def _split_estimates(method: str, seed: int, train: ObservationalDataset,
 def _replication_rows(cfg: BenchmarkConfig, rep: int) -> list[ReplicationRow]:
     """Draw one replication's data, split it, and score every method on it."""
     seed = cfg.seed + 1 + rep
-    data = make_dataset(cfg.generator, cfg.n, cfg.d, seed, cfg.dgp)
-    train, test = train_test_split(data, cfg.test_fraction, seed)
-    truth = {"train": train.truth.ate, "test": test.truth.ate}
     rows = []
     try:
+        data = make_dataset(cfg.generator, cfg.n, cfg.d, seed, cfg.dgp)
+        train, test = train_test_split(data, cfg.test_fraction, seed)
+        truth = {"train": train.truth.ate, "test": test.truth.ate}
         for method in cfg.methods:
             for side, est in zip(("train", "test"),
                                  _split_estimates(method, seed, train, test, cfg)):
@@ -168,7 +166,7 @@ def _replication_rows(cfg: BenchmarkConfig, rep: int) -> list[ReplicationRow]:
     return rows
 
 
-def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
+def run_benchmark(cfg: BenchmarkConfig) -> tuple[ReplicationRow, ...]:
     """Replicated benchmark of absolute ATE error per method and split.
 
     Within a replication every method sees the same data and the same
@@ -183,7 +181,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """
     rows = forked_map(lambda rep: _replication_rows(cfg, rep),
                       range(cfg.replications))
-    return BenchmarkResult(config=cfg, rows=tuple(row for rep in rows for row in rep))
+    return tuple(row for rep in rows for row in rep)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +191,16 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationRun:
-    """Outputs of one genetic search plus reference-policy comparisons."""
+    """Outputs of one genetic search plus reference-policy comparisons;
+    the fields other than best and trace are comparison.json's keys."""
 
     best: np.ndarray
     trace: GaTrace
     expected_best: float
     expected_status_quo: float
     expected_random: float
+    fitness_best: float
+    improvement_vs_status_quo: float
 
 
 def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
@@ -219,13 +220,10 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
     random_policy = np.clip(rng.normal(cfg.init_mean, cfg.init_std, n), *cfg.bounds)
     values = expected_response_from_records(
         records, np.stack([best, np.ones(n), random_policy]))
-    return OptimizationRun(
-        best=best,
-        trace=trace,
-        expected_best=float(values[0]),
-        expected_status_quo=float(values[1]),
-        expected_random=float(values[2]),
-    )
+    expected_best, status_quo, expected_random = (float(v) for v in values)
+    return OptimizationRun(best, trace, expected_best, status_quo, expected_random,
+                           fitness_best=float(trace.best_fitness[-1]),
+                           improvement_vs_status_quo=expected_best - status_quo)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +231,17 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def write_epsilon_table(result: BenchmarkResult, path: str | Path) -> None:
+def write_epsilon_table(rows: tuple[ReplicationRow, ...], path: str | Path) -> None:
     """Error table: method, split, mean_epsilon, std_epsilon."""
     header = ["method", "split", "mean_epsilon", "std_epsilon"]
-    table = result.aggregate()
+    table = aggregate(rows)
     write_columns(path, header, [np.array([a[key] for a in table]) for key in header])
 
 
-def write_replications(result: BenchmarkResult, path: str | Path) -> None:
+def write_replications(rows: tuple[ReplicationRow, ...], path: str | Path) -> None:
     """Raw per-replication error rows, one column per ReplicationRow field."""
     header = [f.name for f in fields(ReplicationRow)]
-    write_columns(path, header, [np.array([getattr(r, name) for r in result.rows])
+    write_columns(path, header, [np.array([getattr(r, name) for r in rows])
                                  for name in header])
 
 

@@ -23,7 +23,8 @@ from stochint.effects import (
     expected_response_from_records,
     stochastic_propensity,
 )
-from stochint.experiments import BenchmarkConfig, run_benchmark, run_optimization
+from stochint.experiments import (BenchmarkConfig, aggregate, run_benchmark,
+                                  run_optimization)
 from stochint.genetic import GaConfig, optimize_records
 from stochint.nuisance import (
     BasisExpansion,
@@ -144,7 +145,7 @@ def test_criterion_4_error_ordering():
     result = run_benchmark(cfg)
     means = {
         (a["method"], a["split"]): a["mean_epsilon"]
-        for a in result.aggregate()
+        for a in aggregate(result)
     }
     sie = means[("sie", "test")]
     ols = means[("ols", "test")]

@@ -33,7 +33,7 @@ from stochint.data import (
     write_csv,
 )
 from stochint.effects import EstimateReport
-from stochint.experiments import BenchmarkConfig, make_dataset
+from stochint.experiments import BenchmarkConfig, OptimizationRun, make_dataset
 from stochint.genetic import GaConfig
 from stochint.nuisance import FitError
 
@@ -334,6 +334,7 @@ def _fail_if_fitted(*args, **kwargs):
     ("1:0:1", "step > 0 and hi >= lo", True),
     ("nan:1:1", "must be finite", True),
     ("0:inf:1", "must be finite", True),
+    ("1.7e308:1.7e308:1e308", "hi + step/2 overflows", True),
     ("0:5:x", "must be numbers", True),
     ("0:1e300:1", f"more than {MAX_GRID_POINTS} points", True),
     ("0:5:1e-300", f"more than {MAX_GRID_POINTS} points", True),
@@ -342,9 +343,9 @@ def _fail_if_fitted(*args, **kwargs):
     ("-1:1:0.5", "delta must be finite and >= 0", True),
     ("-1:1:0.5", "delta must be finite and >= 0", False),
     ("-.5:1:0.5", "delta must be finite and >= 0", False),
-], ids=["hi-below-lo", "nan", "inf", "non-numeric", "huge-hi", "tiny-step",
-        "just-over-cap", "rounds-over-cap", "negative-lo", "negative-lo-separate",
-        "negative-fraction-lo-separate"])
+], ids=["hi-below-lo", "nan", "inf", "overflowing-stop", "non-numeric", "huge-hi",
+        "tiny-step", "just-over-cap", "rounds-over-cap", "negative-lo",
+        "negative-lo-separate", "negative-fraction-lo-separate"])
 def test_estimate_bad_delta_grid_fails_before_fit(tmp_path, capsys, monkeypatch,
                                                   grid, message, joined):
     data_path = simulate_small(tmp_path / "sim")
@@ -867,6 +868,21 @@ def test_benchmark_oracle_outcome_refused_before_any_replication(tmp_path, capsy
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--folds", "1", "folds must be >= 2"),  # although ols never cross-fits
+    ("--test-fraction", "nan", "test_fraction must lie in (0, 1)"),
+], ids=["one-fold", "nan-test-fraction"])
+def test_benchmark_bad_split_settings_refused_before_any_replication(
+        tmp_path, capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(stochint.experiments, "make_dataset", pytest.fail)
+    out = tmp_path / "bench"
+    rc = run_cli("benchmark", "--out", out, "--n", "150", "--d", "3",
+                 "--methods", "ols", flag, value)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:rank-deficient least-squares design")
 def test_benchmark_first_failing_replication_wins(tmp_path, capsys, monkeypatch):
     # at n=60, every replication's sie fails, replication 0's in fold 1; ols
@@ -929,6 +945,23 @@ def test_optimize_writes_policy_and_trace(tmp_path):
     assert comparison["improvement_vs_status_quo"] == pytest.approx(
         comparison["expected_best"] - comparison["expected_status_quo"]
     )
+
+
+def test_comparison_json_is_the_run_fields(tmp_path, monkeypatch):
+    out = tmp_path / "opt"
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(stochint.experiments.run_optimization(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("stochint.cli.run_optimization", keep)
+    assert run_cli("optimize", "--out", out, "--n", "80", "--folds", "3",
+                   "--population", "8", "--generations", "5", *FAST) == 0
+    written = json.loads((out / "comparison.json").read_text())
+    scalars = {f.name for f in fields(OptimizationRun)} - {"best", "trace"}
+    assert set(written) == scalars
+    assert written == json.loads(json.dumps({k: getattr(runs[0], k) for k in scalars}))
 
 
 def test_optimize_config_with_snapshot_every_is_refused(tmp_path, capsys):

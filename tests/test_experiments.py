@@ -18,6 +18,7 @@ from stochint.effects import (
 )
 from stochint.experiments import (
     BenchmarkConfig,
+    aggregate,
     make_dataset,
     run_benchmark,
     run_optimization,
@@ -78,6 +79,12 @@ def test_benchmark_config_validation():
         small_benchmark(replications=0)
     with pytest.raises(ValueError, match="generator"):
         small_benchmark(generator="census")
+    # refused when built, even where no method cross-fits
+    with pytest.raises(ValueError, match="^folds must be >= 2$"):
+        small_benchmark(methods=("ols",), folds=1)
+    for fraction in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^test_fraction must lie in \(0, 1\)$"):
+            small_benchmark(test_fraction=fraction)
 
 
 def test_benchmark_config_refuses_oracle_outcomes(monkeypatch):
@@ -97,35 +104,35 @@ def test_benchmark_config_refuses_oracle_outcomes(monkeypatch):
 
 
 def test_run_benchmark_row_layout():
-    result = run_benchmark(small_benchmark())
-    assert len(result.rows) == 2 * 2 * 2  # reps x methods x splits
-    for row in result.rows:
+    rows = run_benchmark(small_benchmark())
+    assert len(rows) == 2 * 2 * 2  # reps x methods x splits
+    for row in rows:
         assert row.size == 160
         assert row.split in ("train", "test")
         assert np.isfinite(row.estimate) and np.isfinite(row.truth)
         assert row.epsilon == abs(row.estimate - row.truth)
     # every method sees the same split within a replication
-    truths = {(r.replication, r.split): r.truth for r in result.rows}
-    for row in result.rows:
+    truths = {(r.replication, r.split): r.truth for r in rows}
+    for row in rows:
         assert truths[(row.replication, row.split)] == row.truth
 
 
 def test_aggregate_matches_manual_mean_std():
-    result = run_benchmark(small_benchmark())
-    table = result.aggregate()
+    rows = run_benchmark(small_benchmark())
+    table = aggregate(rows)
     assert [(a["method"], a["split"]) for a in table] == [
         ("sie", "train"), ("sie", "test"), ("ols", "train"), ("ols", "test"),
     ]
     for entry in table:
-        eps = [r.epsilon for r in result.rows
+        eps = [r.epsilon for r in rows
                if r.method == entry["method"] and r.split == entry["split"]]
         assert entry["mean_epsilon"] == float(np.mean(eps))
         assert entry["std_epsilon"] == float(np.std(eps))
 
 
 def test_each_replication_draws_its_own_dataset():
-    result = run_benchmark(small_benchmark(methods=("ols",), replications=3))
-    truths = {r.truth for r in result.rows if r.split == "train"}
+    rows = run_benchmark(small_benchmark(methods=("ols",), replications=3))
+    truths = {r.truth for r in rows if r.split == "train"}
     assert len(truths) == 3
 
 
@@ -141,7 +148,7 @@ def test_benchmark_config_refuses_a_repeat(overrides, message):
 def test_run_benchmark_is_deterministic():
     a = run_benchmark(small_benchmark())
     b = run_benchmark(small_benchmark())
-    for row_a, row_b in zip(a.rows, b.rows):
+    for row_a, row_b in zip(a, b):
         assert row_a == row_b
 
 
@@ -169,7 +176,7 @@ def benchmark_with_workers(monkeypatch, workers, cfg):
     with monkeypatch.context() as patch:
         patch.setattr(stochint.parallel, "usable_cpus", lambda: workers)
         patch.setattr(os, "fork", fork)
-        rows = run_benchmark(cfg).rows
+        rows = run_benchmark(cfg)
     return rows, len(forks)
 
 
@@ -203,6 +210,13 @@ def test_replication_worker_failure_names_it_and_reaps_workers(monkeypatch):
     with pytest.raises(FitError, match="^size 160 replication 0: fold 0: arm 0 has"):
         benchmark_with_workers(monkeypatch, 2, cfg)
     assert_no_child_processes()
+
+
+def test_empty_split_names_its_replication():
+    # 0.001 of 160 units rounds to an empty test split
+    with pytest.raises(ValueError, match="^size 160 replication 0: test_fraction "
+                                         "0.001 leaves an empty split at n=160$"):
+        run_benchmark(small_benchmark(methods=("ols",), test_fraction=0.001))
 
 
 def test_non_finite_estimate_names_its_replication(monkeypatch):
@@ -259,12 +273,12 @@ def test_run_optimization_is_deterministic():
 
 
 def test_benchmark_writers_deterministic_bytes(tmp_path):
-    result = run_benchmark(small_benchmark())
+    rows = run_benchmark(small_benchmark())
     for writer, name in ((write_epsilon_table, "eps.csv"),
                          (write_replications, "reps.csv")):
         p1, p2 = tmp_path / f"a_{name}", tmp_path / f"b_{name}"
-        writer(result, p1)
-        writer(result, p2)
+        writer(rows, p1)
+        writer(rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
     lines = (tmp_path / "a_eps.csv").read_text().strip().splitlines()
     assert lines[0] == "method,split,mean_epsilon,std_epsilon"

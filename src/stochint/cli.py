@@ -102,12 +102,12 @@ _NUISANCE = {
 }
 
 _SCHEMA = {
-    "treatment_col": ("t", str),
-    "outcome_col": ("y", str),
+    "treatment_col": (ColumnSchema, "treatment", str),
+    "outcome_col": (ColumnSchema, "outcome", str),
     "covariate_cols": (None, str),
-    "mu0_col": (None, str),
-    "mu1_col": (None, str),
-    "propensity_col": (None, str),
+    "mu0_col": (ColumnSchema, "mu0", str),
+    "mu1_col": (ColumnSchema, "mu1", str),
+    "propensity_col": (ColumnSchema, "true_propensity", str),
 }
 
 _DECLARED = {
@@ -317,14 +317,8 @@ def _nuisance_from(merged: dict) -> NuisanceSpec:
 
 def _schema_from(merged: dict) -> ColumnSchema:
     """The column schema; load_csv infers the covariates if none are named."""
-    return ColumnSchema(
-        treatment=merged["treatment_col"],
-        outcome=merged["outcome_col"],
-        covariates=_parse_tuple(merged, "covariate_cols", str),
-        mu0=merged["mu0_col"],
-        mu1=merged["mu1_col"],
-        true_propensity=merged["propensity_col"],
-    )
+    return _build(ColumnSchema, merged,
+                  covariates=_parse_tuple(merged, "covariate_cols", str))
 
 
 def _checked_delta(flag: str, spec, delta):
@@ -419,7 +413,7 @@ def cmd_estimate(merged: dict, outputs: _Outputs) -> None:
     write_json(dataclasses.asdict(report), outputs.path("report.json"))
     write_influence_csv(records, report.delta, outputs.path("influence.csv"))
     if grid is not None:
-        psis = expected_response_from_records(records, grid[:, None])
+        psis = [expected_response_from_records(records, d) for d in grid]
         write_sweep_csv(grid, psis, outputs.path("sweep.csv"))
     print(f"estimate: delta {report.delta} psi_hat {report.psi_hat:.6f} "
           f"tau_sie {report.tau_sie:.6f} tau_ate_alg1 {report.tau_ate_alg1:.6f}")

@@ -133,9 +133,9 @@ class ObservationalDataset:
 class ColumnSchema:
     """Binds dataset roles to column names of a headered CSV file."""
 
-    treatment: str
-    outcome: str
-    covariates: tuple[str, ...]
+    treatment: str = "t"
+    outcome: str = "y"
+    covariates: tuple[str, ...] = ()
     mu0: str | None = None
     mu1: str | None = None
     true_propensity: str | None = None
@@ -160,8 +160,6 @@ class ColumnSchema:
 def default_schema(d: int, with_truth: bool = False) -> ColumnSchema:
     """Schema used by the simulator: covariates x0..x{d-1}, treatment t, outcome y."""
     return ColumnSchema(
-        treatment="t",
-        outcome="y",
         covariates=tuple(f"x{j}" for j in range(d)),
         mu0="mu0" if with_truth else None,
         mu1="mu1" if with_truth else None,

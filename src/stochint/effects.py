@@ -494,27 +494,15 @@ def estimate_ate_difference(data: ObservationalDataset, k: int = 5,
     return float(np.mean(records.mu1 - records.mu0))
 
 
-def expected_response_from_records(records: UnitRecords, deltas):
-    """Mean influence value of one policy, or of each row of a policy array.
-
-    deltas is either a per-unit vector of shape (n,), which gives a float, or
-    a 2-d array with one policy per row, which gives one mean per row: a
-    (P, n) stack of per-unit vectors, or a (G, 1) column of scalar deltas.
-    m1 and m0 are built once per records, and the rows are taken one at a
-    time, so memory is O(n) whatever the number of rows.
-    """
+def expected_response_from_records(records: UnitRecords, deltas) -> float:
+    """Mean influence value of one policy: a scalar delta for every unit, or
+    a per-unit vector of shape (n,).  m1 and m0 are built once per records,
+    so a sweep is one call per delta."""
     d = _check_delta(deltas)
-    n = records.n
-    if d.shape != (n,) and not (d.ndim == 2 and d.shape[1] in (1, n)):
-        raise ValueError(
-            f"expected {n} per-unit deltas, a (P, {n}) stack or a (G, 1) "
-            f"grid, got shape {d.shape}"
-        )
-    if d.ndim == 1:
-        return float(np.mean(records.phi(d)))
-    # a row's pairwise sum is the one a reduction along a 2-d array's last
-    # axis makes, so the means keep their bits
-    return np.array([np.mean(records.phi(row)) for row in d])
+    if d.shape not in ((), (records.n,)):
+        raise ValueError(f"expected a scalar delta or {records.n} per-unit "
+                         f"deltas, got shape {d.shape}")
+    return float(np.mean(records.phi(d)))
 
 
 # ---------------------------------------------------------------------------

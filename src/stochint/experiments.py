@@ -32,7 +32,7 @@ from .effects import (
     ipwe_from_propensity,
     propensity_predictions,
 )
-from .genetic import GaConfig, GaTrace, optimize_records
+from .genetic import GaConfig, GaTrace, optimize_records, random_policies
 from .nuisance import FitError, fit_outcome
 from .parallel import forked_map
 
@@ -159,10 +159,9 @@ def _replication_rows(cfg: BenchmarkConfig, rep: int) -> list[ReplicationRow]:
                                  _split_estimates(method, seed, train, test, cfg)):
                 rows.append(ReplicationRow(cfg.n, rep, method, side, est, truth[side],
                                            epsilon_ate(est, truth[side])))
-    except FitError as err:  # the message names the replication
-        raise FitError(f"size {cfg.n} replication {rep}: {err}") from None
-    except ValueError as err:
-        raise ValueError(f"size {cfg.n} replication {rep}: {err}") from None
+    except (FitError, ValueError) as err:  # the message names the replication
+        cls = next(c for c in (FitError, DatasetError, ValueError) if isinstance(err, c))
+        raise cls(f"size {cfg.n} replication {rep}: {err}") from None
     return rows
 
 
@@ -175,9 +174,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[ReplicationRow, ...]:
     method) order, so no row depends on the worker count.
 
     Raises:
-        FitError, ValueError: the first failing replication, with methods
-            in cfg.methods order; the message names the size and
-            replication.
+        FitError, DatasetError, ValueError: the first failing replication,
+            with methods in cfg.methods order, as the first of these its
+            error is; the message names the size and replication.
     """
     rows = forked_map(lambda rep: _replication_rows(cfg, rep),
                       range(cfg.replications))
@@ -209,18 +208,16 @@ def run_optimization(data: ObservationalDataset, ga: GaConfig | None = None,
     """Cross-fit once, search per-unit deltas, and score reference policies.
 
     The status-quo policy is the all-ones vector, whatever the bounds (leave
-    every propensity unchanged); the random policy is a fresh draw from the
-    initial-population distribution.
+    every propensity unchanged); the random policy is random_policies' draw,
+    the initial population's, from default_rng([ga.seed, 1]).
     """
     cfg = ga or GaConfig()
     records, _ = cross_fit_records(data, k, seed, nuisance or NuisanceSpec())
     best, trace = optimize_records(records, cfg)
-    n = records.n
-    rng = np.random.default_rng([cfg.seed, 1])
-    random_policy = np.clip(rng.normal(cfg.init_mean, cfg.init_std, n), *cfg.bounds)
-    values = expected_response_from_records(
-        records, np.stack([best, np.ones(n), random_policy]))
-    expected_best, status_quo, expected_random = (float(v) for v in values)
+    random_policy = random_policies(records.n, cfg, np.random.default_rng([cfg.seed, 1]))
+    expected_best, status_quo, expected_random = (
+        expected_response_from_records(records, deltas)
+        for deltas in (best, np.ones(records.n), random_policy))
     return OptimizationRun(best, trace, expected_best, status_quo, expected_random,
                            fitness_best=float(trace.best_fitness[-1]),
                            improvement_vs_status_quo=expected_best - status_quo)

@@ -9,8 +9,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from stochint.data import DgpConfig, generate_ihdp_like, generate_op_like
+from stochint.data import DgpConfig
 from stochint.effects import UnitRecords
+from stochint.experiments import make_dataset
 
 
 @lru_cache(maxsize=None)
@@ -20,11 +21,7 @@ def population(generator: str, d: int, dgp: DgpConfig, N: int = 200_000,
 
     d is ignored by the op generator, which always has 11 covariates.
     """
-    if generator == "ihdp":
-        return generate_ihdp_like(N, d, seed, dgp)
-    if generator == "op":
-        return generate_op_like(N, seed, dgp)
-    raise ValueError(f"unknown generator {generator!r}")
+    return make_dataset(generator, N, d, seed, dgp)
 
 
 def psi(pop, delta: float) -> float:

@@ -184,7 +184,7 @@ def test_criterion_6_delta_sweep_shape():
     data = generate_op_like(2000, seed=7)
     grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 10.0])
     records, _ = cross_fit_records(data, 5, 0)
-    psis = expected_response_from_records(records, grid[:, None])
+    psis = [expected_response_from_records(records, d) for d in grid]
     non_decreasing = bool((np.diff(psis[:6]) >= 0).all())
     saturation = abs(psis[6] - psis[7]) / abs(psis[7] - psis[0])
     ok = non_decreasing and saturation < 0.05

@@ -25,6 +25,7 @@ from stochint.cli import (
     main,
 )
 from stochint.data import (
+    ColumnSchema,
     DgpConfig,
     default_schema,
     generate_ihdp_like,
@@ -687,6 +688,13 @@ def test_settings_defaults_are_the_library_defaults():
         defaults = {key: SETTINGS[command][key][0] for key in want}
         assert {key: parse.get(key, lambda value: value)(value)
                 for key, value in defaults.items()} == want
+
+
+def test_column_settings_default_to_the_schema_defaults():
+    for command in ("estimate", "optimize"):
+        settings = SETTINGS[command]
+        assert settings["treatment_col"][0] == ColumnSchema().treatment == "t"
+        assert settings["outcome_col"][0] == ColumnSchema().outcome == "y"
 
 
 def test_config_number_accepts_json_integer(tmp_path):

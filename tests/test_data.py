@@ -292,6 +292,13 @@ def test_load_csv_rejects_empty_and_header_only(tmp_path):
         load_csv(header_only, default_schema(1))
 
 
+def test_default_schema_is_the_schema_defaults_with_its_covariates():
+    assert ColumnSchema().covariates == ()
+    assert default_schema(3) == ColumnSchema(covariates=("x0", "x1", "x2"))
+    assert default_schema(2, with_truth=True) == ColumnSchema(
+        covariates=("x0", "x1"), mu0="mu0", mu1="mu1", true_propensity="p")
+
+
 def test_schema_rejects_partial_truth_binding():
     with pytest.raises(DatasetError, match="together"):
         ColumnSchema(treatment="t", outcome="y", covariates=("x0",), mu0="mu0")

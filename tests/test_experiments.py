@@ -225,8 +225,16 @@ def test_non_finite_estimate_names_its_replication(monkeypatch):
 
     monkeypatch.setattr(stochint.experiments, "_split_estimates", estimates)
     with pytest.raises(ValueError, match="^size 160 replication 1: epsilon_ate "
-                                         "needs finite inputs"):
+                                         "needs finite inputs") as raised:
         run_benchmark(small_benchmark(methods=("ols",)))
+    assert raised.type is ValueError
+
+
+def test_replication_dataset_error_keeps_its_class():
+    cfg = BenchmarkConfig(n=100, d=3, methods=("ols",), replications=1,
+                          test_fraction=0.001)
+    with pytest.raises(DatasetError, match="^size 100 replication 0: test_fraction 0.001"):
+        run_benchmark(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +263,16 @@ def test_status_quo_is_delta_one_whatever_the_bounds():
     records, _ = cross_fit_records(data, 3, 0, FAST_NUISANCE)
     assert run.expected_status_quo == expected_response_from_records(records, np.ones(80))
     assert run.expected_status_quo != expected_response_from_records(records, np.full(80, 2.0))
+
+
+def test_random_policy_is_a_clipped_normal_draw_seeded_by_the_ga_seed():
+    data = make_dataset("op", 80, 11, seed=1, dgp=None)
+    ga = GaConfig(population_size=8, generations=3, init_mean=2.0, init_std=3.0,
+                  bounds=(0.5, 6.0), seed=5)
+    run = run_optimization(data, ga, FAST_NUISANCE, k=3, seed=0)
+    records, _ = cross_fit_records(data, 3, 0, FAST_NUISANCE)
+    policy = np.clip(np.random.default_rng([5, 1]).normal(2.0, 3.0, 80), 0.5, 6.0)
+    assert run.expected_random == expected_response_from_records(records, policy)
 
 
 def test_run_optimization_is_deterministic():

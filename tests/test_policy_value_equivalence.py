@@ -1,17 +1,16 @@
-"""expected_response_from_records against frozen per-row references.
+"""expected_response_from_records against frozen per-policy references.
 
-The references below are the policy-value code as it was before one function
-took every policy shape: the delta-grid sweep looped over the grid and took
-one mean per delta, and the optimizer scored each reference policy with its
-own call.  They are kept here only to pin the batched function bit for bit;
-nothing in the package uses them.
+The references below compute each policy's value from scratch, as the
+package once did: the delta-grid sweep took one mean per delta, and the
+optimizer scored each reference policy with its own call.  They are kept here
+only to pin the function bit for bit; nothing in the package uses them.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochint.effects import (
@@ -60,37 +59,44 @@ def reference_policy_value(records, deltas):
 @settings(max_examples=60, deadline=None)
 @given(n=SIZES, seed=st.integers(0, 2**32 - 1),
        grid=st.lists(DELTAS, min_size=1, max_size=12))
-def test_grid_column_matches_per_delta_sweep(n, seed, grid):
+def test_scalar_calls_match_per_delta_sweep(n, seed, grid):
     records = random_records(n, seed)
     grid = np.array(grid)
-    got = expected_response_from_records(records, grid[:, None])
-    assert got.shape == grid.shape
+    got = [expected_response_from_records(records, d) for d in grid]
+    assert all(isinstance(value, float) for value in got)
     assert np.array_equal(got, reference_sweep(records, grid))
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=SIZES, seed=st.integers(0, 2**32 - 1), n_policies=st.integers(1, 6),
        policy_seed=st.integers(0, 2**32 - 1))
-def test_policy_stack_matches_per_policy_calls(n, seed, n_policies, policy_seed):
+def test_vector_calls_match_per_policy_references(n, seed, n_policies, policy_seed):
     records = random_records(n, seed)
     rng = np.random.default_rng(policy_seed)
     stack = rng.uniform(0.0, 10.0, (n_policies, n))
     stack[0] = 1.0
-    got = expected_response_from_records(records, stack)
-    want = np.array([reference_policy_value(records, row) for row in stack])
-    assert got.shape == (n_policies,)
-    assert np.array_equal(got, want)
-    for row, value in zip(stack, got):
+    for row in stack:
         single = expected_response_from_records(records, row)
         assert isinstance(single, float)
-        assert single == value
+        assert single == reference_policy_value(records, row)
 
 
-@pytest.mark.parametrize("shape", [(), (9,), (11,), (3,), (2, 9), (3, 2),
-                                   (0, 5), (10, 1, 1), (1, 10, 1)])
+@settings(max_examples=60, deadline=None)
+@given(n=SIZES, seed=st.integers(0, 2**32 - 1), delta=DELTAS)
+@example(n=747, seed=0, delta=2.0)
+def test_scalar_delta_equals_its_constant_vector(n, seed, delta):
+    records = random_records(n, seed)
+    scalar = expected_response_from_records(records, delta)
+    vector = expected_response_from_records(records, np.full(n, delta))
+    assert np.float64(scalar).view(np.int64) == np.float64(vector).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(9,), (11,), (3,), (1,), (2, 9), (3, 2), (2, 10),
+                                   (10, 1), (1, 10), (0, 5), (10, 1, 1), (1, 10, 1)])
 def test_malformed_shapes_raise(shape):
     records = random_records(10, 0)
-    with pytest.raises(ValueError, match="per-unit deltas"):
+    with pytest.raises(ValueError, match=r"^expected a scalar delta or 10 per-unit "
+                                         r"deltas, got shape \("):
         expected_response_from_records(records, np.ones(shape))
 
 
@@ -105,17 +111,16 @@ def test_invalid_deltas_raise():
 def test_sweep_memory_is_linear_in_n():
     n = 20000
     records = random_records(n, 0)
-    records.arm_terms  # built once per records, before the sweep
-    grid = np.linspace(0.0, 5.0, 50)[:, None]
-    stack = np.random.default_rng(1).uniform(0.0, 10.0, (3, n))
-    for deltas in (grid, stack):
-        want = np.mean(records.phi(deltas), axis=-1)
+    records.arm_terms  # built once per records, before any policy
+    vector = np.random.default_rng(1).uniform(0.0, 10.0, n)
+    for deltas in (2.5, vector):
+        want = float(np.mean(records.phi(deltas)))
         tracemalloc.start()
         try:
             got = expected_response_from_records(records, deltas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a few (n,) temporaries of one row, never a (rows, n) array
-        assert peak < 10 * n * 8, (deltas.shape, peak / (n * 8))
-        assert np.array_equal(got, want)
+        # a few (n,) temporaries of one policy
+        assert peak < 10 * n * 8, (np.shape(deltas), peak / (n * 8))
+        assert got == want
